@@ -135,8 +135,7 @@ def _run_journey(args, out) -> int:
                                         threshold=args.threshold)
     journeys = journey_mod.enumerate_journeys(net, appointments, stations,
                                               args.soc, policy)
-    front = journey_mod.best_journeys(net, appointments, stations, args.soc,
-                                      policy, args.dominance)
+    front = journey_mod.journey_frontier(journeys, args.dominance)
     best = journey_mod.journey_solutions(front, journeys)
     if args.as_json:
         _emit({

@@ -126,19 +126,26 @@ def _replay(solution: JourneySolution, leg_charges, initial_soc: int,
             policy: ChargingPolicy, appointments) -> None:
     # Self-check: walking the charge trace must stay above the threshold
     # and land exactly on final_soc, and every arrival must be in time.
+    # Explicit raises rather than asserts, so the check survives -O.
+    def check(condition: bool, message: str) -> None:
+        if not condition:
+            raise RuntimeError(f"journey self-check failed: {message}")
+
     soc = initial_soc
     for index, leg in enumerate(solution.legs):
         here, there = appointments[index], appointments[index + 1]
         if leg_charges[index] is not None:
             soc = new_soc(soc, here.duration, policy)
         soc -= leg.cost.energy
-        assert soc >= policy.threshold, "charge trace fell below the threshold"
+        check(soc >= policy.threshold, "charge trace fell below the threshold")
         timing = solution.timings[index]
-        assert timing.departure == here.end
-        assert timing.arrival == time_sum(here.start, here.duration,
-                                          leg.cost.time)
-        assert timing.arrival <= there.start, "late arrival slipped through"
-    assert soc == solution.final_soc, "final state of charge mismatch"
+        check(timing.departure == here.end, "departure is not the "
+                                            "appointment's end")
+        check(timing.arrival == time_sum(here.start, here.duration,
+                                         leg.cost.time),
+              "arrival does not match the leg's travel time")
+        check(timing.arrival <= there.start, "late arrival slipped through")
+    check(soc == solution.final_soc, "final state of charge mismatch")
 
 
 def enumerate_journeys(net: RoadNetwork,
@@ -176,6 +183,9 @@ def enumerate_journeys(net: RoadNetwork,
             results.append(solution)
             return
         here, there = appointments[index], appointments[index + 1]
+        # Every leg, not only the non-dominated ones (best_paths): charging
+        # happens only when no path fits, so a dominated leg can force a
+        # charge that leads to a non-dominated journey.
         options = enumerate_paths(net, here.location, there.location,
                                   soc - policy.threshold)
         if options:
@@ -211,6 +221,17 @@ def _journey_witness(solution: JourneySolution) -> tuple:
             solution.charging_events)
 
 
+def journey_frontier(journeys: List[JourneySolution],
+                     mode: str = STRICT) -> CostFrontier:
+    """The non-dominated journeys of a list, by total (time, energy) cost.
+
+    Witnesses are (leg node sequences, charging events); map them back to
+    the journeys with :func:`journey_solutions`.
+    """
+    return frontier_filter([(_journey_witness(s), s.cost) for s in journeys],
+                           mode)
+
+
 def best_journeys(net: RoadNetwork,
                   appointments: List[Appointment],
                   stations: List[ChargingStation],
@@ -218,10 +239,8 @@ def best_journeys(net: RoadNetwork,
                   policy: ChargingPolicy = DEFAULT_POLICY,
                   mode: str = STRICT) -> CostFrontier:
     """The non-dominated journeys by total (time, energy) cost."""
-    journeys = enumerate_journeys(net, appointments, stations, initial_soc,
-                                  policy)
-    return frontier_filter([(_journey_witness(s), s.cost) for s in journeys],
-                           mode)
+    return journey_frontier(enumerate_journeys(net, appointments, stations,
+                                               initial_soc, policy), mode)
 
 
 def journey_solutions(front: CostFrontier,

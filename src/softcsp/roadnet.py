@@ -1,10 +1,20 @@
 """Road networks and the trip-level optimizer.
 
 A network is a directed graph whose edges carry finite (time, energy)
-costs.  The trip optimizer enumerates every *simple* path (no repeated
-node) between two nodes whose total energy stays within a cap -- the cap
-models the charge available for the trip -- and reduces the alternatives
-to the non-dominated ones.
+costs.  Trips are *simple* paths (no repeated node) between two nodes
+whose total energy stays within a cap -- the cap models the charge
+available for the trip.  :func:`enumerate_paths` lists all of them;
+:func:`best_paths` returns only the non-dominated ones.
+
+``best_paths`` walks the same depth-first search but keeps, per node, the
+costs of the partial paths that reached it (Martins 1984, Hansen 1980).
+A partial path is cut when a cost recorded at its endpoint, or a trip
+already found, dominates its own.  The cut is exact because costs are
+non-negative: completing the dominating prefix with the cut prefix's
+suffix and removing any cycle gives a simple path within the cap whose
+cost dominates every completion of the cut prefix.  Networks keep a
+per-node adjacency index built once at construction, so expanding a node
+costs no edge scan.
 
 Two input syntaxes are supported: a line-oriented fact format ::
 
@@ -21,25 +31,45 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Tuple
+from types import MappingProxyType
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from .errors import FormatError, InputError, ParseError, UnknownNodeError
-from .frontier import STRICT, CostFrontier, frontier_filter
+from .frontier import (_DOMINATES, STRICT, CostFrontier, _check_mode,
+                       frontier_filter)
 from .semiring import CostPair
+
+Adjacency = Tuple[Tuple[str, CostPair], ...]
 
 
 @dataclass(frozen=True)
 class RoadNetwork:
-    nodes: Tuple[str, ...]
-    edges: Dict[Tuple[str, str], CostPair]
+    """A directed graph with (time, energy) edge costs.
 
-    def neighbours(self, node: str) -> List[Tuple[str, CostPair]]:
-        out = [(dst, cost) for (src, dst), cost in self.edges.items()
-               if src == node]
-        out.sort(key=lambda pair: pair[0])
-        return out
+    ``edges`` is stored as a read-only mapping, so the adjacency index
+    built from it at construction can never go stale.
+    """
+
+    nodes: Tuple[str, ...]
+    edges: Mapping[Tuple[str, str], CostPair]
+    _adjacency: Dict[str, Adjacency] = field(init=False, repr=False,
+                                             compare=False)
+
+    def __post_init__(self):
+        edges = MappingProxyType(dict(self.edges))
+        out: Dict[str, List[Tuple[str, CostPair]]] = {}
+        for (src, dst), cost in edges.items():
+            out.setdefault(src, []).append((dst, cost))
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "_adjacency", {
+            src: tuple(sorted(pairs, key=lambda pair: pair[0]))
+            for src, pairs in out.items()})
+
+    def neighbours(self, node: str) -> Adjacency:
+        """Outgoing ``(dst, cost)`` pairs, sorted by destination."""
+        return self._adjacency.get(node, ())
 
 
 @dataclass(frozen=True)
@@ -160,14 +190,13 @@ def load_network(path: str | Path) -> RoadNetwork:
         raise FormatError(f"{path}: {exc}") from exc
 
 
-def enumerate_paths(net: RoadNetwork, source: str, dest: str,
-                    energy_limit: int) -> List[TripSolution]:
-    """All simple paths source -> dest with total energy within the cap.
+def _walk(net: RoadNetwork, source: str, dest: str, energy_limit: int,
+          mode: Optional[str] = None) -> List[TripSolution]:
+    """Depth-first walk over the simple capped paths source -> dest.
 
-    Paths have at least one edge and never repeat a node, so the
-    destination only ever appears as the final endpoint; querying a node
-    against itself therefore yields nothing.  Results are in lexicographic
-    order of the node sequence.
+    Trips come out in lexicographic order of their node sequence.  With a
+    dominance ``mode``, a partial path is cut when a partial path already
+    recorded at its endpoint, or a trip already found, dominates it.
     """
     for node in (source, dest):
         if node not in net.nodes:
@@ -175,6 +204,10 @@ def enumerate_paths(net: RoadNetwork, source: str, dest: str,
     if type(energy_limit) is not int or energy_limit < 0:
         raise InputError(f"energy limit must be a non-negative integer, "
                          f"got {energy_limit!r}")
+    dominated: Optional[Callable[[str, CostPair], bool]] = None
+    if mode is not None:
+        _check_mode(mode)
+        dominated = _pruner(_DOMINATES[mode], dest)
 
     results: List[TripSolution] = []
     path = [source]
@@ -185,14 +218,18 @@ def enumerate_paths(net: RoadNetwork, source: str, dest: str,
             next_energy = energy + cost.energy
             if next_energy > energy_limit or neighbour in visited:
                 continue
+            next_time = time + cost.time
+            if dominated is not None and dominated(
+                    neighbour, CostPair(next_time, next_energy)):
+                continue
             path.append(neighbour)
             if neighbour == dest:
                 results.append(TripSolution(path=tuple(path),
-                                            cost=CostPair(time + cost.time,
+                                            cost=CostPair(next_time,
                                                           next_energy)))
             else:
                 visited.add(neighbour)
-                walk(neighbour, time + cost.time, next_energy)
+                walk(neighbour, next_time, next_energy)
                 visited.remove(neighbour)
             path.pop()
 
@@ -200,10 +237,51 @@ def enumerate_paths(net: RoadNetwork, source: str, dest: str,
     return results
 
 
+def _pruner(dominates: Callable[[CostPair, CostPair], bool],
+            dest: str) -> Callable[[str, CostPair], bool]:
+    """The prune step: True cuts the partial path, False records its cost.
+
+    Each node keeps the costs of the partial paths that reached it and were
+    not cut, minus those a later one dominates (dominance is transitive, so
+    dropping them loses no cut).  The labels at ``dest`` are the trips
+    found so far.
+    """
+    labels: Dict[str, List[CostPair]] = {}
+
+    def dominated(node: str, cost: CostPair) -> bool:
+        here = labels.setdefault(node, [])
+        if any(dominates(old, cost) for old in here):
+            return True
+        if node != dest and any(dominates(trip, cost)
+                                for trip in labels.get(dest, ())):
+            return True
+        here[:] = [old for old in here if not dominates(cost, old)]
+        here.append(cost)
+        return False
+
+    return dominated
+
+
+def enumerate_paths(net: RoadNetwork, source: str, dest: str,
+                    energy_limit: int) -> List[TripSolution]:
+    """All simple paths source -> dest with total energy within the cap.
+
+    Paths have at least one edge and never repeat a node, so the
+    destination only ever appears as the final endpoint; querying a node
+    against itself therefore yields nothing.  Results are in lexicographic
+    order of the node sequence.
+    """
+    return _walk(net, source, dest, energy_limit)
+
+
 def best_paths(net: RoadNetwork, source: str, dest: str, energy_limit: int,
                mode: str = STRICT) -> CostFrontier:
-    """The non-dominated trips; witnesses are the node sequences."""
-    trips = enumerate_paths(net, source, dest, energy_limit)
+    """The non-dominated trips; witnesses are the node sequences.
+
+    The same items, in the same order, as ``frontier_filter`` over
+    :func:`enumerate_paths`, found by the pruned walk.
+    """
+    trips = _walk(net, source, dest, energy_limit, mode)
     return frontier_filter([(t.path, t.cost) for t in trips], mode)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -15,6 +16,8 @@ from softcsp import (
 from softcsp.errors import FormatError, InputError
 from softcsp.frontier import STRICT, WEAK
 from softcsp.journey import (
+    LegTiming,
+    _replay,
     appointments_from_json,
     journey_solutions,
     stations_from_json,
@@ -120,6 +123,52 @@ class TestBestJourneys:
         picked = journey_solutions(front, journeys)
         assert len(picked) == 4
         assert all(s in journeys for s in picked)
+
+
+class TestDominatedLeg:
+    # The frontier needs a dominated first leg: a,x,b costs more than a,b
+    # but leaves too little charge for any b->c path, which forces the
+    # charge that opens the fast b,y,c leg.  Pruning legs by dominance
+    # would lose the <3,22> journey.
+    NETWORK = {"nodes": ["a", "b", "c", "x", "y"],
+               "edges": [{"from": s, "to": d, "time": t, "energy": e}
+                         for s, d, t, e in (("a", "b", 1, 1), ("a", "x", 1, 1),
+                                            ("x", "b", 1, 1), ("b", "c", 10, 5),
+                                            ("b", "y", 0, 10),
+                                            ("y", "c", 1, 10))]}
+    APPOINTMENTS = [Appointment("a", 0, 0), Appointment("b", 10, 20),
+                    Appointment("c", 100, 0)]
+    STATIONS = [ChargingStation("s", 1, "b")]
+
+    @pytest.mark.parametrize("mode", [STRICT, WEAK])
+    def test_frontier_keeps_the_charged_journey(self, mode):
+        net = network_from_json(self.NETWORK)
+        front = best_journeys(net, self.APPOINTMENTS, self.STATIONS, 6,
+                              mode=mode)
+        assert [(item.witness, (item.cost.time, item.cost.energy))
+                for item in front] == [
+            (((("a", "b"), ("b", "c")), ()), (11, 6)),
+            (((("a", "x", "b"), ("b", "y", "c")), (("b", "s"),)), (3, 22)),
+        ]
+
+
+class TestReplay:
+    def test_corrupted_solution_raises(self, network, appointments, stations):
+        good = enumerate_journeys(network, appointments, stations, 10)[0]
+        charges = [None] * len(good.legs)
+        _replay(good, charges, 10, ChargingPolicy(), appointments)
+        late = LegTiming(departure=good.timings[0].departure,
+                         arrival=good.timings[0].arrival + 1)
+        corrupted = [
+            dataclasses.replace(good, final_soc=good.final_soc + 1),
+            dataclasses.replace(good, timings=(late,) + good.timings[1:]),
+        ]
+        for solution in corrupted:
+            with pytest.raises(RuntimeError, match="self-check"):
+                _replay(solution, charges, 10, ChargingPolicy(), appointments)
+        with pytest.raises(RuntimeError, match="threshold"):
+            _replay(good, charges, 10, ChargingPolicy(threshold=5),
+                    appointments)
 
 
 class TestValidation:

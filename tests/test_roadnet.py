@@ -10,8 +10,14 @@ from softcsp import (
     network_from_json,
     parse_network,
 )
-from softcsp.errors import FormatError, InputError, ParseError, UnknownNodeError
-from softcsp.frontier import STRICT, WEAK
+from softcsp.errors import (
+    FormatError,
+    InputError,
+    ModeMismatchError,
+    ParseError,
+    UnknownNodeError,
+)
+from softcsp.frontier import STRICT, WEAK, frontier_filter
 from softcsp.roadnet import trip_solutions
 
 from conftest import FIXTURES
@@ -74,6 +80,13 @@ class TestJsonFormat:
         edge = {"from": "p", "to": "q", "time": 1, "energy": 1}
         with pytest.raises(FormatError, match="duplicate"):
             network_from_json({"nodes": ["p", "q"], "edges": [edge, dict(edge)]})
+
+    def test_edges_are_read_only(self, network):
+        with pytest.raises(TypeError):
+            network.edges[("p", "q")] = CostPair(0, 0)
+        with pytest.raises(TypeError):
+            del network.edges[("p", "q")]
+        assert [dst for dst, _ in network.neighbours("p")] == ["q", "r", "t"]
 
     def test_bad_json_reports_path(self, tmp_path):
         bad = tmp_path / "net.json"
@@ -193,6 +206,44 @@ def test_against_recursive_oracle(cyclic):
                      for t in enumerate_paths(net, source, dest, limit))
         assert got == expected
         costs = [(t, e) for _, t, e in expected]
-        front = best_paths(net, source, dest, limit, STRICT)
-        assert {(c.time, c.energy) for c in front.costs()} \
-            == oracle_filter(costs, STRICT)
+        for mode in (STRICT, WEAK):
+            front = best_paths(net, source, dest, limit, mode)
+            assert {(c.time, c.energy) for c in front.costs()} \
+                == oracle_filter(costs, mode)
+
+
+def test_pruned_search_matches_enumerate_then_filter():
+    # The gate for the pruned search: identical items (witnesses, costs and
+    # order) to filtering the full enumeration, in both modes.  Small cost
+    # spans make zero-cost edges and ties common; a quarter of the queries
+    # ask for a node against itself.
+    rng = random.Random("pruned-search")
+    trips_seen = kept = 0
+    for index in range(400):
+        span = rng.choice((1, 2, 4))
+        net, _, nodes = random_network(rng, min_nodes=3, max_nodes=8,
+                                       cyclic=index % 4 != 0,
+                                       edge_probability=rng.choice((0.4, 0.7)),
+                                       time_span=span, energy_span=span)
+        if index % 4 == 1:
+            source = dest = rng.choice(nodes)
+        else:
+            source, dest = rng.sample(nodes, 2)
+        limit = rng.randint(span, 6 * span + 6)
+        trips = enumerate_paths(net, source, dest, limit)
+        trips_seen += len(trips)
+        for mode in (STRICT, WEAK):
+            expected = frontier_filter([(t.path, t.cost) for t in trips], mode)
+            assert best_paths(net, source, dest, limit, mode) == expected
+            kept += len(expected)
+    # The battery must exercise real frontiers, and real pruning.
+    assert kept > 800 and trips_seen > 3 * kept
+
+
+def test_best_paths_checks_its_inputs(network):
+    with pytest.raises(UnknownNodeError):
+        best_paths(network, "p", "nowhere", 10)
+    with pytest.raises(InputError):
+        best_paths(network, "p", "t", -1)
+    with pytest.raises(ModeMismatchError):
+        best_paths(network, "p", "t", 10, "pareto")
