@@ -18,7 +18,7 @@ from typing import List, Optional
 
 from . import journey as journey_mod
 from . import roadnet, scsp, sclp
-from .errors import NonConvergenceError, SoftcspError
+from .errors import NonConvergenceError, SoftcspError, read_input
 from .frontier import MODES, STRICT
 from .semiring import format_value
 
@@ -165,7 +165,7 @@ def _run_journey(args, out) -> int:
 def _run_scsp(args, out) -> int:
     problem = scsp.load_problem(args.problem)
     solution = scsp.solve(problem)
-    best = scsp.blevel(problem)
+    best = scsp.best_level(solution)
     spec = problem.spec
     if args.as_json:
         _emit({
@@ -187,7 +187,7 @@ def _run_scsp(args, out) -> int:
 
 
 def _run_sclp(args, out) -> int:
-    program = sclp.parse_program(open_text(args.program))
+    program = sclp.parse_program(read_input(args.program))
     spec = program.spec
     if args.goal:
         goal = sclp.parse_goal(args.goal)
@@ -220,13 +220,8 @@ def _run_sclp(args, out) -> int:
     return 0
 
 
-def open_text(path: str) -> str:
-    try:
-        with open(path, encoding="utf-8") as handle:
-            return handle.read()
-    except OSError as exc:
-        raise SoftcspError(f"cannot read {path}: {exc.strerror}") from exc
-
+# Built once per process: building it costs more than a small query.
+_PARSER = build_parser()
 
 _HANDLERS = {
     "trip": _run_trip,
@@ -240,9 +235,8 @@ def run(argv: Optional[List[str]] = None, out=None, err=None) -> int:
     """Parse arguments, dispatch, and return the exit status."""
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except _UsageError as exc:
         print(exc, file=err)
         return 1

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Any, Callable, Dict, FrozenSet, Iterable, Mapping, Tuple
 
 from .errors import (
@@ -107,15 +108,19 @@ class SoftConstraint:
     """A dense table from support assignments to semiring values.
 
     ``support`` is the declared support, kept sorted; ``table`` maps a
-    value tuple per support name (in support order) to a tagged value.
-    Equality is semantic: two constraints are equal when they agree as
-    functions of their minimal supports.
+    value tuple per support name (in support order) to a tagged value,
+    and is stored as a read-only copy.  Equality is semantic: two
+    constraints are equal when they agree as functions of their minimal
+    supports.
     """
 
     spec: SemiringSpec
     domain: Tuple[Any, ...]
     support: Tuple[Name, ...]
     table: Mapping[Tuple[Any, ...], SemiringValue] = field(repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "table", MappingProxyType(dict(self.table)))
 
     def evaluate(self, assignment: Mapping[Name, Any]) -> SemiringValue:
         """Look up the value for ``assignment``.

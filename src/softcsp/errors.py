@@ -1,10 +1,15 @@
-"""Exception hierarchy shared by all softcsp modules.
+"""Exception hierarchy shared by all softcsp modules, and input-file reading.
 
 Input problems (bad files, bad flags, carrier mismatches) derive from
 :class:`InputError`; they map to exit status 1 on the command line.
 :class:`NonConvergenceError` is the one "internal" failure mode (exit
 status 2): a fixpoint iteration that hit its cap.
+
+Input files are read here too, so that every problem with one is an
+:class:`InputError` naming the file and, where there is one, the element.
 """
+
+import json
 
 
 class SoftcspError(Exception):
@@ -82,3 +87,34 @@ class NonConvergenceError(SoftcspError):
         self.previous = previous
         self.last = last
         super().__init__(message)
+
+
+def read_input(path) -> str:
+    """The UTF-8 text of an input file."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"cannot read {path}: not UTF-8 text "
+                         f"(byte {exc.start}: {exc.reason})") from exc
+
+
+def load_json(path, build):
+    """``build`` applied to an input file's JSON; errors name the path."""
+    text = read_input(path)
+    try:
+        return build(json.loads(text))
+    except (json.JSONDecodeError, RecursionError, InputError) as exc:
+        raise FormatError(f"{path}: {exc}") from exc
+
+
+def fields(entry, where: str, keys):
+    """The values of ``keys`` in the JSON object ``where``, in order."""
+    if not isinstance(entry, dict):
+        raise FormatError(f"{where} must be an object")
+    missing = [k for k in keys if k not in entry]
+    if missing:
+        raise FormatError(f"{where} is missing {missing!r}")
+    return [entry[k] for k in keys]

@@ -16,12 +16,11 @@ trace is replayed as a self-check before a journey is emitted.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from .errors import FormatError, InputError
+from .errors import FormatError, InputError, fields, load_json
 from .frontier import STRICT, CostFrontier, frontier_filter
 from .roadnet import RoadNetwork, TripSolution, enumerate_paths
 from .semiring import CostPair
@@ -258,14 +257,8 @@ def appointments_from_json(data) -> List[Appointment]:
     appointments = []
     for index, entry in enumerate(data):
         where = f"appointments[{index}]"
-        if not isinstance(entry, dict):
-            raise FormatError(f"{where} must be an object")
-        missing = [k for k in ("location", "start", "duration")
-                   if k not in entry]
-        if missing:
-            raise FormatError(f"{where} is missing {missing!r}")
-        location, start, duration = (entry["location"], entry["start"],
-                                     entry["duration"])
+        location, start, duration = fields(entry, where,
+                                           ("location", "start", "duration"))
         if not isinstance(location, str):
             raise FormatError(f"{where}.location must be a node name")
         for label, value in (("start", start), ("duration", duration)):
@@ -283,13 +276,8 @@ def stations_from_json(data) -> List[ChargingStation]:
     stations = []
     for index, entry in enumerate(data):
         where = f"stations[{index}]"
-        if not isinstance(entry, dict):
-            raise FormatError(f"{where} must be an object")
-        missing = [k for k in ("name", "spots", "location") if k not in entry]
-        if missing:
-            raise FormatError(f"{where} is missing {missing!r}")
-        name, spots, location = (entry["name"], entry["spots"],
-                                 entry["location"])
+        name, spots, location = fields(entry, where,
+                                       ("name", "spots", "location"))
         if not isinstance(name, str) or not isinstance(location, str):
             raise FormatError(f"{where}: name and location must be strings")
         if type(spots) is not int or spots < 0:
@@ -299,23 +287,9 @@ def stations_from_json(data) -> List[ChargingStation]:
     return stations
 
 
-def _load_json(path: str | Path):
-    text = Path(path).read_text(encoding="utf-8")
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
-
-
 def load_appointments(path: str | Path) -> List[Appointment]:
-    try:
-        return appointments_from_json(_load_json(path))
-    except FormatError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
+    return load_json(path, appointments_from_json)
 
 
 def load_stations(path: str | Path) -> List[ChargingStation]:
-    try:
-        return stations_from_json(_load_json(path))
-    except FormatError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
+    return load_json(path, stations_from_json)

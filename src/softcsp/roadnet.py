@@ -29,14 +29,14 @@ and a JSON document (the CLI's file format)::
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
-from .errors import FormatError, InputError, ParseError, UnknownNodeError
+from .errors import (FormatError, InputError, ParseError, UnknownNodeError,
+                     fields, load_json)
 from .frontier import (_DOMINATES, STRICT, CostFrontier, _check_mode,
                        frontier_filter)
 from .semiring import CostPair
@@ -149,28 +149,24 @@ def parse_network(text: str) -> RoadNetwork:
 
 
 def network_from_json(data) -> RoadNetwork:
-    if not isinstance(data, dict) or "nodes" not in data or "edges" not in data:
-        raise FormatError('network file must be an object with "nodes" and '
-                          '"edges"')
-    nodes = data["nodes"]
+    nodes, raw_edges = fields(data, "network file", ("nodes", "edges"))
     if (not isinstance(nodes, list)
             or not all(isinstance(n, str) and n for n in nodes)):
         raise FormatError('"nodes" must be a list of node names')
-    raw_edges = data["edges"]
     if not isinstance(raw_edges, list):
         raise FormatError('"edges" must be a list')
     edge_list = []
     for index, entry in enumerate(raw_edges):
         where = f"edges[{index}]"
-        if not isinstance(entry, dict):
-            raise FormatError(f"{where} must be an object")
-        missing = [k for k in ("from", "to", "time", "energy") if k not in entry]
-        if missing:
-            raise FormatError(f"{where} is missing {missing!r}")
-        time = _check_cost(entry["time"], "time", where)
-        energy = _check_cost(entry["energy"], "energy", where)
-        edge_list.append((where, entry["from"], entry["to"],
-                          CostPair(time, energy)))
+        src, dst, time, energy = fields(entry, where,
+                                        ("from", "to", "time", "energy"))
+        for key, endpoint in (("from", src), ("to", dst)):
+            if not isinstance(endpoint, str):
+                raise FormatError(f"{where}.{key} must be a node name, "
+                                  f"got {endpoint!r}")
+        edge_list.append((where, src, dst,
+                          CostPair(_check_cost(time, "time", where),
+                                   _check_cost(energy, "energy", where))))
 
     def describe(where, message):
         return FormatError(f"{where}: {message}")
@@ -179,15 +175,7 @@ def network_from_json(data) -> RoadNetwork:
 
 
 def load_network(path: str | Path) -> RoadNetwork:
-    text = Path(path).read_text(encoding="utf-8")
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
-    try:
-        return network_from_json(data)
-    except FormatError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
+    return load_json(path, network_from_json)
 
 
 def _walk(net: RoadNetwork, source: str, dest: str, energy_limit: int,

@@ -259,7 +259,7 @@ def _strip_comment(line: str) -> str:
     return line if cut < 0 else line[:cut]
 
 
-def _split_top(text: str, line_no: int) -> list:
+def _split_top(text: str, line_no: Optional[int]) -> list:
     parts = []
     depth = 0
     current = []
@@ -291,7 +291,7 @@ def parse_atom(text: str, line_no: Optional[int] = None) -> Atom:
     if arg_text is None:
         return Atom(predicate)
     args = []
-    for term in _split_top(arg_text, line_no or 0):
+    for term in _split_top(arg_text, line_no):
         if "(" in term or ")" in term:
             raise FunctionSymbolError(
                 f"term {term!r} uses a function symbol; only constants and "
@@ -330,7 +330,7 @@ def parse_goal(text: str) -> Tuple[Atom, ...]:
         stripped = stripped[2:].strip()
     if not stripped:
         raise ParseError("empty goal")
-    atoms = tuple(parse_atom(p) for p in _split_top(stripped, 0))
+    atoms = tuple(parse_atom(p) for p in _split_top(stripped, None))
     for atom in atoms:
         for term in atom.args:
             if is_variable(term):

@@ -23,13 +23,12 @@ The JSON problem format::
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, FrozenSet, Tuple
 
 from .constraints import Name, SoftConstraint, combine, hide, make_constraint, unit_constraint
-from .errors import FormatError, InputError, InstanceMismatchError
+from .errors import FormatError, InputError, InstanceMismatchError, fields, load_json
 from .semiring import SemiringSpec, SemiringValue, lookup
 
 
@@ -53,15 +52,6 @@ class SCSPProblem:
                 )
 
 
-def _combination(problem: SCSPProblem) -> SoftConstraint:
-    # Fold pairwise left-to-right over constraints sorted by support; the
-    # order is semantically irrelevant, sorting just pins intermediates.
-    acc = unit_constraint(problem.spec, problem.domain)
-    for c in sorted(problem.constraints, key=lambda c: c.support):
-        acc = combine(acc, c)
-    return acc
-
-
 def solve(problem: SCSPProblem) -> SoftConstraint:
     """Combine all constraints, then hide every non-interface name.
 
@@ -69,64 +59,69 @@ def solve(problem: SCSPProblem) -> SoftConstraint:
     the order cannot change the result.  The result's minimal support is a
     subset of the interface.
     """
-    acc = _combination(problem)
+    # Fold pairwise left-to-right over constraints sorted by support; the
+    # order is semantically irrelevant, sorting just pins intermediates.
+    acc = unit_constraint(problem.spec, problem.domain)
+    for c in sorted(problem.constraints, key=lambda c: c.support):
+        acc = combine(acc, c)
     for name in sorted(set(acc.support) - set(problem.interface)):
         acc = hide(name, acc)
     return acc
 
 
+def best_level(solution: SoftConstraint) -> SemiringValue:
+    """The best level of consistency from :func:`solve`'s result: hide
+    the names left in it."""
+    for name in sorted(solution.support):
+        solution = hide(name, solution)
+    return solution.table[()]
+
+
 def blevel(problem: SCSPProblem) -> SemiringValue:
     """The best level of consistency: the solution with every name hidden."""
-    acc = _combination(problem)
-    for name in sorted(acc.support):
-        acc = hide(name, acc)
-    return acc.table[()]
+    return best_level(solve(problem))
+
+
+def _check_scalars(values: list, where: str) -> None:
+    for index, value in enumerate(values):
+        if not isinstance(value, (str, int, float, type(None))):
+            raise FormatError(f"{where}[{index}] must be a JSON scalar, "
+                              f"got {value!r}")
 
 
 def problem_from_json(data: Any) -> SCSPProblem:
     """Validate and build a problem from parsed JSON."""
-    if not isinstance(data, dict):
-        raise FormatError("problem file must contain a JSON object")
-    for field_name in ("semiring", "domain", "interface", "constraints"):
-        if field_name not in data:
-            raise FormatError(f"problem file is missing {field_name!r}")
-    spec = lookup(data["semiring"])
-    domain = data["domain"]
+    semiring, domain, interface, raw_constraints = fields(
+        data, "problem file", ("semiring", "domain", "interface", "constraints"))
+    spec = lookup(semiring)
     if not isinstance(domain, list) or not domain:
         raise FormatError('"domain" must be a non-empty list')
-    interface = data["interface"]
+    _check_scalars(domain, "domain")
     if not isinstance(interface, list) or not all(isinstance(n, str) for n in interface):
         raise FormatError('"interface" must be a list of names')
-    raw_constraints = data["constraints"]
     if not isinstance(raw_constraints, list):
         raise FormatError('"constraints" must be a list')
 
     constraints = []
     for index, entry in enumerate(raw_constraints):
         where = f"constraints[{index}]"
-        if not isinstance(entry, dict) or "support" not in entry or "rows" not in entry:
-            raise FormatError(f'{where} must be an object with "support" and "rows"')
-        support = entry["support"]
+        support, rows = fields(entry, where, ("support", "rows"))
         if not isinstance(support, list) or not all(isinstance(n, str) for n in support):
             raise FormatError(f'{where}.support must be a list of names')
-        rows = entry["rows"]
         if not isinstance(rows, list):
             raise FormatError(f"{where}.rows must be a list")
         table = {}
         for row_index, row in enumerate(rows):
-            if not isinstance(row, dict) or "assign" not in row or "value" not in row:
-                raise FormatError(
-                    f'{where}.rows[{row_index}] must be an object with '
-                    f'"assign" and "value"'
-                )
-            assign = row["assign"]
+            row_where = f"{where}.rows[{row_index}]"
+            assign, value = fields(row, row_where, ("assign", "value"))
             if not isinstance(assign, list):
-                raise FormatError(f"{where}.rows[{row_index}].assign must be a list")
+                raise FormatError(f"{row_where}.assign must be a list")
+            _check_scalars(assign, f"{row_where}.assign")
             key = tuple(assign)
             if key in table:
-                raise FormatError(f"{where}.rows[{row_index}]: duplicate "
+                raise FormatError(f"{row_where}: duplicate "
                                   f"assignment {assign!r}")
-            table[key] = row["value"]
+            table[key] = value
         try:
             constraints.append(make_constraint(spec, domain, support, table))
         except InputError as exc:
@@ -138,12 +133,4 @@ def problem_from_json(data: Any) -> SCSPProblem:
 
 
 def load_problem(path: str | Path) -> SCSPProblem:
-    text = Path(path).read_text(encoding="utf-8")
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
-    try:
-        return problem_from_json(data)
-    except FormatError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
+    return load_json(path, problem_from_json)

@@ -328,11 +328,11 @@ def instance_catalog() -> Dict[str, SemiringSpec]:
 
 
 def lookup(key: str) -> SemiringSpec:
-    """Resolve a catalog key, raising for unknown ones."""
-    try:
-        return _INSTANCES[key]
-    except KeyError:
+    """Resolve a catalog key, raising for unknown ones and non-strings."""
+    spec = _INSTANCES.get(key) if isinstance(key, str) else None
+    if spec is None:
         known = ", ".join(sorted(_INSTANCES))
         raise UnknownInstanceError(
             f"unknown semiring instance {key!r} (known: {known})"
-        ) from None
+        )
+    return spec

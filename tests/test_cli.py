@@ -1,6 +1,11 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import softcsp
 from softcsp.cli import run
 
 from conftest import FIXTURES
@@ -16,6 +21,26 @@ def invoke(*argv):
     out, err = io.StringIO(), io.StringIO()
     status = run(list(argv), out=out, err=err)
     return status, out.getvalue(), err.getvalue()
+
+
+def reading(command, path):
+    """argv for ``command`` with ``path`` as the input file under test."""
+    return {
+        "trip": ["trip", "--network", path, "--from", "p", "--to", "t",
+                 "--limit", "10"],
+        "journey": ["journey", "--network", NETWORK, "--appointments", path,
+                    "--stations", STATIONS, "--soc", "10"],
+        "scsp": ["scsp", "--problem", path],
+        "sclp": ["sclp", "--program", path],
+    }[command]
+
+
+def _problem(**changes):
+    problem = {"semiring": "wcsp", "domain": ["a"], "interface": [],
+               "constraints": [{"support": ["x"],
+                                "rows": [{"assign": ["a"], "value": 1}]}]}
+    problem.update(changes)
+    return json.dumps(problem)
 
 
 class TestTrip:
@@ -72,10 +97,40 @@ class TestTrip:
                                   "--to", "zz", "--limit", "10")
         assert status == 1 and out == "" and "zz" in err
 
-    def test_missing_file(self):
-        status, _, err = invoke("trip", "--network", "no-such.json",
-                                "--from", "p", "--to", "t", "--limit", "10")
-        assert status == 1 and "no-such.json" in err
+    def test_missing_file(self, tmp_path):
+        # Every subcommand reports a file it cannot read, cannot decode or
+        # finds malformed as an input error (exit 1) naming the file, and
+        # the element at fault where there is one.
+        latin1 = tmp_path / "latin1.txt"
+        latin1.write_bytes(b'{"caf\xe9": 1}\n')
+        for command in ("trip", "journey", "scsp", "sclp"):
+            assert invoke(*reading(command, "no-such.json")) == (
+                1, "", f"softcsp {command}: cannot read no-such.json: "
+                       f"No such file or directory\n")
+            status, out, err = invoke(*reading(command, str(latin1)))
+            assert status == 1 and out == ""
+            assert f"cannot read {latin1}: not UTF-8" in err
+
+        deep = "[" * 100_000 + "]" * 100_000
+        row = {"assign": [["a"]], "value": 1}
+        edge = {"from": ["p"], "to": "q", "time": 1, "energy": 1}
+        cases = [
+            ("trip", deep, "recursion depth"),
+            ("journey", deep, "recursion depth"),
+            ("scsp", deep, "recursion depth"),
+            ("scsp", _problem(semiring=["wcsp"]), "semiring"),
+            ("scsp", _problem(domain=[["a"]]), "domain[0]"),
+            ("scsp", _problem(constraints=[{"support": ["x"], "rows": [row]}]),
+             "constraints[0].rows[0].assign[0]"),
+            ("trip", json.dumps({"nodes": ["p", "q"], "edges": [edge]}),
+             "edges[0].from"),
+        ]
+        for index, (command, text, element) in enumerate(cases):
+            path = tmp_path / f"case{index}.json"
+            path.write_text(text, encoding="utf-8")
+            status, out, err = invoke(*reading(command, str(path)))
+            assert status == 1 and out == "", (command, element, err)
+            assert f"softcsp {command}: {path}: " in err and element in err
 
     def test_negative_limit_rejected(self):
         status, _, err = invoke("trip", "--network", NETWORK, "--from", "p",
@@ -226,6 +281,21 @@ class TestDispatch:
     def test_unknown_flag(self):
         status, _, err = invoke("trip", "--bogus")
         assert status == 1 and err != ""
+
+    def test_parser_is_reused_across_calls(self):
+        query = ["trip", "--network", NETWORK, "--from", "p", "--to", "t",
+                 "--limit", "10", "--dominance", "weak", "--json"]
+        fresh = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from softcsp.cli import run; sys.exit(run(sys.argv[1:]))",
+             *query],
+            capture_output=True, text=True, check=True,
+            env={**os.environ,
+                 "PYTHONPATH": str(Path(softcsp.__file__).parents[1])})
+        status, _, err = invoke("trip", "--network", NETWORK, "--from", "q",
+                                "--to", "s", "--limit", "-1", "--all")
+        assert status == 1 and "non-negative" in err
+        assert invoke(*query) == (0, fresh.stdout, "")
 
     def test_no_diagnostic_on_success(self):
         status, out, err = invoke("scsp", "--problem", PROBLEM)

@@ -102,6 +102,17 @@ class TestMakeConstraint:
         with pytest.raises(IncompleteTableError):
             make_constraint(WCSP, COLORS, ("v",), {("purple",): 1})
 
+    def test_tables_are_read_only(self):
+        table = {(c,): 1 for c in COLORS}
+        c = make_constraint(WCSP, COLORS, ("v",), table)
+        for built in (c, combine(c, q_constraint()), hide("v", c),
+                      unit_constraint(WCSP, COLORS)):
+            key = next(iter(built.table))
+            with pytest.raises(TypeError):
+                built.table[key] = WCSP.value(5)
+            with pytest.raises(TypeError):
+                del built.table[key]
+
     def test_value_outside_carrier(self):
         with pytest.raises(InstanceMismatchError):
             make_constraint(WCSP, COLORS, ("v",),

@@ -81,6 +81,14 @@ class TestParsing:
         with pytest.raises(ParseError):
             parse_goal("s(X)")
 
+    def test_goal_errors_carry_no_line(self):
+        # A goal is not read from a file, so its errors have no line.
+        for text in ("s((", "s(a))", "s(f(a))"):
+            with pytest.raises(ParseError) as info:
+                parse_goal(text)
+            assert info.value.line is None
+            assert not str(info.value).startswith("line")
+
     def test_comments_and_blank_lines(self):
         program = parse_program(
             "% a comment\n#semiring wcsp\n#constants a.\n\np(a) :- 1. % fact\n")

@@ -113,6 +113,8 @@ class TestCatalog:
     def test_unknown_instance(self):
         with pytest.raises(UnknownInstanceError):
             lookup("nosuch")
+        with pytest.raises(UnknownInstanceError):
+            lookup(["wcsp"])
 
     def test_instance_mismatch_is_an_error(self):
         w, f = lookup("wcsp"), lookup("fcsp")
