@@ -195,10 +195,22 @@ class SoftConstraint:
                 f"{len(self.table)} rows)")
 
 
-def _check_domain(domain: Iterable[Any]) -> Tuple[Any, ...]:
-    values = tuple(dict.fromkeys(domain))
+def check_domain(domain: Iterable[Any]) -> Tuple[Any, ...]:
+    """The domain as a tuple; it must be non-empty and list each value once.
+
+    Values that compare equal, such as ``1``, ``1.0`` and ``True``, are
+    one value to a table, so a domain naming two of them is rejected
+    rather than collapsed.
+    """
+    values = tuple(domain)
     if not values:
         raise InputError("constraint domain must be non-empty")
+    first: Dict[Any, int] = {}
+    for index, value in enumerate(values):
+        earlier = first.setdefault(value, index)
+        if earlier != index:
+            raise InputError(f"domain[{index}] {value!r} is the same value as "
+                             f"domain[{earlier}] {values[earlier]!r}")
     return values
 
 
@@ -212,7 +224,7 @@ def make_constraint(spec: SemiringSpec, domain: Iterable[Any],
     Missing or extra rows raise :class:`IncompleteTableError`; values are
     coerced into ``spec``'s carrier.
     """
-    dom = _check_domain(domain)
+    dom = check_domain(domain)
     given = tuple(support)
     if len(set(given)) != len(given):
         raise InputError(f"duplicate names in support {list(given)!r}")
@@ -256,7 +268,7 @@ def _build(spec: SemiringSpec, domain: Tuple[Any, ...],
 def constant_constraint(spec: SemiringSpec, domain: Iterable[Any],
                         value: Any) -> SoftConstraint:
     """The support-free constraint mapping every assignment to ``value``."""
-    dom = _check_domain(domain)
+    dom = check_domain(domain)
     v = spec.value(value)
     return SoftConstraint(spec=spec, domain=dom, support=(), table={(): v})
 
@@ -346,7 +358,7 @@ def fusion(x: Name, y: Name, spec: SemiringSpec,
     """The constraint over {x, y} that is ``one`` exactly where x == y."""
     if x == y:
         raise DegenerateFusionError(f"fusion of {x!r} with itself")
-    dom = _check_domain(domain)
+    dom = check_domain(domain)
     support = tuple(sorted((x, y)))
     return _build(spec, dom, support,
                   lambda eta: spec.one if eta[x] == eta[y] else spec.zero)

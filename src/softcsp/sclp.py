@@ -13,6 +13,20 @@ its defining clauses, of the product of the body values.  Iterating from
 the all-worst interpretation climbs monotonically to the least fixpoint;
 with exact arithmetic the fixpoint test is plain equality.
 
+:func:`lfp` runs exactly those rounds, but does per round only the work
+that can change a value (semi-naive evaluation).  It indexes the ground
+program once: clauses by head, and for each atom the heads of the clauses
+that read it.  It drops dead clauses: a clause whose value is zero, or
+whose body reads an atom that no derivation can make non-zero (a Horn
+closure over the program finds the atoms that can), adds zero in every
+round, because zero absorbs the product and is the unit of the sum.  The
+first round evaluates every head with a live clause; each later round
+only the heads that read an atom changed by the round before, since every
+other head would be recomputed from the same values.  So after k rounds
+the interpretation is still the k-th naive iterate, the round count and
+the iteration cap mean what they mean for :func:`tp_step`, and every
+atom of the universe, dead ones included, is in the result.
+
 Program text format (one clause per line)::
 
     #semiring wcsp
@@ -84,7 +98,8 @@ class Clause:
                          if is_variable(t))
 
     def is_ground(self) -> bool:
-        return not self.variables()
+        return not any(is_variable(t) for atom in self.atoms()
+                       for t in atom.args)
 
     def __str__(self):
         if self.body_value is not None:
@@ -135,13 +150,17 @@ def ground(program: Program) -> Program:
                    constants=program.constants, goal=program.goal)
 
 
+def _signatures(program: Program) -> list:
+    """The sorted (predicate, arity) pairs the clauses use."""
+    return sorted({(a.predicate, len(a.args))
+                   for clause in program.clauses
+                   for a in (clause.head, *clause.body_atoms)})
+
+
 def atom_universe(program: Program) -> Tuple[Atom, ...]:
     """Every instantiation over the constants of every program predicate."""
-    signatures = sorted({(a.predicate, len(a.args))
-                         for clause in program.clauses
-                         for a in clause.atoms()})
     atoms = []
-    for predicate, arity in signatures:
+    for predicate, arity in _signatures(program):
         for args in itertools.product(program.constants, repeat=arity):
             atoms.append(Atom(predicate, args))
     return tuple(atoms)
@@ -153,6 +172,33 @@ def bottom(program: Program) -> Interpretation:
     return {atom: zero for atom in atom_universe(program)}
 
 
+def _by_head(program: Program) -> Dict[Atom, list]:
+    """The clauses of a ground program grouped by head, in program order."""
+    by_head: Dict[Atom, list] = {}
+    for clause in program.clauses:
+        if not clause.is_ground():
+            raise ValueError("the consequence operator requires a ground program")
+        by_head.setdefault(clause.head, []).append(clause)
+    return by_head
+
+
+def _head_value(spec: SemiringSpec, clauses: Iterable[Clause],
+                interp: Interpretation) -> SemiringValue:
+    """The sum over ``clauses`` of the product of their body values."""
+    zero = spec.zero
+    value = zero
+    for clause in clauses:
+        if clause.body_value is not None:
+            contribution = clause.body_value
+        else:
+            contribution = spec.one
+            for body_atom in clause.body_atoms:
+                contribution = sr_times(spec, contribution,
+                                        interp.get(body_atom, zero))
+        value = sr_plus(spec, value, contribution)
+    return value
+
+
 def tp_step(program: Program, interp: Interpretation) -> Interpretation:
     """One application of the immediate-consequence operator.
 
@@ -160,29 +206,78 @@ def tp_step(program: Program, interp: Interpretation) -> Interpretation:
     product of the body values under ``interp``; atoms with no defining
     clause stay at zero.  ``program`` must be ground.
     """
-    spec = program.spec
-    zero = spec.zero
-    one = spec.one
-    by_head: Dict[Atom, list] = {}
-    for clause in program.clauses:
-        if not clause.is_ground():
-            raise ValueError("tp_step requires a ground program")
-        by_head.setdefault(clause.head, []).append(clause)
+    by_head = _by_head(program)
+    return {atom: _head_value(program.spec, by_head.get(atom, ()), interp)
+            for atom in atom_universe(program)}
 
-    new: Interpretation = {}
-    for atom in atom_universe(program):
-        value = zero
-        for clause in by_head.get(atom, ()):
+
+def _live_clauses(spec: SemiringSpec,
+                  by_head: Dict[Atom, list]) -> Dict[Atom, list]:
+    """The clauses that can ever contribute a non-zero value, by head.
+
+    An atom can become non-zero only if one of its clauses has a non-zero
+    value or a body of atoms that can all become non-zero.  That least set
+    is a Horn closure, found by counting each clause's body atoms not yet
+    known to be live.  A clause with a zero value or a body atom outside
+    the set contributes zero in every round, so dropping it is exact.
+    """
+    zero = spec.zero
+    missing = []                       # per body: its atoms not yet live
+    waiting: Dict[Atom, list] = {}     # atom -> (body index, head) pairs
+    live = set()
+    queue = []
+
+    def reach(atom):
+        if atom not in live:
+            live.add(atom)
+            queue.append(atom)
+
+    for head, clauses in by_head.items():
+        for clause in clauses:
             if clause.body_value is not None:
-                contribution = clause.body_value
-            else:
-                contribution = one
-                for body_atom in clause.body_atoms:
-                    contribution = sr_times(spec, contribution,
-                                            interp.get(body_atom, zero))
-            value = sr_plus(spec, value, contribution)
-        new[atom] = value
-    return new
+                if clause.body_value != zero:
+                    reach(head)
+                continue
+            body = set(clause.body_atoms)
+            if not body:
+                reach(head)
+                continue
+            for atom in body:
+                waiting.setdefault(atom, []).append((len(missing), head))
+            missing.append(len(body))
+    while queue:
+        for key, head in waiting.pop(queue.pop(), ()):
+            missing[key] -= 1
+            if not missing[key]:
+                reach(head)
+
+    kept = {}
+    for head in by_head:
+        if head not in live:
+            continue
+        kept[head] = [c for c in by_head[head]
+                      if (c.body_value != zero if c.body_value is not None
+                          else all(a in live for a in c.body_atoms))]
+    return kept
+
+
+def _changes(spec: SemiringSpec, live: Dict[Atom, list],
+             heads: Iterable[Atom], interp: Interpretation) -> Interpretation:
+    """The new values of ``heads`` under ``interp`` that differ from it."""
+    changed = {}
+    for head in heads:
+        value = _head_value(spec, live[head], interp)
+        if value != interp[head]:
+            changed[head] = value
+    return changed
+
+
+def _name_atoms(atoms: Iterable[Atom]) -> str:
+    """The first five atoms in dump order, then how many more there are."""
+    names = [str(a) for a in sorted(
+        atoms, key=lambda a: (a.predicate, len(a.args), a.args))]
+    more = len(names) - 5
+    return ", ".join(names[:5]) + (f" +{more} more" if more > 0 else "")
 
 
 @dataclass(frozen=True)
@@ -199,31 +294,50 @@ class LfpResult:
 
 
 def default_max_iters(program: Program) -> int:
-    return 10 * len(atom_universe(program)) + 10
+    """Ten rounds per atom of the universe, plus ten."""
+    size = sum(len(program.constants) ** arity
+               for _, arity in _signatures(program))
+    return 10 * size + 10
 
 
 def lfp(program: Program, max_iters: Optional[int] = None) -> LfpResult:
     """Iterate the consequence operator from bottom until it stabilises.
 
+    The rounds are those of iterating :func:`tp_step`, but the first
+    evaluates only heads with a live clause and each later one only the
+    heads reading an atom the round before changed (see the module
+    docstring), so after k rounds the interpretation is T_P^k(bottom).
+
     Raises :class:`NonConvergenceError`, carrying the last two
-    interpretations, if no fixpoint is found within ``max_iters``
-    applications.
+    interpretations and naming the atoms that differ between them, if no
+    fixpoint is found within ``max_iters`` applications.
     """
     if max_iters is None:
         max_iters = default_max_iters(program)
     if max_iters < 1:
         raise InputError("max_iters must be at least 1")
-    previous = bottom(program)
+    spec = program.spec
+    live = _live_clauses(spec, _by_head(program))
+    readers: Dict[Atom, set] = {}
+    for head, clauses in live.items():
+        for clause in clauses:
+            for atom in clause.body_atoms:
+                readers.setdefault(atom, set()).add(head)
+
+    interp = bottom(program)
+    heads: Iterable[Atom] = live
     for step in range(max_iters):
-        current = tp_step(program, previous)
-        if current == previous:
-            return LfpResult(interpretation=current, iterations=step)
-        previous = current
-    last = tp_step(program, previous)
-    raise NonConvergenceError(
-        f"no fixpoint within {max_iters} iterations",
-        previous=previous, last=last,
-    )
+        changed = _changes(spec, live, heads, interp)
+        if not changed:
+            return LfpResult(interpretation=interp, iterations=step)
+        interp.update(changed)
+        heads = {h for atom in changed for h in readers.get(atom, ())}
+    changed = _changes(spec, live, heads, interp)
+    message = f"no fixpoint within {max_iters} iterations"
+    if changed:
+        message += f"; still changing: {_name_atoms(changed)}"
+    raise NonConvergenceError(message, previous=interp,
+                              last={**interp, **changed})
 
 
 def eval_goal(program: Program, goal: Optional[Iterable[Atom]] = None,

@@ -27,7 +27,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, FrozenSet, Tuple
 
-from .constraints import Name, SoftConstraint, combine, hide, make_constraint, unit_constraint
+from .constraints import (Name, SoftConstraint, check_domain, combine, hide,
+                          make_constraint, unit_constraint)
 from .errors import FormatError, InputError, InstanceMismatchError, fields, load_json
 from .semiring import SemiringSpec, SemiringValue, lookup
 
@@ -97,6 +98,7 @@ def problem_from_json(data: Any) -> SCSPProblem:
     if not isinstance(domain, list) or not domain:
         raise FormatError('"domain" must be a non-empty list')
     _check_scalars(domain, "domain")
+    check_domain(domain)
     if not isinstance(interface, list) or not all(isinstance(n, str) for n in interface):
         raise FormatError('"interface" must be a list of names')
     if not isinstance(raw_constraints, list):

@@ -2,7 +2,9 @@
 
 Everything here is written directly against the problem statements, not
 against the library's data structures or algorithms, so agreement between
-an oracle and the library is evidence rather than tautology.
+an oracle and the library is evidence rather than tautology.  The one
+exception is ``oracle_lfp``, the naive Kleene iteration of the library's
+consequence operator, which the SCLP tests check on its own.
 """
 
 import itertools
@@ -120,3 +122,21 @@ def oracle_journeys(edges, appointments, stations, initial_soc,
 
     recurse(0, initial_soc, [], [], 0, 0)
     return sorted(results)
+
+
+# --- logic programs ----------------------------------------------------------
+
+def oracle_lfp(program, max_iters, tp_step, bottom):
+    """Apply ``tp_step`` to ``bottom(program)`` until nothing changes.
+
+    Returns ``("fixpoint", interpretation, k)`` when the k+1-th step
+    confirms the k-th, or ``("cap", previous, last)`` with the last two
+    interpretations when ``max_iters`` steps find no fixpoint.
+    """
+    previous = bottom(program)
+    for step in range(max_iters):
+        current = tp_step(program, previous)
+        if current == previous:
+            return "fixpoint", current, step
+        previous = current
+    return "cap", previous, tp_step(program, previous)

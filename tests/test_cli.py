@@ -233,6 +233,23 @@ class TestScsp:
         status, _, err = invoke("scsp", "--problem", str(bad))
         assert status == 1 and "missing" in err
 
+    def test_colliding_domain_values(self, tmp_path):
+        # 1, 1.0 and true are one value to a table: the domain is rejected
+        # as such, not collapsed into a row error.
+        for index, (domain, second) in enumerate(
+                [([1, True], "True"), (["a", 1, 1.0], "1.0"),
+                 (["a", "a"], "'a'")]):
+            rows = [{"assign": [v], "value": 1} for v in domain]
+            path = tmp_path / f"domain{index}.json"
+            path.write_text(_problem(domain=domain, constraints=[
+                {"support": ["x"], "rows": rows}]), encoding="utf-8")
+            status, out, err = invoke("scsp", "--problem", str(path))
+            assert status == 1 and out == ""
+            at = len(domain) - 1
+            assert f"{path}: domain[{at}] {second} is the same value as " \
+                   f"domain[{at - 1}]" in err
+            assert "rows" not in err
+
 
 class TestSclp:
     def test_goal_query(self):
@@ -267,6 +284,33 @@ class TestSclp:
         status, _, err = invoke("sclp", "--program", PROGRAM,
                                 "--goal", "s(a)", "--max-iters", "2")
         assert status == 2 and "fixpoint" in err
+
+    def test_iteration_cap_names_changing_atoms(self):
+        for goal in ([], ["--goal", "s(a)"]):
+            status, out, err = invoke("sclp", "--program", PROGRAM,
+                                      "--max-iters", "2", *goal)
+            assert (status, out) == (2, "")
+            assert err == ("softcsp sclp: no fixpoint within 2 iterations; "
+                           "still changing: p(a,b), s(a)\n")
+
+    def test_dump_lists_dead_atoms_at_zero(self, tmp_path):
+        # t(a) is a zero fact and never/d/u can never fire, so their clauses
+        # are dropped from the rounds, but every atom is still dumped.
+        path = tmp_path / "dead.sclp"
+        path.write_text("#semiring wcsp\n#constants a,b.\n"
+                        "t(a) :- inf.\nd(X) :- never(X).\nu(X) :- t(X).\n"
+                        "ok(a) :- 3.\n", encoding="utf-8")
+        status, raw, err = invoke("sclp", "--program", str(path), "--json")
+        assert status == 0 and err == ""
+        document = json.loads(raw)
+        assert document["iterations"] == 1
+        assert {r["atom"]: r["value"] for r in document["results"]} == {
+            "d(a)": "inf", "d(b)": "inf", "never(a)": "inf",
+            "never(b)": "inf", "ok(a)": 3, "ok(b)": "inf", "t(a)": "inf",
+            "t(b)": "inf", "u(a)": "inf", "u(b)": "inf"}
+        assert [r["atom"] for r in document["results"]] == [
+            "d(a)", "d(b)", "never(a)", "never(b)", "ok(a)", "ok(b)",
+            "t(a)", "t(b)", "u(a)", "u(b)"]
 
     def test_bad_goal(self):
         status, _, err = invoke("sclp", "--program", PROGRAM, "--goal", "s(X)")

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -23,9 +24,10 @@ from softcsp.errors import (
     NonConvergenceError,
     ParseError,
 )
-from softcsp.sclp import atom_universe, bottom
+from softcsp.sclp import atom_universe, bottom, default_max_iters
 
 from conftest import FIXTURES
+from oracles import oracle_lfp
 
 WCSP = lookup("wcsp")
 CSP = lookup("csp")
@@ -180,6 +182,34 @@ class TestFixpoint:
         assert err.value.last is not None
         assert err.value.last != err.value.previous
 
+    def test_cap_names_the_atoms_still_changing(self, costs_program):
+        with pytest.raises(NonConvergenceError) as err:
+            lfp(ground(costs_program), max_iters=2)
+        assert str(err.value).endswith("still changing: p(a,b), s(a)")
+
+    def test_cap_names_at_most_five_atoms(self):
+        # A ring of 8 constants: after 2 rounds every path(X,Y) three hops
+        # apart is still changing, 8 atoms in all.
+        names = [f"c{k}" for k in range(8)]
+        text = "#semiring wcsp\n#constants " + ",".join(names) + ".\n"
+        for a, b in zip(names, names[1:] + names[:1]):
+            text += f"edge({a},{b}) :- 1.\n"
+        text += ("path(X,Y) :- edge(X,Y).\n"
+                 "path(X,Y) :- edge(X,Z), path(Z,Y).\n")
+        with pytest.raises(NonConvergenceError) as err:
+            lfp(ground(parse_program(text)), max_iters=2)
+        changing = sorted((a for a in err.value.last
+                           if err.value.last[a] != err.value.previous[a]),
+                          key=lambda a: a.args)
+        assert len(changing) == 8
+        shown = ", ".join(str(a) for a in changing[:5])
+        assert str(err.value).endswith(f"still changing: {shown} +3 more")
+
+    def test_non_ground_program_rejected(self, costs_program):
+        for operator in (lfp, lambda p: tp_step(p, bottom(p))):
+            with pytest.raises(ValueError, match="ground program"):
+                operator(costs_program)
+
     def test_cap_must_be_positive(self, costs_program):
         with pytest.raises(InputError):
             lfp(ground(costs_program), max_iters=0)
@@ -275,3 +305,109 @@ def test_boolean_instance_recovers_classical_semantics():
         expected = _derivable(program)
         for a, value in result.interpretation.items():
             assert value.payload is (a in expected)
+
+
+# --- gate: the incremental lfp against naive Kleene iteration ----------------
+
+def _random_value(rng, spec):
+    if spec.key == "csp":
+        return spec.value(rng.choice([True, False]))
+    if spec.key == "fcsp":
+        return spec.value(Fraction(rng.randint(0, 4), 4))
+    if spec.key == "wcsp":
+        return spec.value(rng.choice(["inf", 0, 1, 2, 5]))
+    return spec.value((rng.choice(["inf", 0, 1, 3]), rng.choice(["inf", 0, 2])))
+
+
+def _random_atom(rng, predicate, arity, terms):
+    return Atom(predicate, tuple(rng.choice(terms) for _ in range(arity)))
+
+
+def _random_gate_program(rng, spec):
+    """Clauses built directly, so every semiring (costpair too) is covered.
+
+    Predicates ``p``/``q``/``r``/``s`` of arity 0..2 head the clauses;
+    ``never`` appears only in bodies, so its readers never fire.  Bodies
+    mix constants and the variables X, Y, Z; some clauses read their own
+    head, and some facts are the semiring zero.
+    """
+    constants = ("a", "b", "c")[: rng.randint(1, 3)]
+    arity = {name: rng.randint(0, 2) for name in ("p", "q", "r", "s", "never")}
+    heads = ("p", "q", "r", "s")
+    terms = constants + ("X", "Y", "Z")
+    clauses = []
+    for _ in range(rng.randint(1, 10)):
+        name = rng.choice(heads)
+        head = _random_atom(rng, name, arity[name], terms)
+        kind = rng.random()
+        if kind < 0.35:
+            value = spec.zero if rng.random() < 0.2 else _random_value(rng, spec)
+            clauses.append(Clause(head=head, body_value=value))
+        elif kind < 0.4:
+            clauses.append(Clause(head=head))
+        elif kind < 0.5:
+            clauses.append(Clause(head=head, body_atoms=(head,)))
+        else:
+            body = tuple(_random_atom(rng, b, arity[b], terms) for b in
+                         rng.choices(heads + ("never",), weights=(3, 3, 3, 3, 1),
+                                     k=rng.randint(1, 3)))
+            clauses.append(Clause(head=head, body_atoms=body))
+    return Program(spec=spec, clauses=tuple(clauses), constants=constants)
+
+
+def _random_closure_program(rng, spec):
+    """Transitive closure over random edges: fixpoints up to n rounds deep."""
+    constants = tuple(f"c{k}" for k in range(rng.randint(2, 4)))
+    clauses = [Clause(head=Atom("edge", (a, b)),
+                      body_value=_random_value(rng, spec))
+               for a in constants for b in constants if rng.random() < 0.4]
+    clauses += [
+        Clause(head=Atom("path", ("X", "Y")),
+               body_atoms=(Atom("edge", ("X", "Y")),)),
+        Clause(head=Atom("path", ("X", "Y")),
+               body_atoms=(Atom("edge", ("X", "Z")), Atom("path", ("Z", "Y")))),
+    ]
+    return Program(spec=spec, clauses=tuple(clauses), constants=constants)
+
+
+def _lfp_outcome(program, max_iters):
+    try:
+        result = lfp(program, max_iters=max_iters)
+    except NonConvergenceError as err:
+        return "cap", err.previous, err.last
+    return "fixpoint", result.interpretation, result.iterations
+
+
+@pytest.mark.parametrize("key", ["csp", "fcsp", "wcsp", "costpair"])
+def test_lfp_matches_naive_iteration(key):
+    spec = lookup(key)
+    rng = random.Random(f"lfp-gate:{key}")
+    outcomes = set()
+    for trial in range(200):
+        build = _random_closure_program if trial % 4 == 0 else _random_gate_program
+        program = ground(build(rng, spec))
+        for cap in (rng.randint(1, 3), default_max_iters(program)):
+            got = _lfp_outcome(program, cap)
+            want = oracle_lfp(program, cap, tp_step, bottom)
+            assert got[0] == want[0]
+            assert list(got[1].items()) == list(want[1].items())
+            if got[0] == "fixpoint":
+                assert got[2] == want[2]
+            else:
+                assert list(got[2].items()) == list(want[2].items())
+            outcomes.add(got[0] if got[0] == "cap" else min(got[2], 3))
+    # Both ends of the contract are exercised, and fixpoints of depth > 2.
+    assert outcomes == {"cap", 0, 1, 2, 3}
+
+
+def test_default_max_iters_counts_the_universe():
+    rng = random.Random("max-iters")
+    for key in ("csp", "wcsp"):
+        for _ in range(60):
+            program = _random_gate_program(rng, lookup(key))
+            assert default_max_iters(program) == \
+                10 * len(atom_universe(program)) + 10
+    empty = Program(spec=WCSP, clauses=(Clause(head=Atom("p", ("X",))),
+                                        Clause(head=Atom("z"))),
+                    constants=())
+    assert default_max_iters(empty) == 10 * len(atom_universe(empty)) + 10 == 20
