@@ -204,19 +204,16 @@ def _run_sclp(args, out) -> int:
         return 0
     grounded = sclp.ground(program)
     result = sclp.lfp(grounded, max_iters=args.max_iters)
-    atoms = sorted(result.interpretation,
-                   key=lambda a: (a.predicate, len(a.args), a.args))
     if args.as_json:
         _emit({
             "inputs": {"program": args.program, "semiring": spec.key},
-            "results": [{"atom": str(a),
-                         "value": spec.to_json(result.interpretation[a])}
-                        for a in atoms],
+            "results": [{"atom": str(a), "value": spec.to_json(value)}
+                        for a, value in result.interpretation.items()],
             "iterations": result.iterations,
         }, out)
     else:
-        for atom in atoms:
-            out.write(f"{atom} = {format_value(result.interpretation[atom])}\n")
+        for atom, value in result.interpretation.items():
+            out.write(f"{atom} = {format_value(value)}\n")
     return 0
 
 

@@ -17,15 +17,15 @@ with exact arithmetic the fixpoint test is plain equality.
 that can change a value (semi-naive evaluation).  It indexes the ground
 program once: clauses by head, and for each atom the heads of the clauses
 that read it.  It drops dead clauses: a clause whose value is zero, or
-whose body reads an atom that no derivation can make non-zero (a Horn
-closure over the program finds the atoms that can), adds zero in every
-round, because zero absorbs the product and is the unit of the sum.  The
-first round evaluates every head with a live clause; each later round
-only the heads that read an atom changed by the round before, since every
-other head would be recomputed from the same values.  So after k rounds
-the interpretation is still the k-th naive iterate, the round count and
-the iteration cap mean what they mean for :func:`tp_step`, and every
-atom of the universe, dead ones included, is in the result.
+whose body reads an atom that heads no clause (such an atom stays at zero
+in every round), adds zero in every round, because zero absorbs the
+product and is the unit of the sum.  The first round evaluates every head
+with a live clause; each later round only the heads that read an atom
+changed by the round before, since every other head would be recomputed
+from the same values.  So after k rounds the interpretation is still the
+k-th naive iterate, the round count and the iteration cap mean what they
+mean for :func:`tp_step`, and every atom of the universe, dead ones
+included, is in the result.
 
 Program text format (one clause per line)::
 
@@ -114,7 +114,6 @@ class Program:
     spec: SemiringSpec
     clauses: Tuple[Clause, ...]
     constants: Tuple[str, ...]
-    goal: Tuple[Atom, ...] = ()
 
 
 Interpretation = Dict[Atom, SemiringValue]
@@ -147,7 +146,7 @@ def ground(program: Program) -> Program:
                 body_value=clause.body_value,
             ))
     return Program(spec=program.spec, clauses=tuple(clauses),
-                   constants=program.constants, goal=program.goal)
+                   constants=program.constants)
 
 
 def _signatures(program: Program) -> list:
@@ -158,10 +157,14 @@ def _signatures(program: Program) -> list:
 
 
 def atom_universe(program: Program) -> Tuple[Atom, ...]:
-    """Every instantiation over the constants of every program predicate."""
+    """Every instantiation over the constants of every program predicate.
+
+    The atoms come in dump order: by predicate, arity, then arguments.
+    """
+    constants = sorted(program.constants)
     atoms = []
     for predicate, arity in _signatures(program):
-        for args in itertools.product(program.constants, repeat=arity):
+        for args in itertools.product(constants, repeat=arity):
             atoms.append(Atom(predicate, args))
     return tuple(atoms)
 
@@ -213,52 +216,17 @@ def tp_step(program: Program, interp: Interpretation) -> Interpretation:
 
 def _live_clauses(spec: SemiringSpec,
                   by_head: Dict[Atom, list]) -> Dict[Atom, list]:
-    """The clauses that can ever contribute a non-zero value, by head.
+    """The clauses that are not dead, by head; heads left with none drop out.
 
-    An atom can become non-zero only if one of its clauses has a non-zero
-    value or a body of atoms that can all become non-zero.  That least set
-    is a Horn closure, found by counting each clause's body atoms not yet
-    known to be live.  A clause with a zero value or a body atom outside
-    the set contributes zero in every round, so dropping it is exact.
+    A clause is dead if its value is zero or it reads an atom that heads no
+    clause.  Such an atom is zero in the bottom interpretation and every
+    round keeps it there, so a dead clause adds zero in every round and
+    dropping it is exact.
     """
     zero = spec.zero
-    missing = []                       # per body: its atoms not yet live
-    waiting: Dict[Atom, list] = {}     # atom -> (body index, head) pairs
-    live = set()
-    queue = []
-
-    def reach(atom):
-        if atom not in live:
-            live.add(atom)
-            queue.append(atom)
-
-    for head, clauses in by_head.items():
-        for clause in clauses:
-            if clause.body_value is not None:
-                if clause.body_value != zero:
-                    reach(head)
-                continue
-            body = set(clause.body_atoms)
-            if not body:
-                reach(head)
-                continue
-            for atom in body:
-                waiting.setdefault(atom, []).append((len(missing), head))
-            missing.append(len(body))
-    while queue:
-        for key, head in waiting.pop(queue.pop(), ()):
-            missing[key] -= 1
-            if not missing[key]:
-                reach(head)
-
-    kept = {}
-    for head in by_head:
-        if head not in live:
-            continue
-        kept[head] = [c for c in by_head[head]
-                      if (c.body_value != zero if c.body_value is not None
-                          else all(a in live for a in c.body_atoms))]
-    return kept
+    return {head: kept for head, clauses in by_head.items()
+            if (kept := [c for c in clauses if c.body_value != zero
+                         and all(a in by_head for a in c.body_atoms)])}
 
 
 def _changes(spec: SemiringSpec, live: Dict[Atom, list],
@@ -273,9 +241,8 @@ def _changes(spec: SemiringSpec, live: Dict[Atom, list],
 
 
 def _name_atoms(atoms: Iterable[Atom]) -> str:
-    """The first five atoms in dump order, then how many more there are."""
-    names = [str(a) for a in sorted(
-        atoms, key=lambda a: (a.predicate, len(a.args), a.args))]
+    """The first five atoms, then how many more there are."""
+    names = [str(a) for a in atoms]
     more = len(names) - 5
     return ", ".join(names[:5]) + (f" +{more} more" if more > 0 else "")
 
@@ -303,10 +270,12 @@ def default_max_iters(program: Program) -> int:
 def lfp(program: Program, max_iters: Optional[int] = None) -> LfpResult:
     """Iterate the consequence operator from bottom until it stabilises.
 
-    The rounds are those of iterating :func:`tp_step`, but the first
-    evaluates only heads with a live clause and each later one only the
-    heads reading an atom the round before changed (see the module
-    docstring), so after k rounds the interpretation is T_P^k(bottom).
+    The rounds are those of iterating :func:`tp_step`, but clauses with a
+    zero value or reading an atom that heads no clause are dropped, the
+    first round evaluates only heads with a clause left and each later one
+    only the heads reading an atom the round before changed (see the
+    module docstring), so after k rounds the interpretation is
+    T_P^k(bottom), in dump order.
 
     Raises :class:`NonConvergenceError`, carrying the last two
     interpretations and naming the atoms that differ between them, if no
@@ -335,7 +304,8 @@ def lfp(program: Program, max_iters: Optional[int] = None) -> LfpResult:
     changed = _changes(spec, live, heads, interp)
     message = f"no fixpoint within {max_iters} iterations"
     if changed:
-        message += f"; still changing: {_name_atoms(changed)}"
+        message += ("; still changing: "
+                    + _name_atoms(a for a in interp if a in changed))
     raise NonConvergenceError(message, previous=interp,
                               last={**interp, **changed})
 
@@ -347,7 +317,7 @@ def eval_goal(program: Program, goal: Optional[Iterable[Atom]] = None,
     Atoms over unknown predicates or constants evaluate to zero, matching
     the bottom default.  The empty goal is the empty product, i.e. one.
     """
-    goal_atoms = tuple(goal) if goal is not None else program.goal
+    goal_atoms = tuple(goal or ())
     for atom in goal_atoms:
         bad = [t for t in atom.args if is_variable(t)]
         if bad:

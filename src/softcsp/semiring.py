@@ -87,10 +87,6 @@ class CostPair:
     def cmin(self, other: "CostPair") -> "CostPair":
         return CostPair(min(self.time, other.time), min(self.energy, other.energy))
 
-    @property
-    def is_finite(self) -> bool:
-        return self.time != INF and self.energy != INF
-
     def __str__(self):
         return f"<{format_extended_natural(self.time)},{format_extended_natural(self.energy)}>"
 
@@ -166,9 +162,6 @@ class SemiringSpec:
                 f"{raw!r} is outside the {self.key!r} carrier"
             )
         return SemiringValue(self.key, payload)
-
-    def contains(self, value: SemiringValue) -> bool:
-        return value.kind == self.key and self._contains(value.payload)
 
     def to_json(self, value: SemiringValue) -> Any:
         self.check(value)

@@ -312,6 +312,31 @@ class TestSclp:
             "d(a)", "d(b)", "never(a)", "never(b)", "ok(a)", "ok(b)",
             "t(a)", "t(b)", "u(a)", "u(b)"]
 
+    def test_dump_order_ignores_declared_constant_order(self, tmp_path):
+        # Atoms are listed by predicate, arity, then arguments, whatever
+        # order #constants gives; so are the atoms a capped run names.
+        path = tmp_path / "unsorted.sclp"
+        path.write_text("#semiring wcsp\n#constants c,b,a.\n"
+                        "e(c,b) :- 1.\ne(b,a) :- 2.\nz :- 4.\n"
+                        "path(X,Y) :- e(X,Y).\n"
+                        "path(X,Y) :- e(X,Z), path(Z,Y).\n", encoding="utf-8")
+        expected = ([f"e({x},{y})" for x in "abc" for y in "abc"]
+                    + [f"path({x},{y})" for x in "abc" for y in "abc"] + ["z"])
+        status, out, err = invoke("sclp", "--program", str(path))
+        assert status == 0 and err == ""
+        assert [line.split(" = ")[0] for line in out.splitlines()] == expected
+        assert "path(c,a) = 3" in out.splitlines()
+        status, raw, err = invoke("sclp", "--program", str(path), "--json")
+        assert status == 0 and err == ""
+        document = json.loads(raw)
+        assert [r["atom"] for r in document["results"]] == expected
+        assert document["iterations"] == 3
+        status, out, err = invoke("sclp", "--program", str(path),
+                                  "--max-iters", "1")
+        assert (status, out) == (2, "")
+        assert err == ("softcsp sclp: no fixpoint within 1 iterations; "
+                       "still changing: path(b,a), path(c,b)\n")
+
     def test_bad_goal(self):
         status, _, err = invoke("sclp", "--program", PROGRAM, "--goal", "s(X)")
         assert status == 1 and "not ground" in err

@@ -370,6 +370,27 @@ def _random_closure_program(rng, spec):
     return Program(spec=spec, clauses=tuple(clauses), constants=constants)
 
 
+def _filter_edge_programs(spec):
+    """Fixed ground programs at the edge of the dead-clause filter.
+
+    ``s(a)`` reads an atom defined only by a zero fact; ``p``/``q`` are a
+    dead cycle read next to the live ``u``; every clause of ``h(a)`` is
+    dead but ``g(a)`` reads it.  ``r :- u`` comes before ``u``'s fact, so a
+    filter that only knew the heads seen so far would drop it.
+    """
+    p, q, r, u, w = (Atom(name) for name in "pqruw")
+    t, s, h, g, never = (Atom(name, ("a",)) for name in
+                         ("t", "s", "h", "g", "never"))
+    one = spec.one
+    return [
+        (Clause(t, body_value=spec.zero), Clause(s, (t,))),
+        (Clause(p, (q,)), Clause(q, (p,)), Clause(r, (p, u)), Clause(r, (u,)),
+         Clause(u, body_value=one), Clause(w, (r, w)), Clause(w, (u,))),
+        (Clause(h, (never,)), Clause(h, body_value=spec.zero),
+         Clause(g, (h,)), Clause(g, body_value=one), Clause(s, (g, h))),
+    ]
+
+
 def _lfp_outcome(program, max_iters):
     try:
         result = lfp(program, max_iters=max_iters)
@@ -382,11 +403,17 @@ def _lfp_outcome(program, max_iters):
 def test_lfp_matches_naive_iteration(key):
     spec = lookup(key)
     rng = random.Random(f"lfp-gate:{key}")
-    outcomes = set()
+    cases = []
     for trial in range(200):
         build = _random_closure_program if trial % 4 == 0 else _random_gate_program
         program = ground(build(rng, spec))
-        for cap in (rng.randint(1, 3), default_max_iters(program)):
+        cases.append((program, (rng.randint(1, 3), default_max_iters(program))))
+    for clauses in _filter_edge_programs(spec):
+        program = Program(spec=spec, clauses=clauses, constants=("a",))
+        cases.append((program, (1, 2, default_max_iters(program))))
+    outcomes = set()
+    for program, caps in cases:
+        for cap in caps:
             got = _lfp_outcome(program, cap)
             want = oracle_lfp(program, cap, tp_step, bottom)
             assert got[0] == want[0]
