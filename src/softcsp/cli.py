@@ -133,10 +133,8 @@ def _run_journey(args, out) -> int:
     stations = journey_mod.load_stations(args.stations)
     policy = journey_mod.ChargingPolicy(rate=args.rate, capacity=args.capacity,
                                         threshold=args.threshold)
-    journeys = journey_mod.enumerate_journeys(net, appointments, stations,
-                                              args.soc, policy)
-    front = journey_mod.journey_frontier(journeys, args.dominance)
-    best = journey_mod.journey_solutions(front, journeys)
+    best = journey_mod.best_journeys(net, appointments, stations, args.soc,
+                                     policy, args.dominance)
     if args.as_json:
         _emit({
             "inputs": {"network": args.network,
@@ -189,7 +187,7 @@ def _run_scsp(args, out) -> int:
 def _run_sclp(args, out) -> int:
     program = sclp.parse_program(read_input(args.program))
     spec = program.spec
-    if args.goal:
+    if args.goal is not None:
         goal = sclp.parse_goal(args.goal)
         value = sclp.eval_goal(program, goal, max_iters=args.max_iters)
         if args.as_json:

@@ -13,16 +13,20 @@ operators manage names explicitly:
 * ``fusion(x, y, ...)`` is the constraint that is best exactly where two
   names agree.
 
-Constraints are stored as dense tables over their *declared* support, so
-equality is decidable and cheap at the small scales this library targets.
-The *minimal* support (the names a table genuinely depends on) is computed
-on demand; names the table is constant in do not count.  Names are plain
-strings, totally ordered lexicographically.
+Constraints are dense tables over their sorted *declared* support, with
+rows in product order over the domain.  Every operator reads rows by
+position through one reader, ``_rows``, in its first operand's domain
+order.  Two constraints are equal when they agree on every assignment of
+the union of their supports.  The *minimal* support (the names a table
+genuinely depends on) is computed on demand; names the table is constant
+in do not count.  Names are plain strings, totally ordered lexicographically.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Any, Callable, Dict, FrozenSet, Iterable, Mapping, Tuple
@@ -109,9 +113,10 @@ class SoftConstraint:
 
     ``support`` is the declared support, kept sorted; ``table`` maps a
     value tuple per support name (in support order) to a tagged value,
-    and is stored as a read-only copy.  Equality is semantic: two
-    constraints are equal when they agree as functions of their minimal
-    supports.
+    lists its rows in product order over ``domain``, and is stored as a
+    read-only copy.  Equality is semantic: two constraints over the same
+    instance and domain set are equal when :meth:`evaluate` gives equal
+    payloads on every assignment of the union of their supports.
     """
 
     spec: SemiringSpec
@@ -162,20 +167,6 @@ class SoftConstraint:
                     break
         return frozenset(real)
 
-    def _minimized(self) -> Tuple[Tuple[Name, ...], Dict[Tuple[Any, ...], Any]]:
-        minimal = sorted(self.minimal_support())
-        if tuple(minimal) == self.support:
-            return self.support, {k: v.payload for k, v in self.table.items()}
-        fixed = self.domain[0] if self.domain else None
-        indices = [self.support.index(n) for n in minimal]
-        table = {}
-        for key in itertools.product(self.domain, repeat=len(minimal)):
-            full = [fixed] * len(self.support)
-            for pos, idx in enumerate(indices):
-                full[idx] = key[pos]
-            table[key] = self.table[tuple(full)].payload
-        return tuple(minimal), table
-
     def __eq__(self, other):
         if not isinstance(other, SoftConstraint):
             return NotImplemented
@@ -186,7 +177,12 @@ class SoftConstraint:
             )
         if set(self.domain) != set(other.domain):
             return False
-        return self._minimized() == other._minimized()
+        names = sorted(set(self.support) | set(other.support))
+        for key in itertools.product(self.domain, repeat=len(names)):
+            eta = dict(zip(names, key))
+            if self.evaluate(eta).payload != other.evaluate(eta).payload:
+                return False
+        return True
 
     __hash__ = None
 
@@ -228,11 +224,8 @@ def make_constraint(spec: SemiringSpec, domain: Iterable[Any],
     given = tuple(support)
     if len(set(given)) != len(given):
         raise InputError(f"duplicate names in support {list(given)!r}")
-    canonical = tuple(sorted(given))
-    reorder = [given.index(n) for n in canonical]
 
     rows: Dict[Tuple[Any, ...], SemiringValue] = {}
-    seen = set()
     for raw_key, raw_value in table.items():
         key = tuple(raw_key)
         if len(key) != len(given) or any(v not in dom for v in key):
@@ -240,10 +233,9 @@ def make_constraint(spec: SemiringSpec, domain: Iterable[Any],
                 f"row {key!r} does not match support {list(given)!r} over "
                 f"domain {list(dom)!r}"
             )
-        if key in seen:
+        if key in rows:
             raise IncompleteTableError(f"duplicate row {key!r}")
-        seen.add(key)
-        rows[tuple(key[i] for i in reorder)] = spec.value(raw_value)
+        rows[key] = spec.value(raw_value)
 
     expected = len(dom) ** len(given)
     if len(rows) != expected:
@@ -251,26 +243,37 @@ def make_constraint(spec: SemiringSpec, domain: Iterable[Any],
             f"table has {len(rows)} rows, expected {expected} "
             f"(|D|^{len(given)})"
         )
-    ordered = {key: rows[key]
-               for key in itertools.product(dom, repeat=len(canonical))}
-    return SoftConstraint(spec=spec, domain=dom, support=canonical, table=ordered)
+    canonical = tuple(sorted(given))
+    return _build(spec, dom, canonical, _rows(given, rows, canonical, dom))
+
+
+def _rows(names: Tuple[Name, ...], table: Mapping[Tuple[Any, ...], Any],
+          support: Tuple[Name, ...], domain: Tuple[Any, ...],
+          rename: Callable[[Name], Name] = lambda n: n) -> list:
+    # The rows of a table over ``names``, listed in product order over
+    # ``support`` and ``domain``; each name n is read at rename(n).  Keys
+    # are looked up by value, so the table's own domain order is irrelevant.
+    at = [support.index(rename(n)) for n in names]
+    keys = itertools.product(domain, repeat=len(support))
+    # itemgetter returns a bare value, not a tuple, for a single index.
+    if len(at) > 1:
+        return [table[key] for key in map(operator.itemgetter(*at), keys)]
+    return [table[tuple([key[i] for i in at])] for key in keys]
 
 
 def _build(spec: SemiringSpec, domain: Tuple[Any, ...],
            support: Tuple[Name, ...],
-           value_at: Callable[[Dict[Name, Any]], SemiringValue]) -> SoftConstraint:
-    table = {}
-    for key in itertools.product(domain, repeat=len(support)):
-        table[key] = value_at(dict(zip(support, key)))
-    return SoftConstraint(spec=spec, domain=domain, support=support, table=table)
+           values: Iterable[SemiringValue]) -> SoftConstraint:
+    # ``values`` lists the rows in product order over ``domain``.
+    keys = itertools.product(domain, repeat=len(support))
+    return SoftConstraint(spec=spec, domain=domain, support=support,
+                          table=dict(zip(keys, values)))
 
 
 def constant_constraint(spec: SemiringSpec, domain: Iterable[Any],
                         value: Any) -> SoftConstraint:
     """The support-free constraint mapping every assignment to ``value``."""
-    dom = check_domain(domain)
-    v = spec.value(value)
-    return SoftConstraint(spec=spec, domain=dom, support=(), table={(): v})
+    return _build(spec, check_domain(domain), (), [spec.value(value)])
 
 
 def unit_constraint(spec: SemiringSpec, domain: Iterable[Any]) -> SoftConstraint:
@@ -294,8 +297,10 @@ def _check_compatible(c1: SoftConstraint, c2: SoftConstraint) -> None:
 def _pointwise(op, c1: SoftConstraint, c2: SoftConstraint) -> SoftConstraint:
     _check_compatible(c1, c2)
     support = tuple(sorted(set(c1.support) | set(c2.support)))
+    rows1 = _rows(c1.support, c1.table, support, c1.domain)
+    rows2 = _rows(c2.support, c2.table, support, c1.domain)
     return _build(c1.spec, c1.domain, support,
-                  lambda eta: op(c1.spec, c1.evaluate(eta), c2.evaluate(eta)))
+                  [op(c1.spec, a, b) for a, b in zip(rows1, rows2)])
 
 
 def combine(c1: SoftConstraint, c2: SoftConstraint) -> SoftConstraint:
@@ -317,15 +322,23 @@ def hide(name: Name, c: SoftConstraint) -> SoftConstraint:
     if name not in c.support:
         return c
     support = tuple(n for n in c.support if n != name)
+    # With the hidden name read last, each run of |D| rows is one output row.
+    rows = _rows(c.support, c.table, support + (name,), c.domain)
+    plus = functools.partial(sr_plus, c.spec)
+    size = len(c.domain)
+    return _build(c.spec, c.domain, support,
+                  [functools.reduce(plus, rows[i:i + size])
+                   for i in range(0, len(rows), size)])
 
-    def value_at(eta: Dict[Name, Any]) -> SemiringValue:
-        acc = None
-        for d in c.domain:
-            row = c.evaluate({**eta, name: d})
-            acc = row if acc is None else sr_plus(c.spec, acc, row)
-        return acc
 
-    return _build(c.spec, c.domain, support, value_at)
+def _renamed(c: SoftConstraint,
+             rename: Callable[[Name], Name]) -> SoftConstraint:
+    # c with each name n read at rename(n); c itself if no name moves.
+    if all(rename(n) == n for n in c.support):
+        return c
+    support = tuple(sorted({rename(n) for n in c.support}))
+    return _build(c.spec, c.domain, support,
+                  _rows(c.support, c.table, support, c.domain, rename))
 
 
 def permute(rho: Permutation, c: SoftConstraint) -> SoftConstraint:
@@ -334,23 +347,14 @@ def permute(rho: Permutation, c: SoftConstraint) -> SoftConstraint:
     The result evaluated at ``eta`` equals ``c`` evaluated at
     ``eta . rho``; its support is the image of ``c``'s support.
     """
-    if all(rho.apply(n) == n for n in c.support):
-        return c
-    support = tuple(sorted(rho.apply(n) for n in c.support))
-    return _build(c.spec, c.domain, support,
-                  lambda eta: c.evaluate({n: eta[rho.apply(n)] for n in c.support}))
+    return _renamed(c, rho.apply)
 
 
 def _substitute(c: SoftConstraint, src: Name, dst: Name) -> SoftConstraint:
     # Replace src by dst in the support, merging if dst is already there:
     # the result reads dst wherever c read src.  Internal helper for the
     # fusion and hiding laws; not a permutation.
-    if src not in c.support or src == dst:
-        return c
-    support = tuple(sorted((set(c.support) - {src}) | {dst}))
-    return _build(c.spec, c.domain, support,
-                  lambda eta: c.evaluate(
-                      {n: (eta[dst] if n == src else eta[n]) for n in c.support}))
+    return _renamed(c, lambda n: dst if n == src else n)
 
 
 def fusion(x: Name, y: Name, spec: SemiringSpec,
@@ -359,9 +363,9 @@ def fusion(x: Name, y: Name, spec: SemiringSpec,
     if x == y:
         raise DegenerateFusionError(f"fusion of {x!r} with itself")
     dom = check_domain(domain)
-    support = tuple(sorted((x, y)))
-    return _build(spec, dom, support,
-                  lambda eta: spec.one if eta[x] == eta[y] else spec.zero)
+    return _build(spec, dom, tuple(sorted((x, y))),
+                  [spec.one if a == b else spec.zero
+                   for a, b in itertools.product(dom, repeat=2)])
 
 
 def support(c: SoftConstraint) -> FrozenSet[Name]:

@@ -220,26 +220,19 @@ def _journey_witness(solution: JourneySolution) -> tuple:
             solution.charging_events)
 
 
-def journey_frontier(journeys: List[JourneySolution],
-                     mode: str = STRICT) -> CostFrontier:
-    """The non-dominated journeys of a list, by total (time, energy) cost.
-
-    Witnesses are (leg node sequences, charging events); map them back to
-    the journeys with :func:`journey_solutions`.
-    """
-    return frontier_filter([(_journey_witness(s), s.cost) for s in journeys],
-                           mode)
-
-
 def best_journeys(net: RoadNetwork,
                   appointments: List[Appointment],
                   stations: List[ChargingStation],
                   initial_soc: int,
                   policy: ChargingPolicy = DEFAULT_POLICY,
-                  mode: str = STRICT) -> CostFrontier:
-    """The non-dominated journeys by total (time, energy) cost."""
-    return journey_frontier(enumerate_journeys(net, appointments, stations,
-                                               initial_soc, policy), mode)
+                  mode: str = STRICT) -> List[JourneySolution]:
+    """The non-dominated journeys by total (time, energy) cost, as a list
+    of :class:`JourneySolution` in frontier order."""
+    journeys = enumerate_journeys(net, appointments, stations, initial_soc,
+                                  policy)
+    front = frontier_filter([(_journey_witness(s), s.cost) for s in journeys],
+                            mode)
+    return journey_solutions(front, journeys)
 
 
 def journey_solutions(front: CostFrontier,

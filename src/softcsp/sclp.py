@@ -286,14 +286,16 @@ def lfp(program: Program, max_iters: Optional[int] = None) -> LfpResult:
     if max_iters < 1:
         raise InputError("max_iters must be at least 1")
     spec = program.spec
-    live = _live_clauses(spec, _by_head(program))
+    interp = bottom(program)
+    # Heads outside the universe are left out, as tp_step leaves them out.
+    live = _live_clauses(spec, {head: clauses for head, clauses in
+                                _by_head(program).items() if head in interp})
     readers: Dict[Atom, set] = {}
     for head, clauses in live.items():
         for clause in clauses:
             for atom in clause.body_atoms:
                 readers.setdefault(atom, set()).add(head)
 
-    interp = bottom(program)
     heads: Iterable[Atom] = live
     for step in range(max_iters):
         changed = _changes(spec, live, heads, interp)

@@ -5,7 +5,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import softcsp
+from softcsp import cli
 from softcsp.cli import run
 
 from conftest import FIXTURES
@@ -341,6 +344,10 @@ class TestSclp:
         status, _, err = invoke("sclp", "--program", PROGRAM, "--goal", "s(X)")
         assert status == 1 and "not ground" in err
 
+    def test_empty_goal_is_rejected(self):
+        assert invoke("sclp", "--program", PROGRAM, "--goal", "") \
+            == (1, "", "softcsp sclp: empty goal\n")
+
 
 class TestDispatch:
     def test_unknown_subcommand(self):
@@ -369,3 +376,67 @@ class TestDispatch:
     def test_no_diagnostic_on_success(self):
         status, out, err = invoke("scsp", "--problem", PROBLEM)
         assert status == 0 and err == "" and out != ""
+
+
+FILE = "<file>"
+SCLP_HEAD = "#semiring wcsp\n#constants a.\n"
+ROW = {"assign": ["a"], "value": 1}
+
+
+@pytest.mark.parametrize("argv, text, message", [
+    (reading("sclp", FILE), SCLP_HEAD + "P(a).\n",
+     "line 3: malformed atom 'P(a)'"),
+    (reading("sclp", FILE), SCLP_HEAD + "p(a-b).\n",
+     "line 3: malformed term 'a-b'"),
+    (reading("sclp", FILE), SCLP_HEAD + "p(a) :- .\n",
+     "line 3: empty body after ':-'"),
+    (reading("sclp", FILE), SCLP_HEAD + "#foo\n",
+     "line 3: unknown directive '#foo'"),
+    (reading("sclp", FILE), "#constants A.\n", "line 1: bad constant 'A'"),
+    (reading("sclp", FILE), "#semiring nope\n",
+     "line 1: unknown semiring instance 'nope' "
+     "(known: costpair, csp, fcsp, wcsp)"),
+    (reading("scsp", FILE), _problem(domain="ab"),
+     '{path}: "domain" must be a non-empty list'),
+    (reading("scsp", FILE), _problem(interface="x"),
+     '{path}: "interface" must be a list of names'),
+    (reading("scsp", FILE), _problem(constraints={}),
+     '{path}: "constraints" must be a list'),
+    (reading("scsp", FILE),
+     _problem(constraints=[{"support": "x", "rows": [ROW]}]),
+     "{path}: constraints[0].support must be a list of names"),
+    (reading("scsp", FILE),
+     _problem(constraints=[{"support": ["x"], "rows": ROW}]),
+     "{path}: constraints[0].rows must be a list"),
+    (reading("scsp", FILE),
+     _problem(constraints=[{"support": ["x"],
+                            "rows": [{"assign": "a", "value": 1}]}]),
+     "{path}: constraints[0].rows[0].assign must be a list"),
+    (reading("trip", FILE), "[]", "{path}: network file must be an object"),
+    (reading("trip", FILE), json.dumps({"nodes": "pq", "edges": []}),
+     '{path}: "nodes" must be a list of node names'),
+    (reading("trip", FILE), json.dumps({"nodes": ["p"], "edges": {}}),
+     '{path}: "edges" must be a list'),
+    (["trip", "--network", NETWORK, "--from", "p", "--to", "t",
+      "--limit", "abc"], None, "argument --limit: 'abc' is not an integer"),
+])
+def test_input_error_names_the_fault(tmp_path, argv, text, message):
+    path = tmp_path / "input"
+    if text is not None:
+        path.write_text(text, encoding="utf-8")
+    argv = [str(path) if arg == FILE else arg for arg in argv]
+    assert invoke(*argv) == \
+        (1, "", f"softcsp {argv[0]}: {message.format(path=path)}\n")
+
+
+@pytest.mark.parametrize("error, status, message", [
+    (RuntimeError("boom"), 2, "internal error: RuntimeError('boom')"),
+    (OSError("disk gone"), 1, "disk gone"),
+])
+def test_exit_code_contract(monkeypatch, error, status, message):
+    def handler(args, out):
+        raise error
+
+    monkeypatch.setitem(cli._HANDLERS, "scsp", handler)
+    assert invoke("scsp", "--problem", PROBLEM) == \
+        (status, "", f"softcsp scsp: {message}\n")

@@ -14,6 +14,8 @@ from softcsp import (
     make_constraint,
     permute,
     sr_eq,
+    sr_plus,
+    sr_times,
     support,
     unit_constraint,
     zero_constraint,
@@ -237,6 +239,41 @@ class TestFusion:
         assert combine(eq, q) == combine(eq, _substitute(q, "w", "v"))
 
 
+class TestEquality:
+    def test_constant_axis_is_ignored(self):
+        table = {(a, b): (1 if a == "red" else 2)
+                 for a, b in itertools.product(COLORS, repeat=2)}
+        wide = make_constraint(WCSP, COLORS, ("x", "y"), table)
+        narrow = make_constraint(WCSP, COLORS, ("x",),
+                                 {(a,): (1 if a == "red" else 2)
+                                  for a in COLORS})
+        assert wide == narrow and narrow == wide
+        assert constant_constraint(WCSP, COLORS, 3) \
+            == make_constraint(WCSP, COLORS, ("z",), {(a,): 3 for a in COLORS})
+
+    def test_domain_order_is_ignored(self):
+        table = {(a,): COLORS.index(a) for a in COLORS}
+        assert make_constraint(WCSP, COLORS, ("x",), table) \
+            == make_constraint(WCSP, COLORS[::-1], ("x",), table)
+
+    def test_one_differing_assignment_is_unequal(self):
+        q = q_constraint()
+        table = {(a, b): q_value(a, b)
+                 for a, b in itertools.product(COLORS, repeat=2)}
+        table[("green", "blue")] = 7
+        assert q != make_constraint(WCSP, COLORS, ("v", "w"), table)
+        assert q != q_constraint("v", "u")
+
+    def test_mixed_instances_raise(self):
+        with pytest.raises(InstanceMismatchError):
+            unit_constraint(WCSP, COLORS) == unit_constraint(lookup("csp"),
+                                                             COLORS)
+
+    def test_different_domain_sets_are_unequal(self):
+        assert unit_constraint(WCSP, COLORS) \
+            != unit_constraint(WCSP, COLORS[:2])
+
+
 class TestSupport:
     def test_q_depends_on_both(self):
         assert support(q_constraint()) == {"v", "w"}
@@ -321,3 +358,79 @@ def test_eval_ignores_names_outside_support(spec):
         extended = dict(eta)
         extended["extra"] = rng.choice(domain)
         assert sr_eq(spec, c.evaluate(eta), c.evaluate(extended))
+
+
+def _by_name(domain, support, value_at):
+    """A reference table in product order over ``domain``: each row is
+    ``value_at`` of the assignment it names, built from ``evaluate``."""
+    return [(key, value_at(dict(zip(support, key))))
+            for key in itertools.product(domain, repeat=len(support))]
+
+
+@pytest.mark.parametrize("spec", specs(), ids=lambda s: s.key)
+def test_operators_match_by_name_reference(spec):
+    # Every constraint lists the same values in its own shuffled order; a
+    # result follows its first operand's order, so an operator that read
+    # rows by each input's own order would put values on the wrong keys.
+    rng = random.Random(f"reader-{spec.key}")
+
+    def shuffled():
+        return tuple(rng.sample(("d0", "d1", "d2"), 3))
+
+    for _ in range(80):
+        c = random_constraint(rng, spec, shuffled(), NAMES, max_support=3)
+        d = random_constraint(rng, spec, shuffled(), NAMES, max_support=3)
+        dom = c.domain
+        union = sorted(set(c.support) | set(d.support))
+        for op, sr in ((combine, sr_times), (csum, sr_plus)):
+            assert list(op(c, d).table.items()) == _by_name(
+                dom, union, lambda eta: sr(spec, c.evaluate(eta),
+                                           d.evaluate(eta)))
+
+        x, y = rng.sample(NAMES, 2)
+
+        def hidden(eta):
+            rows = [c.evaluate({**eta, x: v}) for v in dom]
+            acc = rows[0]
+            for row in rows[1:]:
+                acc = sr_plus(spec, acc, row)
+            return acc
+
+        rest = [n for n in c.support if n != x]
+        assert list(hide(x, c).table.items()) == _by_name(dom, rest, hidden)
+
+        rho = _random_permutation(rng, NAMES)
+        image = sorted(rho.apply(n) for n in c.support)
+        assert list(permute(rho, c).table.items()) == _by_name(
+            dom, image,
+            lambda eta: c.evaluate({n: eta[rho.apply(n)] for n in c.support}))
+
+        merged = sorted({y if n == x else n for n in c.support})
+        assert list(_substitute(c, x, y).table.items()) == _by_name(
+            dom, merged,
+            lambda eta: c.evaluate({n: eta[y if n == x else n]
+                                    for n in c.support}))
+
+        assert list(fusion(x, y, spec, dom).table.items()) == _by_name(
+            dom, sorted((x, y)),
+            lambda eta: spec.one if eta[x] == eta[y] else spec.zero)
+
+        given = rng.sample(c.support, len(c.support))
+        rows = {tuple(eta[n] for n in given): c.evaluate(eta) for eta in
+                (dict(zip(c.support, key)) for key in
+                 itertools.product(dom, repeat=len(c.support)))}
+        order = shuffled()
+        assert list(make_constraint(spec, order, given, rows).table.items()) \
+            == _by_name(order, c.support,
+                        lambda eta: rows[tuple(eta[n] for n in given)])
+
+
+def test_combine_follows_the_first_operand_domain_order():
+    first = make_constraint(WCSP, ("a", "b"), ("x",), {("a",): 1, ("b",): 5})
+    second = make_constraint(WCSP, ("b", "a"), ("x",),
+                             {("a",): 10, ("b",): 50})
+    def payloads(c):
+        return [(key, value.payload) for key, value in c.table.items()]
+
+    assert payloads(combine(first, second)) == [(("a",), 11), (("b",), 55)]
+    assert payloads(combine(second, first)) == [(("b",), 55), (("a",), 11)]

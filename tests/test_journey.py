@@ -19,7 +19,6 @@ from softcsp.journey import (
     LegTiming,
     _replay,
     appointments_from_json,
-    journey_solutions,
     stations_from_json,
 )
 from softcsp.roadnet import network_from_json
@@ -104,23 +103,23 @@ class TestCanonicalScenario:
 class TestBestJourneys:
     def test_strict_keeps_all_four(self, network, appointments, stations):
         front = best_journeys(network, appointments, stations, 10, mode=STRICT)
-        assert {(c.time, c.energy) for c in front.costs()} \
+        assert {(s.cost.time, s.cost.energy) for s in front} \
             == {(6, 11), (5, 12), (7, 9), (6, 10)}
 
     def test_weak_drops_the_tied_journey(self, network, appointments, stations):
         front = best_journeys(network, appointments, stations, 10, mode=WEAK)
-        assert {(c.time, c.energy) for c in front.costs()} \
+        assert {(s.cost.time, s.cost.energy) for s in front} \
             == {(5, 12), (7, 9), (6, 10)}
 
     def test_single_leg_frontier(self, network, stations):
         pair = [Appointment("p", 7, 1), Appointment("t", 18, 3)]
         front = best_journeys(network, pair, stations, 9, mode=STRICT)
-        assert {(c.time, c.energy) for c in front.costs()} == {(3, 9), (4, 8)}
+        assert {(s.cost.time, s.cost.energy) for s in front} \
+            == {(3, 9), (4, 8)}
 
     def test_solutions_map_back(self, network, appointments, stations):
         journeys = enumerate_journeys(network, appointments, stations, 10)
-        front = best_journeys(network, appointments, stations, 10)
-        picked = journey_solutions(front, journeys)
+        picked = best_journeys(network, appointments, stations, 10)
         assert len(picked) == 4
         assert all(s in journeys for s in picked)
 
@@ -145,8 +144,8 @@ class TestDominatedLeg:
         net = network_from_json(self.NETWORK)
         front = best_journeys(net, self.APPOINTMENTS, self.STATIONS, 6,
                               mode=mode)
-        assert [(item.witness, (item.cost.time, item.cost.energy))
-                for item in front] == [
+        assert [((tuple(leg.path for leg in s.legs), s.charging_events),
+                 (s.cost.time, s.cost.energy)) for s in front] == [
             (((("a", "b"), ("b", "c")), ()), (11, 6)),
             (((("a", "x", "b"), ("b", "y", "c")), (("b", "s"),)), (3, 22)),
         ]

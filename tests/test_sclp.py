@@ -376,7 +376,9 @@ def _filter_edge_programs(spec):
     ``s(a)`` reads an atom defined only by a zero fact; ``p``/``q`` are a
     dead cycle read next to the live ``u``; every clause of ``h(a)`` is
     dead but ``g(a)`` reads it.  ``r :- u`` comes before ``u``'s fact, so a
-    filter that only knew the heads seen so far would drop it.
+    filter that only knew the heads seen so far would drop it.  ``p(z)``
+    heads a fact but lies outside the universe over ``a``, so the
+    ``q(a)`` that reads it stays zero.
     """
     p, q, r, u, w = (Atom(name) for name in "pqruw")
     t, s, h, g, never = (Atom(name, ("a",)) for name in
@@ -388,6 +390,8 @@ def _filter_edge_programs(spec):
          Clause(u, body_value=one), Clause(w, (r, w)), Clause(w, (u,))),
         (Clause(h, (never,)), Clause(h, body_value=spec.zero),
          Clause(g, (h,)), Clause(g, body_value=one), Clause(s, (g, h))),
+        (Clause(Atom("p", ("z",)), body_value=one),
+         Clause(Atom("q", ("a",)), (Atom("p", ("z",)),))),
     ]
 
 
