@@ -3,15 +3,18 @@
 A journey visits the appointment locations in their given order.  For each
 leg the vehicle may take any simple path whose energy fits the current
 state of charge; when *no* path at all fits, and only then, a charging
-event is scheduled at the current location (one alternative per usable
-station) and the leg is retried at the recharged level.  Charging spans
-the whole appointment and never delays departure: the vehicle always
-leaves when the appointment ends and must arrive before the next one
-starts.
+event is scheduled at the current location and the leg is searched once
+more, at the recharged level.  Each usable station (one with free spots)
+there is an alternative, paired with every path that second search finds.
+Charging spans the whole appointment and never delays departure: the
+vehicle always leaves when the appointment ends and must arrive before the
+next one starts.
 
-Results carry the legs, the charging events, the per-leg timings, the
-summed (time, energy) cost and the final state of charge.  The charge
-trace is replayed as a self-check before a journey is emitted.
+A partial journey is one tuple of legs and one tuple of per-leg charging
+events (``None`` where the leg did not charge).  The summed (time, energy)
+cost and the per-leg timings are built from these and the appointments
+once the last leg is placed, and the charge trace is replayed as a
+self-check before the journey is emitted.
 """
 
 from __future__ import annotations
@@ -49,9 +52,9 @@ class ChargingPolicy:
     """How charging events change the state of charge.
 
     ``rate`` is energy gained per time unit spent at the appointment;
-    ``capacity`` caps the level (unbounded when None); ``threshold`` is
-    the level the charge may never fall below, so the energy available
-    for a leg is ``soc - threshold``.
+    ``capacity`` caps the level (unbounded when None) and may not be
+    below ``threshold``, the level the charge may never fall below, so
+    the energy available for a leg is ``soc - threshold``.
     """
 
     rate: int = 1
@@ -65,6 +68,9 @@ class ChargingPolicy:
             raise InputError("capacity must be non-negative")
         if self.threshold < 0:
             raise InputError("threshold must be non-negative")
+        if self.capacity is not None and self.capacity < self.threshold:
+            raise InputError(f"capacity {self.capacity} is below the "
+                             f"threshold {self.threshold}")
 
 
 DEFAULT_POLICY = ChargingPolicy()
@@ -119,6 +125,8 @@ def _validate_inputs(net: RoadNetwork, appointments, stations, initial_soc,
                              f"negative spots")
     if initial_soc < policy.threshold:
         raise InputError("initial state of charge is below the threshold")
+    if policy.capacity is not None and initial_soc > policy.capacity:
+        raise InputError("initial state of charge is above the capacity")
 
 
 def _replay(solution: JourneySolution, leg_charges, initial_soc: int,
@@ -147,6 +155,11 @@ def _replay(solution: JourneySolution, leg_charges, initial_soc: int,
     check(soc == solution.final_soc, "final state of charge mismatch")
 
 
+def _journey_witness(solution: JourneySolution) -> tuple:
+    return (tuple(leg.path for leg in solution.legs),
+            solution.charging_events)
+
+
 def enumerate_journeys(net: RoadNetwork,
                        appointments: List[Appointment],
                        stations: List[ChargingStation],
@@ -163,21 +176,27 @@ def enumerate_journeys(net: RoadNetwork,
     """
     _validate_inputs(net, appointments, stations, initial_soc, policy)
     appointments = list(appointments)
-    by_location: Dict[str, List[ChargingStation]] = {}
+    usable: Dict[str, List[str]] = {}
     for station in sorted(stations, key=lambda s: s.name):
-        by_location.setdefault(station.location, []).append(station)
+        if station.spots > 0:
+            usable.setdefault(station.location, []).append(station.name)
 
     results: List[JourneySolution] = []
 
-    def extend(index: int, soc: int, legs, leg_charges, timings) -> None:
+    def extend(index: int, soc: int, legs: tuple, leg_charges: tuple) -> None:
         if index == len(appointments) - 1:
             cost = CostPair(0, 0)
             for leg in legs:
                 cost = cost.add(leg.cost)
+            timings = tuple(
+                LegTiming(departure=appt.end,
+                          arrival=time_sum(appt.start, appt.duration,
+                                           leg.cost.time))
+                for appt, leg in zip(appointments, legs))
             solution = JourneySolution(
-                legs=tuple(legs),
+                legs=legs,
                 charging_events=tuple(c for c in leg_charges if c is not None),
-                cost=cost, timings=tuple(timings), final_soc=soc)
+                cost=cost, timings=timings, final_soc=soc)
             _replay(solution, leg_charges, initial_soc, policy, appointments)
             results.append(solution)
             return
@@ -185,39 +204,24 @@ def enumerate_journeys(net: RoadNetwork,
         # Every leg, not only the non-dominated ones (best_paths): charging
         # happens only when no path fits, so a dominated leg can force a
         # charge that leads to a non-dominated journey.
-        options = enumerate_paths(net, here.location, there.location,
-                                  soc - policy.threshold)
-        if options:
-            branches = [(trip, None, soc - trip.cost.energy)
-                        for trip in options]
-        else:
-            branches = []
-            for station in by_location.get(here.location, ()):
-                if station.spots <= 0:
-                    continue
-                charged = new_soc(soc, here.duration, policy)
-                for trip in enumerate_paths(net, here.location, there.location,
-                                            charged - policy.threshold):
-                    branches.append((trip, (here.location, station.name),
-                                     charged - trip.cost.energy))
-        for trip, charge, next_soc in branches:
-            arrival = time_sum(here.start, here.duration, trip.cost.time)
-            if arrival > there.start:
-                continue
-            extend(index + 1, next_soc,
-                   legs + [trip],
-                   leg_charges + [charge],
-                   timings + [LegTiming(departure=here.end, arrival=arrival)])
+        branches = [(trip, None, soc) for trip in enumerate_paths(
+            net, here.location, there.location, soc - policy.threshold)]
+        if not branches and here.location in usable:
+            # One search at the recharged level serves every local station.
+            charged = new_soc(soc, here.duration, policy)
+            trips = enumerate_paths(net, here.location, there.location,
+                                    charged - policy.threshold)
+            branches = [(trip, (here.location, name), charged)
+                        for name in usable[here.location] for trip in trips]
+        for trip, charge, level in branches:
+            if time_sum(here.start, here.duration,
+                        trip.cost.time) <= there.start:
+                extend(index + 1, level - trip.cost.energy, legs + (trip,),
+                       leg_charges + (charge,))
 
-    extend(0, initial_soc, [], [], [])
-    results.sort(key=lambda s: (tuple(leg.path for leg in s.legs),
-                                s.charging_events))
+    extend(0, initial_soc, (), ())
+    results.sort(key=_journey_witness)
     return results
-
-
-def _journey_witness(solution: JourneySolution) -> tuple:
-    return (tuple(leg.path for leg in solution.legs),
-            solution.charging_events)
 
 
 def best_journeys(net: RoadNetwork,

@@ -87,18 +87,15 @@ def _check_cost(value, what: str, where: str):
     return value
 
 
-def _assemble(nodes, edge_list, declared_nodes: bool, describe):
+def _assemble(nodes, edge_list, describe):
     node_set = set(nodes)
     edges: Dict[Tuple[str, str], CostPair] = {}
     for where, src, dst, cost in edge_list:
         if (src, dst) in edges:
             raise describe(where, f"duplicate edge {src}->{dst}")
-        if declared_nodes:
-            for endpoint in (src, dst):
-                if endpoint not in node_set:
-                    raise describe(where, f"unknown node {endpoint!r}")
-        else:
-            node_set.update((src, dst))
+        for endpoint in (src, dst):
+            if endpoint not in node_set:
+                raise describe(where, f"unknown node {endpoint!r}")
         edges[(src, dst)] = cost
     return RoadNetwork(nodes=tuple(sorted(node_set)), edges=edges)
 
@@ -141,11 +138,13 @@ def parse_network(text: str) -> RoadNetwork:
                 continue
             raise ParseError(f"malformed network fact {statement!r}", line_no)
 
+    if not nodes:
+        nodes = [end for _, src, dst, _ in edge_list for end in (src, dst)]
+
     def describe(line_no, message):
         return ParseError(message, line_no)
 
-    return _assemble(nodes, edge_list, declared_nodes=bool(nodes),
-                     describe=describe)
+    return _assemble(nodes, edge_list, describe)
 
 
 def network_from_json(data) -> RoadNetwork:
@@ -171,7 +170,7 @@ def network_from_json(data) -> RoadNetwork:
     def describe(where, message):
         return FormatError(f"{where}: {message}")
 
-    return _assemble(nodes, edge_list, declared_nodes=True, describe=describe)
+    return _assemble(nodes, edge_list, describe)
 
 
 def load_network(path: str | Path) -> RoadNetwork:

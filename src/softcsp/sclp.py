@@ -428,18 +428,25 @@ def parse_goal(text: str) -> Tuple[Atom, ...]:
 def parse_program(text: str) -> Program:
     """Parse program text into an (ungrounded) :class:`Program`.
 
-    Requires a ``#semiring`` directive; ``#constants`` declares the
-    Herbrand universe and must cover every constant used in the clauses.
+    Requires one ``#semiring`` and one ``#constants`` directive; the
+    latter declares the Herbrand universe and must cover every constant
+    used in the clauses.
     """
     spec: Optional[SemiringSpec] = None
     constants: Tuple[str, ...] = ()
-    saw_constants = False
+    first_line: Dict[str, int] = {}
     pending: list = []
 
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
         line = _strip_comment(raw_line).strip()
         if not line:
             continue
+        for directive in ("#semiring", "#constants"):
+            if line.startswith(directive):
+                if directive in first_line:
+                    raise ParseError(f"{directive} given twice (first on "
+                                     f"line {first_line[directive]})", line_no)
+                first_line[directive] = line_no
         if line.startswith("#semiring"):
             key = line[len("#semiring"):].strip().rstrip(".").strip()
             try:
@@ -454,7 +461,6 @@ def parse_program(text: str) -> Program:
                 if not _IDENT.match(name) or is_variable(name):
                     raise ParseError(f"bad constant {name!r}", line_no)
             constants = tuple(dict.fromkeys(names))
-            saw_constants = True
             continue
         if line.startswith("#"):
             raise ParseError(f"unknown directive {line.split()[0]!r}", line_no)
@@ -464,7 +470,7 @@ def parse_program(text: str) -> Program:
 
     if spec is None:
         raise ParseError("program is missing a #semiring directive")
-    if not saw_constants:
+    if "#constants" not in first_line:
         raise ParseError("program is missing a #constants directive")
 
     clauses = []

@@ -105,26 +105,27 @@ class SemiringValue:
         return f"SemiringValue({self.kind}, {format_value(self)})"
 
 
+@dataclass(frozen=True, eq=False)
 class SemiringSpec:
-    """A concrete c-semiring instance: carrier test plus the two operations.
+    """A concrete c-semiring instance: the carrier's units, its two
+    operations and the reader and writers of its values.
 
-    Payload-level callables are private; go through :func:`sr_plus`,
-    :func:`sr_times`, :func:`sr_leq` and :func:`sr_eq`, which enforce the
-    instance tags.
+    ``_coerce`` reads a raw value into a payload of the carrier and raises
+    ``ValueError``, ``TypeError`` or ``ZeroDivisionError`` for anything
+    outside it, so it is the one test of carrier membership.  Payload-level
+    callables are private; go through :func:`sr_plus`, :func:`sr_times`,
+    :func:`sr_leq` and :func:`sr_eq`, which enforce the instance tags.
+    Instances are frozen, so the shared catalog entries cannot be changed.
     """
 
-    def __init__(self, key, description, zero, one, plus, times, contains,
-                 coerce, to_json, render):
-        self.key: str = key
-        self.description: str = description
-        self._zero = zero
-        self._one = one
-        self._plus: Callable[[Any, Any], Any] = plus
-        self._times: Callable[[Any, Any], Any] = times
-        self._contains: Callable[[Any], bool] = contains
-        self._coerce: Callable[[Any], Any] = coerce
-        self._to_json: Callable[[Any], Any] = to_json
-        self._render: Callable[[Any], str] = render
+    key: str
+    _zero: Any
+    _one: Any
+    _plus: Callable[[Any, Any], Any]
+    _times: Callable[[Any, Any], Any]
+    _coerce: Callable[[Any], Any]
+    _to_json: Callable[[Any], Any]
+    _render: Callable[[Any], str]
 
     def __repr__(self):
         return f"SemiringSpec({self.key})"
@@ -152,16 +153,11 @@ class SemiringSpec:
                 )
             return raw
         try:
-            payload = self._coerce(raw)
+            return SemiringValue(self.key, self._coerce(raw))
         except (ValueError, ZeroDivisionError, TypeError) as exc:
             raise InstanceMismatchError(
                 f"{raw!r} is not a value of the {self.key!r} carrier: {exc}"
             ) from None
-        if not self._contains(payload):
-            raise InstanceMismatchError(
-                f"{raw!r} is outside the {self.key!r} carrier"
-            )
-        return SemiringValue(self.key, payload)
 
     def to_json(self, value: SemiringValue) -> Any:
         self.check(value)
@@ -224,17 +220,16 @@ def _bool_coerce(raw):
 def _fuzzy_coerce(raw):
     if isinstance(raw, bool):
         raise ValueError("booleans are not fuzzy values")
-    if isinstance(raw, Fraction):
-        return raw
-    if isinstance(raw, int):
-        return Fraction(raw)
     if isinstance(raw, float):
         # Go through the decimal representation so e.g. 0.3 means 3/10,
         # not the nearest binary float.
-        return Fraction(str(raw))
-    if isinstance(raw, str):
-        return Fraction(raw)
-    raise ValueError("expected a rational")
+        raw = str(raw)
+    if not isinstance(raw, (Fraction, int, str)):
+        raise ValueError("expected a rational")
+    value = Fraction(raw)
+    if not 0 <= value <= 1:
+        raise ValueError(f"{value} is outside [0, 1]")
+    return value
 
 
 def _fuzzy_to_json(v: Fraction):
@@ -265,51 +260,43 @@ _INSTANCES: Dict[str, SemiringSpec] = {}
 for _spec in (
     SemiringSpec(
         key="csp",
-        description="crisp satisfaction: booleans with or/and",
-        zero=False,
-        one=True,
-        plus=lambda a, b: a or b,
-        times=lambda a, b: a and b,
-        contains=lambda v: isinstance(v, bool),
-        coerce=_bool_coerce,
-        to_json=lambda v: v,
-        render=lambda v: "true" if v else "false",
+        _zero=False,
+        _one=True,
+        _plus=lambda a, b: a or b,
+        _times=lambda a, b: a and b,
+        _coerce=_bool_coerce,
+        _to_json=lambda v: v,
+        _render=lambda v: "true" if v else "false",
     ),
     SemiringSpec(
         key="fcsp",
-        description="fuzzy preference: exact rationals in [0,1] with max/min",
-        zero=Fraction(0),
-        one=Fraction(1),
-        plus=max,
-        times=min,
-        contains=lambda v: isinstance(v, Fraction) and 0 <= v <= 1,
-        coerce=_fuzzy_coerce,
-        to_json=_fuzzy_to_json,
-        render=lambda v: str(v),
+        _zero=Fraction(0),
+        _one=Fraction(1),
+        _plus=max,
+        _times=min,
+        _coerce=_fuzzy_coerce,
+        _to_json=_fuzzy_to_json,
+        _render=lambda v: str(v),
     ),
     SemiringSpec(
         key="wcsp",
-        description="additive cost: naturals plus infinity with min/+",
-        zero=INF,
-        one=0,
-        plus=min,
-        times=_wcsp_times,
-        contains=is_extended_natural,
-        coerce=_coerce_extended_natural,
-        to_json=lambda v: "inf" if v == INF else v,
-        render=format_extended_natural,
+        _zero=INF,
+        _one=0,
+        _plus=min,
+        _times=_wcsp_times,
+        _coerce=_coerce_extended_natural,
+        _to_json=lambda v: "inf" if v == INF else v,
+        _render=format_extended_natural,
     ),
     SemiringSpec(
         key="costpair",
-        description="(time, energy) pairs with pairwise min and saturating +",
-        zero=CostPair(INF, INF),
-        one=CostPair(0, 0),
-        plus=lambda a, b: a.cmin(b),
-        times=lambda a, b: a.add(b),
-        contains=lambda v: isinstance(v, CostPair),
-        coerce=_pair_coerce,
-        to_json=_pair_to_json,
-        render=str,
+        _zero=CostPair(INF, INF),
+        _one=CostPair(0, 0),
+        _plus=lambda a, b: a.cmin(b),
+        _times=lambda a, b: a.add(b),
+        _coerce=_pair_coerce,
+        _to_json=_pair_to_json,
+        _render=str,
     ),
 ):
     _INSTANCES[_spec.key] = _spec

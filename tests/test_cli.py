@@ -419,6 +419,17 @@ ROW = {"assign": ["a"], "value": 1}
      '{path}: "edges" must be a list'),
     (["trip", "--network", NETWORK, "--from", "p", "--to", "t",
       "--limit", "abc"], None, "argument --limit: 'abc' is not an integer"),
+    (reading("journey", APPOINTMENTS)
+     + ["--soc", "5", "--capacity", "2", "--threshold", "4"], None,
+     "capacity 2 is below the threshold 4"),
+    (reading("journey", APPOINTMENTS) + ["--capacity", "3"], None,
+     "initial state of charge is above the capacity"),
+    (reading("sclp", FILE), SCLP_HEAD + "#constants c.\n",
+     "line 3: #constants given twice (first on line 2)"),
+    (reading("sclp", FILE), SCLP_HEAD + "#semiring fcsp\n",
+     "line 3: #semiring given twice (first on line 1)"),
+    (reading("sclp", FILE), "#semiring fcsp\n#constants a.\np(a) :- 2.\n",
+     "line 3: 2 is not a value of the 'fcsp' carrier: 2 is outside [0, 1]"),
 ])
 def test_input_error_names_the_fault(tmp_path, argv, text, message):
     path = tmp_path / "input"

@@ -21,9 +21,10 @@ from softcsp.journey import (
     appointments_from_json,
     stations_from_json,
 )
+from softcsp import journey
 from softcsp.roadnet import network_from_json
 
-from oracles import oracle_journeys
+from oracles import oracle_filter, oracle_journeys
 from test_roadnet import random_network
 
 
@@ -56,6 +57,12 @@ class TestNewSoc:
             ChargingPolicy(rate=0)
         with pytest.raises(InputError):
             ChargingPolicy(threshold=-1)
+
+    def test_capacity_below_threshold(self):
+        with pytest.raises(InputError,
+                           match="capacity 2 is below the threshold 4"):
+            ChargingPolicy(capacity=2, threshold=4)
+        assert ChargingPolicy(capacity=4, threshold=4).capacity == 4
 
 
 def summarize(solution):
@@ -190,6 +197,14 @@ class TestValidation:
             enumerate_journeys(network, appointments, stations, 1,
                                ChargingPolicy(threshold=2))
 
+    def test_soc_above_capacity(self, network, appointments, stations):
+        # A charge would lower such a level to the capacity.
+        with pytest.raises(InputError, match="above the capacity"):
+            enumerate_journeys(network, appointments, stations, 10,
+                               ChargingPolicy(capacity=3))
+        assert enumerate_journeys(network, appointments, stations, 10,
+                                  ChargingPolicy(capacity=10))
+
 
 class TestInputFiles:
     def test_appointment_schema(self):
@@ -312,3 +327,46 @@ def test_random_instances_match_oracle():
         assert got == expected
         charged += sum(1 for j in got if j[1])
     assert charged > 0  # the forced-charging branch must be exercised
+
+
+@pytest.mark.parametrize("mode", [STRICT, WEAK])
+def test_best_journeys_match_filtered_oracle(mode):
+    rng = random.Random(f"journey-frontier-{mode}")
+    kept = charged = 0
+    for index in range(60):
+        net, edges, appointments, stations, soc = \
+            random_journey_instance(rng, force_low_soc=index % 2 == 0)
+        raw_appointments = [(a.location, a.start, a.duration)
+                            for a in appointments]
+        raw_stations = [(s.name, s.spots, s.location) for s in stations]
+        every = oracle_journeys(edges, raw_appointments, raw_stations, soc)
+        front = oracle_filter([cost for _, _, cost, _ in every], mode)
+        expected = [j for j in every if j[2] in front]
+        got = [summarize(s) for s in
+               best_journeys(net, appointments, stations, soc, mode=mode)]
+        assert got == expected
+        kept += len(got)
+        charged += sum(1 for j in got if j[1])
+    assert charged > 0 and kept > charged
+
+
+def test_one_search_per_charging_decision(monkeypatch):
+    # Two usable stations at the start, and no path fits the initial
+    # charge: the recharged level is searched once, not once per station.
+    net = network_from_json({"nodes": ["a", "b"],
+                             "edges": [{"from": "a", "to": "b", "time": 1,
+                                        "energy": 2}]})
+    appointments = [Appointment("a", 0, 3), Appointment("b", 10, 0)]
+    stations = [ChargingStation("s2", 1, "a"), ChargingStation("s1", 2, "a")]
+    limits = []
+    real = journey.enumerate_paths
+
+    def counting(net, source, dest, energy_limit):
+        limits.append(energy_limit)
+        return real(net, source, dest, energy_limit)
+
+    monkeypatch.setattr(journey, "enumerate_paths", counting)
+    found = enumerate_journeys(net, appointments, stations, 1)
+    assert [s.charging_events for s in found] == [(("a", "s1"),),
+                                                   (("a", "s2"),)]
+    assert limits.count(new_soc(1, 3)) == 1

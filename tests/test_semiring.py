@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -95,7 +96,24 @@ class TestCostPair:
             CostPair(1.5, 0)
 
 
+@pytest.mark.parametrize("key, raw", [
+    ("csp", 1),
+    ("fcsp", "3/2"),
+    ("wcsp", -1),
+    ("costpair", (-1, 0)),
+])
+def test_reader_rejects_values_outside_the_carrier(key, raw):
+    with pytest.raises(InstanceMismatchError,
+                       match=f"is not a value of the '{key}' carrier"):
+        lookup(key).value(raw)
+
+
 class TestCatalog:
+    def test_instances_are_frozen(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            lookup("wcsp").key = "x"
+        assert repr(lookup("wcsp")) == "SemiringSpec(wcsp)"
+
     def test_keys(self):
         catalog = instance_catalog()
         assert set(catalog) == set(SEMIRING_KEYS)
