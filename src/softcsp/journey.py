@@ -116,6 +116,7 @@ def _validate_inputs(net: RoadNetwork, appointments, stations, initial_soc,
         if appt.start < 0 or appt.duration < 0:
             raise InputError(f"appointment at {appt.location!r} has negative "
                              f"timing")
+    _check_station_names(stations)
     for station in stations:
         if station.location not in net.nodes:
             raise InputError(f"charging station {station.name!r} is at "
@@ -127,6 +128,17 @@ def _validate_inputs(net: RoadNetwork, appointments, stations, initial_soc,
         raise InputError("initial state of charge is below the threshold")
     if policy.capacity is not None and initial_soc > policy.capacity:
         raise InputError("initial state of charge is above the capacity")
+
+
+def _check_station_names(stations, error=InputError) -> None:
+    # A journey names the station it charges at, so names must be unique.
+    first: Dict[str, int] = {}
+    for index, station in enumerate(stations):
+        earlier = first.setdefault(station.name, index)
+        if earlier != index:
+            raise error(f"stations[{index}]: station name "
+                        f"{station.name!r} is already used by "
+                        f"stations[{earlier}]")
 
 
 def _replay(solution: JourneySolution, leg_charges, initial_soc: int,
@@ -281,6 +293,7 @@ def stations_from_json(data) -> List[ChargingStation]:
             raise FormatError(f"{where}.spots must be a non-negative integer")
         stations.append(ChargingStation(name=name, spots=spots,
                                         location=location))
+    _check_station_names(stations, FormatError)
     return stations
 
 

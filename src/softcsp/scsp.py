@@ -6,6 +6,13 @@ non-interface names, leaving a constraint over (at most) the interface;
 the *best level of consistency* hides everything and leaves the single
 best value the problem can achieve.
 
+:func:`solve` never combines every constraint into one table.  Hiding
+distributes over combination (``hide(x, c1 x c2) = c1 x hide(x, c2)``
+when ``x`` is not in ``c1``'s support), so it eliminates the
+non-interface names one at a time, combining only the constraints that
+mention the name before hiding it (bucket elimination), and its tables
+are as wide as the elimination order's buckets.
+
 The JSON problem format::
 
     {
@@ -23,6 +30,7 @@ The JSON problem format::
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, FrozenSet, Tuple
@@ -41,6 +49,10 @@ class SCSPProblem:
     interface: FrozenSet[Name]
 
     def __post_init__(self):
+        # Own copies, so the caller's lists cannot change the problem.
+        object.__setattr__(self, "domain", check_domain(self.domain))
+        object.__setattr__(self, "constraints", tuple(self.constraints))
+        object.__setattr__(self, "interface", frozenset(self.interface))
         for c in self.constraints:
             if c.spec.key != self.spec.key:
                 raise InstanceMismatchError(
@@ -56,17 +68,27 @@ class SCSPProblem:
 def solve(problem: SCSPProblem) -> SoftConstraint:
     """Combine all constraints, then hide every non-interface name.
 
-    Hiding proceeds in ascending name order; by the hiding-commutation law
-    the order cannot change the result.  The result's minimal support is a
-    subset of the interface.
+    Names are eliminated one bucket at a time (bucket elimination): the
+    bucket of a name is the constraints that mention it, and hiding
+    distributes over combination, so the bucket alone is combined and the
+    name hidden from the result, which rejoins the pool.  The next name
+    is the one whose bucket has the fewest names in all, ties broken by
+    name.  What is left is folded into the unit constraint over the
+    problem domain, so the rows follow its order.  The result's minimal
+    support is a subset of the interface.
     """
-    # Fold pairwise left-to-right over constraints sorted by support; the
-    # order is semantically irrelevant, sorting just pins intermediates.
+    pool = sorted(problem.constraints, key=lambda c: c.support)
+    names = sorted({n for c in pool for n in c.support} - problem.interface)
+    while names:
+        name = min(names, key=lambda x: (
+            len({n for c in pool if x in c.support for n in c.support}), x))
+        names.remove(name)
+        bucket = [c for c in pool if name in c.support]
+        pool = [c for c in pool if name not in c.support]
+        pool.append(hide(name, functools.reduce(combine, bucket)))
     acc = unit_constraint(problem.spec, problem.domain)
-    for c in sorted(problem.constraints, key=lambda c: c.support):
+    for c in sorted(pool, key=lambda c: c.support):
         acc = combine(acc, c)
-    for name in sorted(set(acc.support) - set(problem.interface)):
-        acc = hide(name, acc)
     return acc
 
 
@@ -129,9 +151,8 @@ def problem_from_json(data: Any) -> SCSPProblem:
         except InputError as exc:
             raise FormatError(f"{where}: {exc}") from exc
 
-    return SCSPProblem(spec=spec, domain=tuple(domain),
-                       constraints=tuple(constraints),
-                       interface=frozenset(interface))
+    return SCSPProblem(spec=spec, domain=domain, constraints=constraints,
+                       interface=interface)
 
 
 def load_problem(path: str | Path) -> SCSPProblem:

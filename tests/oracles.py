@@ -2,9 +2,13 @@
 
 Everything here is written directly against the problem statements, not
 against the library's data structures or algorithms, so agreement between
-an oracle and the library is evidence rather than tautology.  The one
-exception is ``oracle_lfp``, the naive Kleene iteration of the library's
-consequence operator, which the SCLP tests check on its own.
+an oracle and the library is evidence rather than tautology.  The two
+exceptions are ``oracle_lfp``, the naive Kleene iteration of the library's
+consequence operator, which the SCLP tests check on its own, and
+``dense_solve``, the dense SCSP fold over the library's operators, which
+pins the exact table (row order included) that ``solve`` must return.
+The benchmark's oracle imports this module without the library, so
+``dense_solve`` imports it when called.
 """
 
 import itertools
@@ -77,6 +81,23 @@ def oracle_scsp(spec, domain, constraints, interface, sr_times, sr_plus):
         key = tuple(eta[n] for n in iface)
         rows[key] = total if key not in rows else sr_plus(spec, rows[key], total)
     return iface, rows
+
+
+def dense_solve(problem):
+    """The SCSP solution by one dense fold, then hiding.
+
+    Combines every constraint, sorted by support, into the unit
+    constraint over the problem domain, building one table over all
+    names, then hides the non-interface names in ascending order.
+    """
+    from softcsp.constraints import combine, hide, unit_constraint
+
+    acc = unit_constraint(problem.spec, problem.domain)
+    for c in sorted(problem.constraints, key=lambda c: c.support):
+        acc = combine(acc, c)
+    for name in sorted(set(acc.support) - set(problem.interface)):
+        acc = hide(name, acc)
+    return acc
 
 
 # --- journeys ----------------------------------------------------------------

@@ -430,6 +430,11 @@ ROW = {"assign": ["a"], "value": 1}
      "line 3: #semiring given twice (first on line 1)"),
     (reading("sclp", FILE), "#semiring fcsp\n#constants a.\np(a) :- 2.\n",
      "line 3: 2 is not a value of the 'fcsp' carrier: 2 is outside [0, 1]"),
+    (["journey", "--network", NETWORK, "--appointments", APPOINTMENTS,
+      "--stations", FILE, "--soc", "10"],
+     json.dumps([{"name": "s", "spots": 1, "location": "p"},
+                 {"name": "s", "spots": 2, "location": "r"}]),
+     "{path}: stations[1]: station name 's' is already used by stations[0]"),
 ])
 def test_input_error_names_the_fault(tmp_path, argv, text, message):
     path = tmp_path / "input"

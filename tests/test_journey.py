@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import re
 
 import pytest
 
@@ -205,6 +206,19 @@ class TestValidation:
         assert enumerate_journeys(network, appointments, stations, 10,
                                   ChargingPolicy(capacity=10))
 
+    def test_repeated_station_name(self):
+        # Two stations named "s" would give two journeys with one witness.
+        net = network_from_json({"nodes": ["a", "b"],
+                                 "edges": [{"from": "a", "to": "b",
+                                            "time": 1, "energy": 2}]})
+        appointments = [Appointment("a", 0, 3), Appointment("b", 10, 0)]
+        stations = [ChargingStation("s", 1, "a"), ChargingStation("s", 2, "a")]
+        message = ("stations[1]: station name 's' is already used by "
+                   "stations[0]")
+        for solver in (enumerate_journeys, best_journeys):
+            with pytest.raises(InputError, match=re.escape(message)):
+                solver(net, appointments, stations, 1)
+
 
 class TestInputFiles:
     def test_appointment_schema(self):
@@ -218,6 +232,14 @@ class TestInputFiles:
         with pytest.raises(FormatError):
             stations_from_json([{"name": "cs", "spots": "many",
                                  "location": "p"}])
+
+    def test_station_names_are_unique(self):
+        with pytest.raises(FormatError, match=re.escape(
+                "stations[2]: station name 'cs' is already used by "
+                "stations[0]")):
+            stations_from_json([{"name": "cs", "spots": 1, "location": "p"},
+                                {"name": "cr", "spots": 1, "location": "r"},
+                                {"name": "cs", "spots": 2, "location": "r"}])
 
 
 class TestInvariants:

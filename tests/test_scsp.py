@@ -21,10 +21,13 @@ from softcsp import (
     sr_times,
     unit_constraint,
 )
-from softcsp.errors import FormatError, InstanceMismatchError
+from softcsp import scsp
+from softcsp.scsp import best_level
+from softcsp.constraints import make_constraint
+from softcsp.errors import FormatError, InputError, InstanceMismatchError
 
-from conftest import FIXTURES, random_constraint, specs
-from oracles import oracle_scsp
+from conftest import FIXTURES, random_constraint, random_value, specs
+from oracles import dense_solve, oracle_scsp
 from test_constraints import COLORS, WCSP, coloring_constraints
 
 
@@ -64,6 +67,26 @@ class TestEdgeCases:
         problem = coloring_problem(interface=("x", "y", "z"))
         c_xy, c_yz, c_zx = coloring_constraints()
         assert solve(problem) == combine(combine(c_xy, c_yz), c_zx)
+
+    def test_problem_keeps_its_own_copies(self):
+        constraints = list(coloring_constraints())
+        interface = ["x", "y"]
+        problem = SCSPProblem(spec=WCSP, domain=list(COLORS),
+                              constraints=constraints, interface=interface)
+        before = solve(problem)
+        constraints.clear()
+        interface.clear()
+        assert problem.constraints == tuple(coloring_constraints())
+        assert problem.interface == frozenset({"x", "y"})
+        assert problem.domain == COLORS
+        assert solve(problem) == before
+
+    def test_repeated_domain_value_rejected(self):
+        with pytest.raises(InputError,
+                           match=r"domain\[2\] 'a' is the same value as "
+                                 r"domain\[0\] 'a'"):
+            SCSPProblem(spec=WCSP, domain=("a", "b", "a"), constraints=(),
+                        interface=frozenset())
 
     def test_mixed_semirings_rejected(self):
         with pytest.raises(InstanceMismatchError):
@@ -166,3 +189,102 @@ def test_against_full_enumeration(spec):
         for key, value in rows.items():
             eta = dict(zip(iface, key))
             assert sr_eq(spec, solution.evaluate(eta), value)
+
+
+# --- bucket elimination against the dense fold --------------------------------
+
+def _table(c):
+    return (c.domain, c.support,
+            [(key, type(v.payload), v.payload) for key, v in c.table.items()])
+
+
+def _gate_problem(rng, spec, supports, names):
+    """A problem over ``supports`` whose constraint domains and constraint
+    order are shuffled, with a random interface of 0..all names."""
+    domain = ("d0", "d1", "d2")[: rng.randint(1, 3)]
+    constraints = []
+    for support in supports:
+        order = rng.sample(domain, len(domain))
+        table = {key: random_value(rng, spec)
+                 for key in itertools.product(order, repeat=len(support))}
+        constraints.append(make_constraint(spec, order, support, table))
+    rng.shuffle(constraints)
+    interface = rng.sample(names, rng.randint(0, len(names)))
+    return SCSPProblem(spec=spec, domain=domain, constraints=constraints,
+                       interface=interface)
+
+
+def _chain(rng):
+    names = [f"x{i}" for i in range(rng.randint(3, 7))]
+    supports = [names[i:i + 2] for i in range(len(names) - 1)]
+    supports += [[n] for n in names if rng.random() < 0.3]
+    return supports, names
+
+
+def _lattice(rng):
+    rows, cols = rng.choice([(2, 2), (2, 3)])
+    names = [f"v{r}{c}" for r in range(rows) for c in range(cols)]
+    supports = [[f"v{r}{c}", f"v{r}{c + 1}"]
+                for r in range(rows) for c in range(cols - 1)]
+    supports += [[f"v{r}{c}", f"v{r + 1}{c}"]
+                 for r in range(rows - 1) for c in range(cols)]
+    return supports, names
+
+
+def _hypergraph(rng):
+    names = [f"h{i}" for i in range(rng.randint(1, 6))]
+    supports = [rng.sample(names, rng.randint(1, min(3, len(names))))
+                for _ in range(rng.randint(1, 6))]
+    return supports, sorted({n for s in supports for n in s})
+
+
+@pytest.mark.parametrize("shape", [_chain, _lattice, _hypergraph],
+                         ids=["chain", "lattice", "hypergraph"])
+@pytest.mark.parametrize("spec", specs(), ids=lambda s: s.key)
+def test_solve_matches_dense_fold(spec, shape):
+    rng = random.Random(f"dense-{spec.key}-{shape.__name__}")
+    for _ in range(25):
+        problem = _gate_problem(rng, spec, *shape(rng))
+        dense = dense_solve(problem)
+        assert _table(solve(problem)) == _table(dense)
+        expected = best_level(dense)
+        assert (type(blevel(problem).payload), blevel(problem).payload) \
+            == (type(expected.payload), expected.payload)
+
+
+@pytest.mark.parametrize("problem", [
+    SCSPProblem(spec=WCSP, domain=("a", "b"), interface=["x"], constraints=[
+        make_constraint(WCSP, ["b", "a"], ["x"], {("a",): 1, ("b",): 2}),
+        make_constraint(WCSP, ["a", "b"], ["x", "y"],
+                        {("a", "a"): 3, ("a", "b"): 0,
+                         ("b", "a"): INF, ("b", "b"): 5})]),
+    SCSPProblem(spec=WCSP, domain=("a", "b"), interface=(), constraints=()),
+], ids=["domain-order", "empty"])
+def test_solve_keeps_the_problem_domain_order(problem):
+    assert _table(solve(problem)) == _table(dense_solve(problem))
+    assert blevel(problem).payload == best_level(dense_solve(problem)).payload
+
+
+def test_elimination_keeps_tables_narrow(monkeypatch):
+    widest = []
+
+    def recording(op):
+        def wrapper(*args):
+            result = op(*args)
+            widest.append(len(result.support))
+            return result
+        return wrapper
+
+    monkeypatch.setattr(scsp, "combine", recording(scsp.combine))
+    monkeypatch.setattr(scsp, "hide", recording(scsp.hide))
+    rng = random.Random("width")
+    names = [f"x{i}" for i in range(8)]
+    domain = ("d0", "d1", "d2")
+    for interface in ([], ["x0"], ["x0", "x7"], ["x2", "x5"]):
+        constraints = [random_constraint(rng, WCSP, domain, pair, 2)
+                       for pair in zip(names, names[1:])]
+        problem = SCSPProblem(spec=WCSP, domain=domain,
+                              constraints=constraints, interface=interface)
+        widest.clear()
+        solve(problem)
+        assert widest and max(widest) <= 3
