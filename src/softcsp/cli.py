@@ -200,8 +200,7 @@ def _run_sclp(args, out) -> int:
         else:
             out.write(f"{format_value(value)}\n")
         return 0
-    grounded = sclp.ground(program)
-    result = sclp.lfp(grounded, max_iters=args.max_iters)
+    result = sclp.lfp(program, max_iters=args.max_iters)
     if args.as_json:
         _emit({
             "inputs": {"program": args.program, "semiring": spec.key},

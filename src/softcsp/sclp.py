@@ -13,19 +13,23 @@ its defining clauses, of the product of the body values.  Iterating from
 the all-worst interpretation climbs monotonically to the least fixpoint;
 with exact arithmetic the fixpoint test is plain equality.
 
-:func:`lfp` runs exactly those rounds, but does per round only the work
-that can change a value (semi-naive evaluation).  It indexes the ground
-program once: clauses by head, and for each atom the heads of the clauses
-that read it.  It drops dead clauses: a clause whose value is zero, or
-whose body reads an atom that heads no clause (such an atom stays at zero
-in every round), adds zero in every round, because zero absorbs the
-product and is the unit of the sum.  The first round evaluates every head
-with a live clause; each later round only the heads that read an atom
-changed by the round before, since every other head would be recomputed
-from the same values.  So after k rounds the interpretation is still the
-k-th naive iterate, the round count and the iteration cap mean what they
-mean for :func:`tp_step`, and every atom of the universe, dead ones
-included, is in the result.
+:func:`lfp` runs exactly those rounds on the program as written, ground
+or not, and does per round only the work that can change a value
+(semi-naive evaluation).  It grounds forward from the facts: starting
+from the facts with a non-zero value, it instantiates a rule only over
+bindings whose body atoms all head an instance already built, until no
+new head appears.  Every other instance :func:`ground` would build adds
+zero in every round: its value is zero, or it reads an atom that no
+instance heads, and such an atom stays at zero in every round (dead
+cycles such as ``p :- q. q :- p.`` included), because zero absorbs the
+product and is the unit of the sum.  The instances built are indexed by
+head, and for each atom the heads that read it.  The first round
+evaluates every head built; each later round only the heads that read an
+atom changed by the round before, since every other head would be
+recomputed from the same values.  So after k rounds the interpretation is
+still the k-th naive iterate of the ground program, the round count and
+the iteration cap mean what they mean for :func:`tp_step`, and every atom
+of the universe, dead ones included, is in the result.
 
 Program text format (one clause per line)::
 
@@ -45,7 +49,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Optional, Tuple
+from typing import Container, Dict, FrozenSet, Iterable, Optional, Tuple
 
 from .errors import (
     EmptyUniverseError,
@@ -124,27 +128,35 @@ def _substitute_atom(atom: Atom, binding: Dict[str, str]) -> Atom:
                 tuple(binding.get(t, t) for t in atom.args))
 
 
-def ground(program: Program) -> Program:
-    """Replace every clause by all instantiations of its variables."""
-    clauses = []
+def _check_universe(program: Program) -> None:
+    """Raise if a clause has variables but there are no constants for them."""
+    if program.constants:
+        return
     for clause in program.clauses:
-        variables = sorted(clause.variables())
-        if not variables:
-            clauses.append(clause)
-            continue
-        if not program.constants:
+        if not clause.is_ground():
             raise EmptyUniverseError(
                 f"clause '{clause}' has variables but the constant universe "
                 f"is empty"
             )
-        for values in itertools.product(program.constants, repeat=len(variables)):
-            binding = dict(zip(variables, values))
-            clauses.append(Clause(
-                head=_substitute_atom(clause.head, binding),
-                body_atoms=tuple(_substitute_atom(a, binding)
-                                 for a in clause.body_atoms),
-                body_value=clause.body_value,
-            ))
+
+
+def _instances(clause: Clause, constants: Tuple[str, ...]) -> Iterable[Clause]:
+    """``clause`` with its sorted variables over every tuple of ``constants``,
+    in ``itertools.product`` order."""
+    variables = sorted(clause.variables())
+    for values in itertools.product(constants, repeat=len(variables)):
+        binding = dict(zip(variables, values))
+        yield Clause(head=_substitute_atom(clause.head, binding),
+                     body_atoms=tuple(_substitute_atom(a, binding)
+                                      for a in clause.body_atoms),
+                     body_value=clause.body_value)
+
+
+def ground(program: Program) -> Program:
+    """Replace every clause by all instantiations of its variables."""
+    _check_universe(program)
+    clauses = [instance for clause in program.clauses
+               for instance in _instances(clause, program.constants)]
     return Program(spec=program.spec, clauses=tuple(clauses),
                    constants=program.constants)
 
@@ -214,19 +226,162 @@ def tp_step(program: Program, interp: Interpretation) -> Interpretation:
             for atom in atom_universe(program)}
 
 
-def _live_clauses(spec: SemiringSpec,
-                  by_head: Dict[Atom, list]) -> Dict[Atom, list]:
-    """The clauses that are not dead, by head; heads left with none drop out.
+def _signature(atom: Atom) -> Tuple[str, int]:
+    return atom.predicate, len(atom.args)
 
-    A clause is dead if its value is zero or it reads an atom that heads no
-    clause.  Such an atom is zero in the bottom interpretation and every
-    round keeps it there, so a dead clause adds zero in every round and
-    dropping it is exact.
+
+def _unify(pattern: Atom, atom: Atom,
+           binding: Dict[str, str]) -> Optional[Dict[str, str]]:
+    """``binding`` extended so that ``pattern`` reads ``atom``, or None.
+
+    ``pattern`` and ``atom`` have the same signature.
     """
-    zero = spec.zero
-    return {head: kept for head, clauses in by_head.items()
-            if (kept := [c for c in clauses if c.body_value != zero
-                         and all(a in by_head for a in c.body_atoms)])}
+    extended = binding
+    for term, value in zip(pattern.args, atom.args):
+        if is_variable(term):
+            bound = extended.get(term)
+            if bound is None:
+                if extended is binding:
+                    extended = dict(binding)
+                extended[term] = value
+                continue
+            term = bound
+        if term != value:
+            return None
+    return extended
+
+
+class _AtomIndex:
+    """Ground atoms by signature and, once asked for, by the values at
+    given argument positions."""
+
+    def __init__(self):
+        self._atoms: Dict[Tuple[str, int], list] = {}
+        self._keyed: Dict[Tuple[str, int], Dict[tuple, Dict[tuple, list]]] = {}
+
+    def add(self, atom: Atom) -> None:
+        signature = _signature(atom)
+        self._atoms.setdefault(signature, []).append(atom)
+        for positions, buckets in self._keyed.get(signature, {}).items():
+            key = tuple(atom.args[i] for i in positions)
+            buckets.setdefault(key, []).append(atom)
+
+    def size(self, pattern: Atom) -> int:
+        return len(self._atoms.get(_signature(pattern), ()))
+
+    def candidates(self, pattern: Atom, binding: Dict[str, str]) -> list:
+        """The atoms that agree with ``pattern`` wherever ``binding`` and
+        its constants fix a term."""
+        signature = _signature(pattern)
+        positions, key = [], []
+        for i, term in enumerate(pattern.args):
+            if is_variable(term):
+                term = binding.get(term)
+                if term is None:
+                    continue
+            positions.append(i)
+            key.append(term)
+        if not positions:
+            return self._atoms.get(signature, [])
+        by_positions = self._keyed.setdefault(signature, {})
+        positions = tuple(positions)
+        buckets = by_positions.get(positions)
+        if buckets is None:
+            buckets = by_positions[positions] = {}
+            for atom in self._atoms.get(signature, ()):
+                buckets.setdefault(tuple(atom.args[i] for i in positions),
+                                   []).append(atom)
+        return buckets.get(tuple(key), [])
+
+
+def _join(patterns: list, index: _AtomIndex, binding: Dict[str, str],
+          slots: list) -> Iterable[Dict[str, str]]:
+    """Every extension of ``binding`` that matches each pattern to an
+    indexed atom, taking the patterns in the order given.
+
+    ``patterns`` are (body position, atom) pairs; when a binding is
+    yielded, ``slots`` holds the matched atoms at their positions.
+    """
+    if not patterns:
+        yield binding
+        return
+    (position, pattern), rest = patterns[0], patterns[1:]
+    for atom in index.candidates(pattern, binding):
+        extended = _unify(pattern, atom, binding)
+        if extended is not None:
+            slots[position] = atom
+            yield from _join(rest, index, extended, slots)
+
+
+def _ground_forward(program: Program,
+                    universe: Container[Atom]) -> Dict[Atom, list]:
+    """The ground instances whose value is not zero and whose body atoms
+    all head such an instance, by head.
+
+    Semi-naive over the atoms that can be non-zero: first the facts with a
+    non-zero value, then in each round every rule over the bindings that
+    match one body atom to a head first built in the round before and the
+    others, fewest heads first, to heads built so far, until a round builds
+    no new head.  A binding is taken once per rule; variables only in the
+    head range over every constant.  Instances whose head is outside
+    ``universe`` are left out.
+    """
+    constants = program.constants
+    zero = program.spec.zero
+    rules = []
+    for number, clause in enumerate(program.clauses):
+        if clause.body_atoms:
+            body_variables = sorted({t for a in clause.body_atoms
+                                     for t in a.args if is_variable(t)})
+            head_only = sorted(clause.variables() - set(body_variables))
+            rules.append((number, clause, body_variables, head_only))
+    found = [instance for clause in program.clauses
+             if not clause.body_atoms and clause.body_value != zero
+             for instance in _instances(clause, constants)]
+    live: Dict[Atom, list] = {}
+    index = _AtomIndex()
+    taken = set()
+    while True:
+        delta: Dict[Tuple[str, int], list] = {}
+        for clause in found:
+            head = clause.head
+            if head not in universe:
+                continue
+            clauses = live.get(head)
+            if clauses is None:
+                clauses = live[head] = []
+                delta.setdefault(_signature(head), []).append(head)
+            clauses.append(clause)
+        if not delta:
+            return live
+        for atoms in delta.values():
+            for atom in atoms:
+                index.add(atom)
+        found = []
+        for number, rule, body_variables, head_only in rules:
+            body = rule.body_atoms
+            for i, pattern in enumerate(body):
+                fresh = delta.get(_signature(pattern))
+                if not fresh:
+                    continue
+                rest = sorted(((j, a) for j, a in enumerate(body) if j != i),
+                              key=lambda pair: index.size(pair[1]))
+                slots = list(body)
+                for atom in fresh:
+                    binding = _unify(pattern, atom, {})
+                    if binding is None:
+                        continue
+                    slots[i] = atom
+                    for full in _join(rest, index, binding, slots):
+                        key = (number, tuple(full[v] for v in body_variables))
+                        if key in taken:
+                            continue
+                        taken.add(key)
+                        for values in itertools.product(constants,
+                                                        repeat=len(head_only)):
+                            head = _substitute_atom(
+                                rule.head, {**full, **dict(zip(head_only, values))})
+                            found.append(Clause(head=head, body_atoms=tuple(slots)))
 
 
 def _changes(spec: SemiringSpec, live: Dict[Atom, list],
@@ -270,17 +425,21 @@ def default_max_iters(program: Program) -> int:
 def lfp(program: Program, max_iters: Optional[int] = None) -> LfpResult:
     """Iterate the consequence operator from bottom until it stabilises.
 
-    The rounds are those of iterating :func:`tp_step`, but clauses with a
-    zero value or reading an atom that heads no clause are dropped, the
-    first round evaluates only heads with a clause left and each later one
-    only the heads reading an atom the round before changed (see the
-    module docstring), so after k rounds the interpretation is
-    T_P^k(bottom), in dump order.
+    ``program`` need not be ground: the rounds are those of iterating
+    :func:`tp_step` on ``ground(program)``, but only the instances that
+    forward grounding from the facts builds take part, the first round
+    evaluates their heads and each later one only the heads reading an
+    atom the round before changed (see the module docstring), so after k
+    rounds the interpretation is T_P^k(bottom), in dump order.
+
+    Raises :class:`EmptyUniverseError`, as :func:`ground` does, if a clause
+    has variables but the program declares no constants.
 
     Raises :class:`NonConvergenceError`, carrying the last two
     interpretations and naming the atoms that differ between them, if no
     fixpoint is found within ``max_iters`` applications.
     """
+    _check_universe(program)
     if max_iters is None:
         max_iters = default_max_iters(program)
     if max_iters < 1:
@@ -288,8 +447,7 @@ def lfp(program: Program, max_iters: Optional[int] = None) -> LfpResult:
     spec = program.spec
     interp = bottom(program)
     # Heads outside the universe are left out, as tp_step leaves them out.
-    live = _live_clauses(spec, {head: clauses for head, clauses in
-                                _by_head(program).items() if head in interp})
+    live = _ground_forward(program, interp)
     readers: Dict[Atom, set] = {}
     for head, clauses in live.items():
         for clause in clauses:
@@ -314,7 +472,8 @@ def lfp(program: Program, max_iters: Optional[int] = None) -> LfpResult:
 
 def eval_goal(program: Program, goal: Optional[Iterable[Atom]] = None,
               max_iters: Optional[int] = None) -> SemiringValue:
-    """Ground, compute the fixpoint, and multiply the goal atoms' values.
+    """Compute the fixpoint with :func:`lfp`, then multiply the goal
+    atoms' values.
 
     Atoms over unknown predicates or constants evaluate to zero, matching
     the bottom default.  The empty goal is the empty product, i.e. one.
@@ -324,8 +483,7 @@ def eval_goal(program: Program, goal: Optional[Iterable[Atom]] = None,
         bad = [t for t in atom.args if is_variable(t)]
         if bad:
             raise ParseError(f"goal atom {atom} is not ground ({bad[0]} is a variable)")
-    grounded = ground(program)
-    result = lfp(grounded, max_iters=max_iters)
+    result = lfp(program, max_iters=max_iters)
     spec = program.spec
     value = spec.one
     for atom in goal_atoms:

@@ -435,6 +435,14 @@ ROW = {"assign": ["a"], "value": 1}
      json.dumps([{"name": "s", "spots": 1, "location": "p"},
                  {"name": "s", "spots": 2, "location": "r"}]),
      "{path}: stations[1]: station name 's' is already used by stations[0]"),
+    (reading("sclp", FILE),
+     "#semiring wcsp\n#constants .\nq :- 1.\np(X) :- never(X).\n",
+     "clause 'p(X) :- never(X).' has variables but the constant universe "
+     "is empty"),
+    (reading("sclp", FILE) + ["--goal", "q"],
+     "#semiring wcsp\n#constants .\nq :- 1.\np(X) :- never(X).\n",
+     "clause 'p(X) :- never(X).' has variables but the constant universe "
+     "is empty"),
 ])
 def test_input_error_names_the_fault(tmp_path, argv, text, message):
     path = tmp_path / "input"

@@ -24,7 +24,7 @@ from softcsp.errors import (
     NonConvergenceError,
     ParseError,
 )
-from softcsp.sclp import atom_universe, bottom, default_max_iters
+from softcsp.sclp import _ground_forward, atom_universe, bottom, default_max_iters
 
 from conftest import FIXTURES
 from oracles import oracle_lfp
@@ -40,6 +40,16 @@ def costs_program():
 
 def atom(text):
     return parse_goal(text)[0]
+
+
+def ring_text(n):
+    """Transitive closure over a ring of ``n`` constants, each edge 1."""
+    names = [f"c{k}" for k in range(n)]
+    text = "#semiring wcsp\n#constants " + ",".join(names) + ".\n"
+    for a, b in zip(names, names[1:] + names[:1]):
+        text += f"edge({a},{b}) :- 1.\n"
+    return text + ("path(X,Y) :- edge(X,Y).\n"
+                   "path(X,Y) :- edge(X,Z), path(Z,Y).\n")
 
 
 class TestParsing:
@@ -119,6 +129,21 @@ class TestGrounding:
         with pytest.raises(EmptyUniverseError):
             ground(program)
 
+    def test_empty_universe_fails_even_if_the_clause_never_fires(self):
+        # p(X) reads an atom nothing derives, so forward grounding would
+        # never bind X; lfp still refuses the program as ground() does.
+        program = Program(spec=WCSP,
+                          clauses=(Clause(head=Atom("q"), body_value=WCSP.one),
+                                   Clause(head=Atom("p", ("X",)),
+                                          body_atoms=(Atom("never", ("X",)),))),
+                          constants=())
+        with pytest.raises(EmptyUniverseError) as expected:
+            ground(program)
+        for evaluate in (lfp, lambda p: eval_goal(p, [Atom("q")])):
+            with pytest.raises(EmptyUniverseError) as got:
+                evaluate(program)
+            assert str(got.value) == str(expected.value)
+
 
 EXPECTED_FIXPOINT = {
     "t(a)": 2, "r(a)": 3, "q(a)": 2,
@@ -190,14 +215,8 @@ class TestFixpoint:
     def test_cap_names_at_most_five_atoms(self):
         # A ring of 8 constants: after 2 rounds every path(X,Y) three hops
         # apart is still changing, 8 atoms in all.
-        names = [f"c{k}" for k in range(8)]
-        text = "#semiring wcsp\n#constants " + ",".join(names) + ".\n"
-        for a, b in zip(names, names[1:] + names[:1]):
-            text += f"edge({a},{b}) :- 1.\n"
-        text += ("path(X,Y) :- edge(X,Y).\n"
-                 "path(X,Y) :- edge(X,Z), path(Z,Y).\n")
         with pytest.raises(NonConvergenceError) as err:
-            lfp(ground(parse_program(text)), max_iters=2)
+            lfp(ground(parse_program(ring_text(8))), max_iters=2)
         changing = sorted((a for a in err.value.last
                            if err.value.last[a] != err.value.previous[a]),
                           key=lambda a: a.args)
@@ -206,9 +225,11 @@ class TestFixpoint:
         assert str(err.value).endswith(f"still changing: {shown} +3 more")
 
     def test_non_ground_program_rejected(self, costs_program):
-        for operator in (lfp, lambda p: tp_step(p, bottom(p))):
-            with pytest.raises(ValueError, match="ground program"):
-                operator(costs_program)
+        with pytest.raises(ValueError, match="ground program"):
+            tp_step(costs_program, bottom(costs_program))
+
+    def test_lfp_grounds_its_program(self, costs_program):
+        assert lfp(costs_program) == lfp(ground(costs_program))
 
     def test_cap_must_be_positive(self, costs_program):
         with pytest.raises(InputError):
@@ -371,12 +392,13 @@ def _random_closure_program(rng, spec):
 
 
 def _filter_edge_programs(spec):
-    """Fixed ground programs at the edge of the dead-clause filter.
+    """Fixed ground programs at the edge of dropping the clauses that can
+    only add zero.
 
     ``s(a)`` reads an atom defined only by a zero fact; ``p``/``q`` are a
     dead cycle read next to the live ``u``; every clause of ``h(a)`` is
     dead but ``g(a)`` reads it.  ``r :- u`` comes before ``u``'s fact, so a
-    filter that only knew the heads seen so far would drop it.  ``p(z)``
+    pass that only knew the heads seen so far would drop it.  ``p(z)``
     heads a fact but lies outside the universe over ``a``, so the
     ``q(a)`` that reads it stays zero.
     """
@@ -395,6 +417,37 @@ def _filter_edge_programs(spec):
     ]
 
 
+def _grounding_edge_programs(spec):
+    """Fixed programs with variables, over the constants a and b.
+
+    Variables only in the head (``p(X) :- q.``, ``f(X).``, a fact with a
+    value, and ``t(X,Y) :- p(Y)`` with X free) range over every constant.
+    ``d(X) :- q(X)`` and ``d(a) :- q(a)`` give the same ground clause, as
+    do the two positions of ``e :- q(a), q(a)``.  ``w(z) :- q(X)`` heads an
+    atom outside the universe, so ``v(X) :- w(z)`` never fires.
+    """
+    one = spec.one
+    mid = spec.value({"csp": True, "fcsp": Fraction(1, 2), "wcsp": 3,
+                      "costpair": (1, 2)}[spec.key])
+
+    def a(name, *args):
+        return Atom(name, args)
+
+    return [
+        (Clause(a("p", "X"), (a("q"),)), Clause(a("q"), body_value=one),
+         Clause(a("f", "X")), Clause(a("g", "X"), body_value=mid),
+         Clause(a("t", "X", "Y"), (a("p", "Y"), a("g", "X")))),
+        (Clause(a("q", "a"), body_value=mid),
+         Clause(a("d", "X"), (a("q", "X"),)), Clause(a("d", "a"), (a("q", "a"),)),
+         Clause(a("e"), (a("q", "a"), a("q", "a"))),
+         Clause(a("e"), (a("d", "X"), a("q", "X")))),
+        (Clause(a("q", "a"), body_value=one),
+         Clause(a("w", "z"), (a("q", "X"),)),
+         Clause(a("v", "X"), (a("w", "z"),)),
+         Clause(a("u", "X"), (a("q", "X"), a("u", "X")))),
+    ]
+
+
 def _lfp_outcome(program, max_iters):
     try:
         result = lfp(program, max_iters=max_iters)
@@ -410,16 +463,22 @@ def test_lfp_matches_naive_iteration(key):
     cases = []
     for trial in range(200):
         build = _random_closure_program if trial % 4 == 0 else _random_gate_program
-        program = ground(build(rng, spec))
-        cases.append((program, (rng.randint(1, 3), default_max_iters(program))))
+        program = build(rng, spec)
+        caps = (rng.randint(1, 3), default_max_iters(program))
+        # lfp grounds the program itself, so it must give the same answer
+        # with or without ground() in front.
+        cases += [(ground(program), caps), (program, caps)]
     for clauses in _filter_edge_programs(spec):
         program = Program(spec=spec, clauses=clauses, constants=("a",))
+        cases.append((program, (1, 2, default_max_iters(program))))
+    for clauses in _grounding_edge_programs(spec):
+        program = Program(spec=spec, clauses=clauses, constants=("a", "b"))
         cases.append((program, (1, 2, default_max_iters(program))))
     outcomes = set()
     for program, caps in cases:
         for cap in caps:
             got = _lfp_outcome(program, cap)
-            want = oracle_lfp(program, cap, tp_step, bottom)
+            want = oracle_lfp(ground(program), cap, tp_step, bottom)
             assert got[0] == want[0]
             assert list(got[1].items()) == list(want[1].items())
             if got[0] == "fixpoint":
@@ -442,3 +501,31 @@ def test_default_max_iters_counts_the_universe():
                                         Clause(head=Atom("z"))),
                     constants=())
     assert default_max_iters(empty) == 10 * len(atom_universe(empty)) + 10 == 20
+
+
+def test_forward_grounding_builds_only_live_instances():
+    # Over a 6-ring, ground() builds 36 + 216 instances of the two path
+    # rules; only 6 + 36 of them read atoms that some instance heads.
+    program = parse_program(ring_text(6))
+    universe = set(atom_universe(program))
+    rules = [c for c in ground(program).clauses if c.body_atoms]
+    built = [c for clauses in _ground_forward(program, universe).values()
+             for c in clauses if c.body_atoms]
+    assert (len(rules), len(built)) == (252, 42)
+    assert set(built) <= set(rules)
+    assert lfp(program) == lfp(ground(program))
+
+    # A dead cycle, or a reader of a zero fact, builds nothing, but every
+    # atom still dumps at zero.
+    dead = parse_program("#semiring wcsp\n#constants a.\np :- q.\nq :- p.\n"
+                         "z :- inf.\ny :- z.\n")
+    assert _ground_forward(dead, set(atom_universe(dead))) == {}
+    result = lfp(dead)
+    assert list(result.interpretation.items()) == \
+        [(Atom(name), WCSP.zero) for name in "pqyz"]
+    assert result.iterations == 0
+
+    # A binding that both body atoms match is taken once.
+    twice = parse_program("#semiring wcsp\n#constants a.\nq :- 1.\ne :- q, q.\n")
+    assert _ground_forward(twice, set(atom_universe(twice)))[Atom("e")] == \
+        [Clause(Atom("e"), (Atom("q"), Atom("q")))]
