@@ -31,18 +31,29 @@ WEAK = "weak"
 MODES = (STRICT, WEAK)
 
 
+def _strictly(u_time, u_energy, v_time, v_energy) -> bool:
+    return u_time < v_time and u_energy < v_energy
+
+
+def _weakly(u_time, u_energy, v_time, v_energy) -> bool:
+    return (u_time <= v_time and u_energy <= v_energy
+            and (u_time < v_time or u_energy < v_energy))
+
+
 def strictly_dominates(u: CostPair, v: CostPair) -> bool:
     """u beats v in both coordinates at once.  Irreflexive."""
-    return u.time < v.time and u.energy < v.energy
+    return _strictly(u.time, u.energy, v.time, v.energy)
 
 
 def weakly_dominates(u: CostPair, v: CostPair) -> bool:
     """u is nowhere worse than v and better somewhere.  Irreflexive."""
-    return (u.time <= v.time and u.energy <= v.energy
-            and (u.time < v.time or u.energy < v.energy))
+    return _weakly(u.time, u.energy, v.time, v.energy)
 
 
 _DOMINATES = {STRICT: strictly_dominates, WEAK: weakly_dominates}
+# The same rules on (time, energy) components, for callers that keep
+# costs as plain numbers.
+_DOMINATES_COMPONENTS = {STRICT: _strictly, WEAK: _weakly}
 
 
 def _check_mode(mode: str) -> None:

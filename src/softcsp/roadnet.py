@@ -12,9 +12,12 @@ A partial path is cut when a cost recorded at its endpoint, or a trip
 already found, dominates its own.  The cut is exact because costs are
 non-negative: completing the dominating prefix with the cut prefix's
 suffix and removing any cycle gives a simple path within the cap whose
-cost dominates every completion of the cut prefix.  Networks keep a
-per-node adjacency index built once at construction, so expanding a node
-costs no edge scan.
+cost dominates every completion of the cut prefix.  The walk carries a
+partial path's cost as two plain ints, and the labels are ``(time,
+energy)`` int pairs compared by :mod:`frontier`'s component rules; a
+:class:`CostPair` is built only for a trip that reaches the destination.
+Networks keep a per-node adjacency index built once at construction, so
+expanding a node costs no edge scan.
 
 Two input syntaxes are supported: a line-oriented fact format ::
 
@@ -37,8 +40,8 @@ from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from .errors import (FormatError, InputError, ParseError, UnknownNodeError,
                      fields, load_json)
-from .frontier import (_DOMINATES, STRICT, CostFrontier, _check_mode,
-                       frontier_filter)
+from .frontier import (_DOMINATES_COMPONENTS, STRICT, CostFrontier,
+                       _check_mode, frontier_filter)
 from .semiring import CostPair
 
 Adjacency = Tuple[Tuple[str, CostPair], ...]
@@ -48,8 +51,9 @@ Adjacency = Tuple[Tuple[str, CostPair], ...]
 class RoadNetwork:
     """A directed graph with (time, energy) edge costs.
 
-    ``edges`` is stored as a read-only mapping, so the adjacency index
-    built from it at construction can never go stale.
+    ``nodes`` and ``edges`` are stored as the network's own copies (a tuple
+    and a read-only mapping), so the adjacency index built from them at
+    construction can never go stale.  Every edge endpoint must be a node.
     """
 
     nodes: Tuple[str, ...]
@@ -58,14 +62,21 @@ class RoadNetwork:
                                              compare=False)
 
     def __post_init__(self):
+        nodes = tuple(self.nodes)
+        known = set(nodes)
         edges = MappingProxyType(dict(self.edges))
         out: Dict[str, List[Tuple[str, CostPair]]] = {}
         for (src, dst), cost in edges.items():
+            if src not in known or dst not in known:
+                unknown = src if src not in known else dst
+                raise InputError(f"edge {src}->{dst}: unknown node "
+                                 f"{unknown!r}")
             out.setdefault(src, []).append((dst, cost))
+        object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "_adjacency", {
-            src: tuple(sorted(pairs, key=lambda pair: pair[0]))
-            for src, pairs in out.items()})
+            # Destinations are unique per source, so costs are never compared.
+            src: tuple(sorted(pairs)) for src, pairs in out.items()})
 
     def neighbours(self, node: str) -> Adjacency:
         """Outgoing ``(dst, cost)`` pairs, sorted by destination."""
@@ -80,24 +91,15 @@ class TripSolution:
     cost: CostPair
 
 
-def _check_cost(value, what: str, where: str):
-    if type(value) is not int or value < 0:
-        raise FormatError(f"{where}: {what} must be a non-negative integer, "
-                          f"got {value!r}")
-    return value
-
-
-def _assemble(nodes, edge_list, describe):
-    node_set = set(nodes)
-    edges: Dict[Tuple[str, str], CostPair] = {}
-    for where, src, dst, cost in edge_list:
-        if (src, dst) in edges:
-            raise describe(where, f"duplicate edge {src}->{dst}")
-        for endpoint in (src, dst):
-            if endpoint not in node_set:
-                raise describe(where, f"unknown node {endpoint!r}")
-        edges[(src, dst)] = cost
-    return RoadNetwork(nodes=tuple(sorted(node_set)), edges=edges)
+def _edge_fault(edges, known, src: str, dst: str) -> Optional[str]:
+    """Why the edge src->dst cannot join ``edges`` over the nodes ``known``."""
+    if (src, dst) in edges:
+        return f"duplicate edge {src}->{dst}"
+    if src not in known:
+        return f"unknown node {src!r}"
+    if dst not in known:
+        return f"unknown node {dst!r}"
+    return None
 
 
 _EDGE_FACT = re.compile(
@@ -138,39 +140,67 @@ def parse_network(text: str) -> RoadNetwork:
                 continue
             raise ParseError(f"malformed network fact {statement!r}", line_no)
 
-    if not nodes:
-        nodes = [end for _, src, dst, _ in edge_list for end in (src, dst)]
+    known = set(nodes) or {end for _, src, dst, _ in edge_list
+                           for end in (src, dst)}
+    edges: Dict[Tuple[str, str], CostPair] = {}
+    for line_no, src, dst, cost in edge_list:
+        fault = _edge_fault(edges, known, src, dst)
+        if fault is not None:
+            raise ParseError(fault, line_no)
+        edges[src, dst] = cost
+    return RoadNetwork(nodes=tuple(sorted(known)), edges=edges)
 
-    def describe(line_no, message):
-        return ParseError(message, line_no)
 
-    return _assemble(nodes, edge_list, describe)
+_EDGE_KEYS = ("from", "to", "time", "energy")
 
 
 def network_from_json(data) -> RoadNetwork:
+    """Read the JSON network format, looking at each edge entry once.
+
+    Every entry's keys and types are checked before any duplicate edge or
+    unknown node is reported, so the first such fault is held back until
+    the last entry has been read.
+    """
     nodes, raw_edges = fields(data, "network file", ("nodes", "edges"))
     if (not isinstance(nodes, list)
             or not all(isinstance(n, str) and n for n in nodes)):
         raise FormatError('"nodes" must be a list of node names')
     if not isinstance(raw_edges, list):
         raise FormatError('"edges" must be a list')
-    edge_list = []
+    known = set(nodes)
+    edges: Dict[Tuple[str, str], CostPair] = {}
+    fault = None
     for index, entry in enumerate(raw_edges):
-        where = f"edges[{index}]"
-        src, dst, time, energy = fields(entry, where,
-                                        ("from", "to", "time", "energy"))
-        for key, endpoint in (("from", src), ("to", dst)):
-            if not isinstance(endpoint, str):
-                raise FormatError(f"{where}.{key} must be a node name, "
-                                  f"got {endpoint!r}")
-        edge_list.append((where, src, dst,
-                          CostPair(_check_cost(time, "time", where),
-                                   _check_cost(energy, "energy", where))))
-
-    def describe(where, message):
-        return FormatError(f"{where}: {message}")
-
-    return _assemble(nodes, edge_list, describe)
+        if type(entry) is dict:
+            try:
+                src, dst = entry["from"], entry["to"]
+                time, energy = entry["time"], entry["energy"]
+            except KeyError:
+                src, dst, time, energy = fields(entry, f"edges[{index}]",
+                                                _EDGE_KEYS)
+        else:
+            src, dst, time, energy = fields(entry, f"edges[{index}]",
+                                            _EDGE_KEYS)
+        if not isinstance(src, str):
+            raise FormatError(f"edges[{index}].from must be a node name, "
+                              f"got {src!r}")
+        if not isinstance(dst, str):
+            raise FormatError(f"edges[{index}].to must be a node name, "
+                              f"got {dst!r}")
+        if type(time) is not int or time < 0:
+            raise FormatError(f"edges[{index}]: time must be a non-negative "
+                              f"integer, got {time!r}")
+        if type(energy) is not int or energy < 0:
+            raise FormatError(f"edges[{index}]: energy must be a "
+                              f"non-negative integer, got {energy!r}")
+        if fault is None:
+            fault = _edge_fault(edges, known, src, dst)
+            if fault is not None:
+                fault = f"edges[{index}]: {fault}"
+        edges[src, dst] = CostPair(time, energy)
+    if fault is not None:
+        raise FormatError(fault)
+    return RoadNetwork(nodes=tuple(sorted(known)), edges=edges)
 
 
 def load_network(path: str | Path) -> RoadNetwork:
@@ -191,10 +221,10 @@ def _walk(net: RoadNetwork, source: str, dest: str, energy_limit: int,
     if type(energy_limit) is not int or energy_limit < 0:
         raise InputError(f"energy limit must be a non-negative integer, "
                          f"got {energy_limit!r}")
-    dominated: Optional[Callable[[str, CostPair], bool]] = None
+    dominated: Optional[Callable[[str, int, int], bool]] = None
     if mode is not None:
         _check_mode(mode)
-        dominated = _pruner(_DOMINATES[mode], dest)
+        dominated = _pruner(_DOMINATES_COMPONENTS[mode], dest)
 
     results: List[TripSolution] = []
     path = [source]
@@ -206,8 +236,8 @@ def _walk(net: RoadNetwork, source: str, dest: str, energy_limit: int,
             if next_energy > energy_limit or neighbour in visited:
                 continue
             next_time = time + cost.time
-            if dominated is not None and dominated(
-                    neighbour, CostPair(next_time, next_energy)):
+            if dominated is not None and dominated(neighbour, next_time,
+                                                   next_energy):
                 continue
             path.append(neighbour)
             if neighbour == dest:
@@ -224,26 +254,30 @@ def _walk(net: RoadNetwork, source: str, dest: str, energy_limit: int,
     return results
 
 
-def _pruner(dominates: Callable[[CostPair, CostPair], bool],
-            dest: str) -> Callable[[str, CostPair], bool]:
+def _pruner(dominates: Callable[[int, int, int, int], bool],
+            dest: str) -> Callable[[str, int, int], bool]:
     """The prune step: True cuts the partial path, False records its cost.
 
-    Each node keeps the costs of the partial paths that reached it and were
-    not cut, minus those a later one dominates (dominance is transitive, so
-    dropping them loses no cut).  The labels at ``dest`` are the trips
-    found so far.
+    ``dominates`` is a rule of :mod:`frontier` on (time, energy)
+    components.  Each node keeps, as ``(time, energy)`` int pairs, the
+    costs of the partial paths that reached it and were not cut, minus
+    those a later one dominates (dominance is transitive, so dropping them
+    loses no cut).  The labels at ``dest`` are the trips found so far.
     """
-    labels: Dict[str, List[CostPair]] = {}
+    labels: Dict[str, List[Tuple[int, int]]] = {}
 
-    def dominated(node: str, cost: CostPair) -> bool:
+    def dominated(node: str, time: int, energy: int) -> bool:
         here = labels.setdefault(node, [])
-        if any(dominates(old, cost) for old in here):
-            return True
-        if node != dest and any(dominates(trip, cost)
-                                for trip in labels.get(dest, ())):
-            return True
-        here[:] = [old for old in here if not dominates(cost, old)]
-        here.append(cost)
+        for old_time, old_energy in here:
+            if dominates(old_time, old_energy, time, energy):
+                return True
+        if node != dest:
+            for trip_time, trip_energy in labels.get(dest, ()):
+                if dominates(trip_time, trip_energy, time, energy):
+                    return True
+        here[:] = [old for old in here
+                   if not dominates(time, energy, old[0], old[1])]
+        here.append((time, energy))
         return False
 
     return dominated

@@ -41,13 +41,6 @@ from .errors import InstanceMismatchError, UnknownInstanceError
 INF = math.inf
 
 
-def is_extended_natural(v: Any) -> bool:
-    """True for non-negative ints and the distinguished infinity."""
-    if type(v) is int:
-        return v >= 0
-    return isinstance(v, float) and v == INF
-
-
 def _coerce_extended_natural(raw: Any) -> Any:
     if raw == "inf":
         return INF
@@ -75,7 +68,8 @@ class CostPair:
 
     def __post_init__(self):
         for component in (self.time, self.energy):
-            if not is_extended_natural(component):
+            if not (component >= 0 if type(component) is int
+                    else isinstance(component, float) and component == INF):
                 raise ValueError(
                     f"cost component {component!r} must be a non-negative "
                     f"integer or infinity"

@@ -383,6 +383,15 @@ SCLP_HEAD = "#semiring wcsp\n#constants a.\n"
 ROW = {"assign": ["a"], "value": 1}
 
 
+def _edge(**changes):
+    return {"from": "p", "to": "t", "time": 1, "energy": 1, **changes}
+
+
+def _network(*edges):
+    """A network file over nodes p and t with the given edge entries."""
+    return json.dumps({"nodes": ["p", "t"], "edges": list(edges)})
+
+
 @pytest.mark.parametrize("argv, text, message", [
     (reading("sclp", FILE), SCLP_HEAD + "P(a).\n",
      "line 3: malformed atom 'P(a)'"),
@@ -443,6 +452,25 @@ ROW = {"assign": ["a"], "value": 1}
      "#semiring wcsp\n#constants .\nq :- 1.\np(X) :- never(X).\n",
      "clause 'p(X) :- never(X).' has variables but the constant universe "
      "is empty"),
+    (reading("trip", FILE), _network("x"),
+     "{path}: edges[0] must be an object"),
+    (reading("trip", FILE), _network({"from": "p"}),
+     "{path}: edges[0] is missing ['to', 'time', 'energy']"),
+    (reading("trip", FILE), _network(_edge(to=["t"])),
+     "{path}: edges[0].to must be a node name, got ['t']"),
+    (reading("trip", FILE), _network(_edge(time=True)),
+     "{path}: edges[0]: time must be a non-negative integer, got True"),
+    (reading("trip", FILE), _network(_edge(time=1.0)),
+     "{path}: edges[0]: time must be a non-negative integer, got 1.0"),
+    (reading("trip", FILE), _network(_edge(time=-1)),
+     "{path}: edges[0]: time must be a non-negative integer, got -1"),
+    (reading("trip", FILE), _network(_edge(), _edge(time=2)),
+     "{path}: edges[1]: duplicate edge p->t"),
+    (reading("trip", FILE), _network(_edge(to="z")),
+     "{path}: edges[0]: unknown node 'z'"),
+    # Every edge's types are checked before any edge's endpoints.
+    (reading("trip", FILE), _network(_edge(to="z"), _edge(time="1")),
+     "{path}: edges[1]: time must be a non-negative integer, got '1'"),
 ])
 def test_input_error_names_the_fault(tmp_path, argv, text, message):
     path = tmp_path / "input"

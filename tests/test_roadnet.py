@@ -18,7 +18,7 @@ from softcsp.errors import (
     UnknownNodeError,
 )
 from softcsp.frontier import STRICT, WEAK, frontier_filter
-from softcsp.roadnet import trip_solutions
+from softcsp.roadnet import RoadNetwork, _walk, trip_solutions
 
 from conftest import FIXTURES
 from oracles import oracle_filter, oracle_paths
@@ -93,6 +93,21 @@ class TestJsonFormat:
         bad.write_text("{", encoding="utf-8")
         with pytest.raises(FormatError, match="net.json"):
             load_network(bad)
+
+
+class TestRoadNetwork:
+    def test_keeps_its_own_nodes(self):
+        nodes = ["a", "b"]
+        net = RoadNetwork(nodes=nodes, edges={("a", "b"): CostPair(1, 1)})
+        nodes.append("c")
+        assert net.nodes == ("a", "b")
+        assert enumerate_paths(net, "a", "b", 5)[0].path == ("a", "b")
+
+    def test_rejects_an_edge_to_an_undeclared_node(self):
+        # Unchecked, the walk would return the trip a, z, b.
+        edges = {("a", "z"): CostPair(1, 1), ("z", "b"): CostPair(1, 1)}
+        with pytest.raises(InputError, match="edge a->z: unknown node 'z'"):
+            RoadNetwork(nodes=["a", "b"], edges=edges)
 
 
 class TestEnumeration:
@@ -216,11 +231,12 @@ def test_pruned_search_matches_enumerate_then_filter():
     # The gate for the pruned search: identical items (witnesses, costs and
     # order) to filtering the full enumeration, in both modes.  Small cost
     # spans make zero-cost edges and ties common; a quarter of the queries
-    # ask for a node against itself.
+    # ask for a node against itself.  The last 40 cases draw costs up to
+    # 10**6, where ties are rare.
     rng = random.Random("pruned-search")
     trips_seen = kept = 0
-    for index in range(400):
-        span = rng.choice((1, 2, 4))
+    for index in range(440):
+        span = rng.choice((1, 2, 4)) if index < 400 else 10**6
         net, _, nodes = random_network(rng, min_nodes=3, max_nodes=8,
                                        cyclic=index % 4 != 0,
                                        edge_probability=rng.choice((0.4, 0.7)),
@@ -238,6 +254,55 @@ def test_pruned_search_matches_enumerate_then_filter():
             kept += len(expected)
     # The battery must exercise real frontiers, and real pruning.
     assert kept > 800 and trips_seen > 3 * kept
+
+
+def grid_network(rng, size):
+    """A bidirectional size x size grid; each direction draws its costs."""
+    nodes = [f"n{r}{c}" for r in range(size) for c in range(size)]
+    edges = []
+    for r in range(size):
+        for c in range(size):
+            for nr, nc in ((r, c + 1), (r + 1, c)):
+                if nr < size and nc < size:
+                    for a, b in (((r, c), (nr, nc)), ((nr, nc), (r, c))):
+                        edges.append({"from": "n%d%d" % a, "to": "n%d%d" % b,
+                                      "time": rng.randint(1, 9),
+                                      "energy": rng.randint(1, 9)})
+    return network_from_json({"nodes": nodes, "edges": edges})
+
+
+def test_walk_work_is_pinned(monkeypatch):
+    # The work the walk does, pinned: the calls to ``neighbours`` (one per
+    # expanded partial path) and the trips it returns, per mode.  A faster
+    # walk must make the same cuts, so these counts must not move.
+    calls = 0
+    neighbours = RoadNetwork.neighbours
+
+    def counted(net, node):
+        nonlocal calls
+        calls += 1
+        return neighbours(net, node)
+
+    monkeypatch.setattr(RoadNetwork, "neighbours", counted)
+    rng = random.Random("walk-work")
+    queries = []
+    for index in range(60):
+        span = rng.choice((1, 4, 10**6))
+        net, _, nodes = random_network(rng, min_nodes=4, max_nodes=8,
+                                       cyclic=index % 3 != 0,
+                                       edge_probability=0.6,
+                                       time_span=span, energy_span=span)
+        source, dest = rng.sample(nodes, 2)
+        queries.append((net, source, dest, rng.randint(span, 6 * span + 6)))
+    grid = grid_network(rng, 6)
+    queries += [(grid, "n00", "n55", limit) for limit in (40, 60, 80)]
+    work = {}
+    for mode in (STRICT, WEAK):
+        calls = trips = 0
+        for net, source, dest, limit in queries:
+            trips += len(_walk(net, source, dest, limit, mode))
+        work[mode] = (calls, trips)
+    assert work == {STRICT: (2462, 292), WEAK: (2026, 197)}
 
 
 def test_best_paths_checks_its_inputs(network):

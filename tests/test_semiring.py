@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import random
 from fractions import Fraction
 
@@ -94,6 +95,20 @@ class TestCostPair:
             CostPair(-1, 0)
         with pytest.raises(ValueError):
             CostPair(1.5, 0)
+
+    @pytest.mark.parametrize("component", [0, 10**30, math.inf])
+    def test_carrier_accepts(self, component):
+        assert CostPair(component, component).time == component
+
+    @pytest.mark.parametrize("component", [
+        -1, True, 1.0, math.nan, -math.inf, Fraction(1), "1"])
+    def test_carrier_rejects(self, component):
+        message = (f"cost component {component!r} must be a non-negative "
+                   f"integer or infinity")
+        for time, energy in ((component, 0), (0, component)):
+            with pytest.raises(ValueError) as caught:
+                CostPair(time, energy)
+            assert str(caught.value) == message
 
 
 @pytest.mark.parametrize("key, raw", [
