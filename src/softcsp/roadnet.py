@@ -171,6 +171,8 @@ def network_from_json(data) -> RoadNetwork:
     edges: Dict[Tuple[str, str], CostPair] = {}
     fault = None
     for index, entry in enumerate(raw_edges):
+        # A plain object with every key is read directly; anything else
+        # goes through fields(), which names the fault.
         if type(entry) is dict:
             try:
                 src, dst = entry["from"], entry["to"]
