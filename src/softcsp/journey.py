@@ -10,11 +10,24 @@ Charging spans the whole appointment and never delays departure: the
 vehicle always leaves when the appointment ends and must arrive before the
 next one starts.
 
-A partial journey is one tuple of legs and one tuple of per-leg charging
-events (``None`` where the leg did not charge).  The summed (time, energy)
-cost and the per-leg timings are built from these and the appointments
-once the last leg is placed, and the charge trace is replayed as a
-self-check before the journey is emitted.
+:func:`enumerate_journeys` lists every journey by a depth-first search;
+it is the exhaustive reference.  :func:`best_journeys` solves the same
+problem as a dynamic program.  Each leg departs at its appointment's end
+whatever came before, and the charging rule reads only the current level,
+so the rest of a journey depends only on the state (appointment index,
+state of charge).  The non-dominated completions of each state are
+computed once: the union, over the state's legs, of the leg's cost added
+to each completion of the state it leads to, with dominated costs
+dropped.  Dropping them early is exact in both dominance modes, because
+adding one fixed leg cost preserves dominance and equal costs never knock
+each other out.  A leg's trips are searched once per (leg, usable charge),
+capped by the energy and by the time to the next appointment, and steered
+by the least costs to the leg's destination; the same least energy decides
+whether any path fits, late ones included, and so whether to charge.
+
+A finished journey is built from its legs, its per-leg charging events
+(``None`` where the leg did not charge) and its final charge, and the
+charge trace is replayed as a self-check before the journey is emitted.
 """
 
 from __future__ import annotations
@@ -24,8 +37,9 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from .errors import FormatError, InputError, fields, load_json
-from .frontier import STRICT, CostFrontier, frontier_filter
-from .roadnet import RoadNetwork, TripSolution, enumerate_paths
+from .frontier import (_DOMINATES_COMPONENTS, STRICT, CostFrontier,
+                       _check_mode, frontier_filter)
+from .roadnet import LeastCosts, RoadNetwork, TripSolution, enumerate_paths
 from .semiring import CostPair
 
 
@@ -167,6 +181,34 @@ def _replay(solution: JourneySolution, leg_charges, initial_soc: int,
     check(soc == solution.final_soc, "final state of charge mismatch")
 
 
+def _solution(legs: tuple, leg_charges: tuple, final_soc: int,
+              initial_soc: int, policy: ChargingPolicy,
+              appointments) -> JourneySolution:
+    """The checked journey of these legs and per-leg charging events."""
+    cost = CostPair(0, 0)
+    for leg in legs:
+        cost = cost.add(leg.cost)
+    timings = tuple(
+        LegTiming(departure=appt.end,
+                  arrival=time_sum(appt.start, appt.duration, leg.cost.time))
+        for appt, leg in zip(appointments, legs))
+    solution = JourneySolution(
+        legs=legs,
+        charging_events=tuple(c for c in leg_charges if c is not None),
+        cost=cost, timings=timings, final_soc=final_soc)
+    _replay(solution, leg_charges, initial_soc, policy, appointments)
+    return solution
+
+
+def _usable_stations(stations) -> Dict[str, List[str]]:
+    """The names of the stations with free spots, by location, sorted."""
+    usable: Dict[str, List[str]] = {}
+    for station in sorted(stations, key=lambda s: s.name):
+        if station.spots > 0:
+            usable.setdefault(station.location, []).append(station.name)
+    return usable
+
+
 def _journey_witness(solution: JourneySolution) -> tuple:
     return (tuple(leg.path for leg in solution.legs),
             solution.charging_events)
@@ -188,29 +230,14 @@ def enumerate_journeys(net: RoadNetwork,
     """
     _validate_inputs(net, appointments, stations, initial_soc, policy)
     appointments = list(appointments)
-    usable: Dict[str, List[str]] = {}
-    for station in sorted(stations, key=lambda s: s.name):
-        if station.spots > 0:
-            usable.setdefault(station.location, []).append(station.name)
+    usable = _usable_stations(stations)
 
     results: List[JourneySolution] = []
 
     def extend(index: int, soc: int, legs: tuple, leg_charges: tuple) -> None:
         if index == len(appointments) - 1:
-            cost = CostPair(0, 0)
-            for leg in legs:
-                cost = cost.add(leg.cost)
-            timings = tuple(
-                LegTiming(departure=appt.end,
-                          arrival=time_sum(appt.start, appt.duration,
-                                           leg.cost.time))
-                for appt, leg in zip(appointments, legs))
-            solution = JourneySolution(
-                legs=legs,
-                charging_events=tuple(c for c in leg_charges if c is not None),
-                cost=cost, timings=timings, final_soc=soc)
-            _replay(solution, leg_charges, initial_soc, policy, appointments)
-            results.append(solution)
+            results.append(_solution(legs, leg_charges, soc, initial_soc,
+                                     policy, appointments))
             return
         here, there = appointments[index], appointments[index + 1]
         # Every leg, not only the non-dominated ones (best_paths): charging
@@ -243,9 +270,80 @@ def best_journeys(net: RoadNetwork,
                   policy: ChargingPolicy = DEFAULT_POLICY,
                   mode: str = STRICT) -> List[JourneySolution]:
     """The non-dominated journeys by total (time, energy) cost, as a list
-    of :class:`JourneySolution` in frontier order."""
-    journeys = enumerate_journeys(net, appointments, stations, initial_soc,
-                                  policy)
+    of :class:`JourneySolution` in frontier order.
+
+    The same items, in the same order, as ``frontier_filter`` over
+    :func:`enumerate_journeys`, found by the dynamic program over (appointment
+    index, state of charge) described in the module docstring.
+    """
+    _validate_inputs(net, appointments, stations, initial_soc, policy)
+    _check_mode(mode)
+    dominates = _DOMINATES_COMPONENTS[mode]
+    appointments = list(appointments)
+    usable = _usable_stations(stations)
+    last = len(appointments) - 1
+    least: Dict[str, LeastCosts] = {}
+    searched: Dict[tuple, List[TripSolution]] = {}
+    # A completion is (time, energy, final_soc, chain), where chain links
+    # (trip, charge, rest of the chain) and is None past the last leg.
+    completions: Dict[Tuple[int, int], list] = {}
+
+    def trips(here: Appointment, there: Appointment, usable_charge: int,
+              to_there: LeastCosts) -> List[TripSolution]:
+        gap = there.start - here.end
+        key = (here.location, there.location, gap, usable_charge)
+        found = searched.get(key)
+        if found is None:
+            found = searched[key] = enumerate_paths(
+                net, here.location, there.location, usable_charge, gap,
+                to_there)
+        return found
+
+    def complete(index: int, soc: int) -> list:
+        if index == last:
+            return [(0, 0, soc, None)]
+        found = completions.get((index, soc))
+        if found is not None:
+            return found
+        here, there = appointments[index], appointments[index + 1]
+        to_there = least.get(there.location)
+        if to_there is None:
+            to_there = least[there.location] = LeastCosts(net, there.location)
+        # Charge only when no path at all fits, however late it arrives.
+        usable_charge = soc - policy.threshold
+        need = to_there.energy(usable_charge).get(here.location)
+        if (here.location != there.location
+                and (need is None or need > usable_charge)):
+            level = new_soc(soc, here.duration, policy)
+            charges = [(here.location, name)
+                       for name in usable.get(here.location, ())]
+        else:
+            level, charges = soc, [None]
+        candidates = []
+        if charges:
+            for trip in trips(here, there, level - policy.threshold, to_there):
+                leg_time, leg_energy = trip.cost.time, trip.cost.energy
+                rest = complete(index + 1, level - leg_energy)
+                for charge in charges:
+                    candidates += [(leg_time + time, leg_energy + energy,
+                                    final, (trip, charge, chain))
+                                   for time, energy, final, chain in rest]
+        costs = {(c[0], c[1]) for c in candidates}
+        beaten = {u for u in costs
+                  if any(dominates(v[0], v[1], u[0], u[1]) for v in costs)}
+        found = completions[index, soc] = [
+            c for c in candidates if (c[0], c[1]) not in beaten]
+        return found
+
+    journeys = []
+    for _, _, final_soc, chain in complete(0, initial_soc):
+        legs, leg_charges = [], []
+        while chain is not None:
+            trip, charge, chain = chain
+            legs.append(trip)
+            leg_charges.append(charge)
+        journeys.append(_solution(tuple(legs), tuple(leg_charges), final_soc,
+                                  initial_soc, policy, appointments))
     front = frontier_filter([(_journey_witness(s), s.cost) for s in journeys],
                             mode)
     return journey_solutions(front, journeys)

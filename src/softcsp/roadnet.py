@@ -19,6 +19,15 @@ energy)`` int pairs compared by :mod:`frontier`'s component rules; a
 Networks keep a per-node adjacency index built once at construction, so
 expanding a node costs no edge scan.
 
+Every walk is also steered toward its goal.  :class:`LeastCosts` runs a
+reverse Dijkstra from the destination over the network's reverse
+adjacency and gives each node its least time and least energy to it.  A
+partial path is cut when its energy plus the least energy still needed
+exceeds the cap, or, given a time limit, when its time plus the least
+time still needed exceeds that.  Both cuts are exact, because edge costs
+are non-negative and finite: a cut path has no completion within the
+limits, so the trips found and their order are unchanged.
+
 Two input syntaxes are supported: a line-oriented fact format ::
 
     edge(p,q,[2,4]).
@@ -32,6 +41,7 @@ and a JSON document (the CLI's file format)::
 
 from __future__ import annotations
 
+import heapq
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -52,31 +62,45 @@ class RoadNetwork:
     """A directed graph with (time, energy) edge costs.
 
     ``nodes`` and ``edges`` are stored as the network's own copies (a tuple
-    and a read-only mapping), so the adjacency index built from them at
-    construction can never go stale.  Every edge endpoint must be a node.
+    and a read-only mapping), so the adjacency indexes built from them at
+    construction can never go stale.  Every edge endpoint must be a node,
+    and every edge cost a :class:`CostPair` with finite components.
     """
 
     nodes: Tuple[str, ...]
     edges: Mapping[Tuple[str, str], CostPair]
     _adjacency: Dict[str, Adjacency] = field(init=False, repr=False,
                                              compare=False)
+    # Incoming (src, time, energy) triples per node, for LeastCosts.
+    _reverse: Dict[str, Tuple[Tuple[str, int, int], ...]] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         nodes = tuple(self.nodes)
         known = set(nodes)
         edges = MappingProxyType(dict(self.edges))
         out: Dict[str, List[Tuple[str, CostPair]]] = {}
+        into: Dict[str, List[Tuple[str, int, int]]] = {}
         for (src, dst), cost in edges.items():
             if src not in known or dst not in known:
                 unknown = src if src not in known else dst
                 raise InputError(f"edge {src}->{dst}: unknown node "
                                  f"{unknown!r}")
+            # CostPair admits only non-negative ints and infinity.
+            if (type(cost) is not CostPair or type(cost.time) is not int
+                    or type(cost.energy) is not int):
+                raise InputError(f"edge {src}->{dst}: cost must be a "
+                                 f"CostPair of finite components, got "
+                                 f"{cost!r}")
             out.setdefault(src, []).append((dst, cost))
+            into.setdefault(dst, []).append((src, cost.time, cost.energy))
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "_adjacency", {
             # Destinations are unique per source, so costs are never compared.
             src: tuple(sorted(pairs)) for src, pairs in out.items()})
+        object.__setattr__(self, "_reverse", {
+            dst: tuple(triples) for dst, triples in into.items()})
 
     def neighbours(self, node: str) -> Adjacency:
         """Outgoing ``(dst, cost)`` pairs, sorted by destination."""
@@ -209,12 +233,60 @@ def load_network(path: str | Path) -> RoadNetwork:
     return load_json(path, network_from_json)
 
 
+class LeastCosts:
+    """The least time and the least energy from each node to ``dest``.
+
+    Each is found by a reverse Dijkstra from ``dest`` over the network's
+    reverse adjacency, run outward only as far as a caller has asked, and
+    resumed when a caller asks for more.  The two are minimised apart, over
+    every path, so each bounds from below what any path from the node
+    still needs.
+    """
+
+    def __init__(self, net: RoadNetwork, dest: str):
+        if dest not in net.nodes:
+            raise UnknownNodeError(f"unknown node {dest!r}")
+        self.dest = dest
+        self._reverse = net._reverse
+        # Per component, time then energy: the settled least costs, and a
+        # heap of tentative ones, stale entries included.
+        self._settled: Tuple[Dict[str, int], Dict[str, int]] = ({}, {})
+        self._heaps = ([(0, dest)], [(0, dest)])
+
+    def time(self, radius: int) -> Mapping[str, int]:
+        """Least times to ``dest`` by node.  Every node whose least time
+        is at most ``radius`` is present (others may be); a node absent
+        needs more than ``radius``."""
+        return self._within(0, radius)
+
+    def energy(self, radius: int) -> Mapping[str, int]:
+        """Least energies to ``dest`` by node, as :meth:`time` gives the
+        least times."""
+        return self._within(1, radius)
+
+    def _within(self, component: int, radius: int) -> Dict[str, int]:
+        settled, heap = self._settled[component], self._heaps[component]
+        while heap and heap[0][0] <= radius:
+            cost, node = heapq.heappop(heap)
+            if node in settled:
+                continue
+            settled[node] = cost
+            for edge in self._reverse.get(node, ()):
+                if edge[0] not in settled:
+                    heapq.heappush(heap, (cost + edge[1 + component], edge[0]))
+        return settled
+
+
 def _walk(net: RoadNetwork, source: str, dest: str, energy_limit: int,
-          mode: Optional[str] = None) -> List[TripSolution]:
+          mode: Optional[str] = None, time_limit: Optional[int] = None,
+          least: Optional[LeastCosts] = None) -> List[TripSolution]:
     """Depth-first walk over the simple capped paths source -> dest.
 
-    Trips come out in lexicographic order of their node sequence.  With a
-    dominance ``mode``, a partial path is cut when a partial path already
+    Trips come out in lexicographic order of their node sequence.  A
+    partial path is cut when it cannot reach ``dest`` within the energy
+    cap, or within ``time_limit`` when one is given, even by the least
+    costs of ``least`` (made here when not given).  With a dominance
+    ``mode``, a partial path is also cut when a partial path already
     recorded at its endpoint, or a trip already found, dominates it.
     """
     for node in (source, dest):
@@ -223,10 +295,20 @@ def _walk(net: RoadNetwork, source: str, dest: str, energy_limit: int,
     if type(energy_limit) is not int or energy_limit < 0:
         raise InputError(f"energy limit must be a non-negative integer, "
                          f"got {energy_limit!r}")
+    if time_limit is not None and type(time_limit) is not int:
+        raise InputError(f"time limit must be an integer, "
+                         f"got {time_limit!r}")
+    if least is None:
+        least = LeastCosts(net, dest)
+    elif least.dest != dest:
+        raise ValueError(f"least costs to {least.dest!r} cannot steer a "
+                         f"walk to {dest!r}")
     dominated: Optional[Callable[[str, int, int], bool]] = None
     if mode is not None:
         _check_mode(mode)
         dominated = _pruner(_DOMINATES_COMPONENTS[mode], dest)
+    least_energy = least.energy(energy_limit)
+    least_time = None if time_limit is None else least.time(time_limit)
 
     results: List[TripSolution] = []
     path = [source]
@@ -234,10 +316,17 @@ def _walk(net: RoadNetwork, source: str, dest: str, energy_limit: int,
 
     def walk(node: str, time: int, energy: int) -> None:
         for neighbour, cost in net.neighbours(node):
+            if neighbour in visited:
+                continue
             next_energy = energy + cost.energy
-            if next_energy > energy_limit or neighbour in visited:
+            still = least_energy.get(neighbour)
+            if still is None or next_energy + still > energy_limit:
                 continue
             next_time = time + cost.time
+            if least_time is not None:
+                still = least_time.get(neighbour)
+                if still is None or next_time + still > time_limit:
+                    continue
             if dominated is not None and dominated(neighbour, next_time,
                                                    next_energy):
                 continue
@@ -286,15 +375,20 @@ def _pruner(dominates: Callable[[int, int, int, int], bool],
 
 
 def enumerate_paths(net: RoadNetwork, source: str, dest: str,
-                    energy_limit: int) -> List[TripSolution]:
+                    energy_limit: int, time_limit: Optional[int] = None,
+                    least: Optional[LeastCosts] = None) -> List[TripSolution]:
     """All simple paths source -> dest with total energy within the cap.
 
+    With ``time_limit``, only those whose total time is within it too.
     Paths have at least one edge and never repeat a node, so the
     destination only ever appears as the final endpoint; querying a node
     against itself therefore yields nothing.  Results are in lexicographic
-    order of the node sequence.
+    order of the node sequence.  ``least``, the :class:`LeastCosts` to
+    ``dest``, lets callers that search toward one destination many times
+    compute it once.
     """
-    return _walk(net, source, dest, energy_limit)
+    return _walk(net, source, dest, energy_limit, time_limit=time_limit,
+                 least=least)
 
 
 def best_paths(net: RoadNetwork, source: str, dest: str, energy_limit: int,

@@ -1,6 +1,7 @@
 import dataclasses
 import random
 import re
+from collections import Counter
 
 import pytest
 
@@ -15,8 +16,9 @@ from softcsp import (
     time_sum,
 )
 from softcsp.errors import FormatError, InputError
-from softcsp.frontier import STRICT, WEAK
+from softcsp.frontier import STRICT, WEAK, frontier_filter
 from softcsp.journey import (
+    DEFAULT_POLICY,
     LegTiming,
     _replay,
     appointments_from_json,
@@ -25,7 +27,7 @@ from softcsp.journey import (
 from softcsp import journey
 from softcsp.roadnet import network_from_json
 
-from oracles import oracle_filter, oracle_journeys
+from oracles import oracle_filter, oracle_journeys, oracle_paths
 from test_roadnet import random_network
 
 
@@ -298,10 +300,12 @@ def test_against_bruteforce_oracle(network, appointments, stations):
         assert sorted(got) == expected
 
 
-def random_journey_instance(rng, force_low_soc):
+def random_journey_instance(rng, force_low_soc, counts=(2, 3), tight=False):
     """A small instance; with ``force_low_soc`` the first leg starts with
     too little charge for any path, so only the charging branch can save
-    it (edge energies are >= 1 to make "too little" reachable)."""
+    it (edge energies are >= 1 to make "too little" reachable).  The
+    number of appointments is drawn from ``counts``; with ``tight``, each
+    gap is the leg's least travel time plus 0..2, where a path exists."""
     net, edges, nodes = random_network(rng, max_nodes=5, edge_probability=0.6,
                                        time_span=3, energy_span=3)
     for key, (t, e) in list(edges.items()):
@@ -313,11 +317,16 @@ def random_journey_instance(rng, force_low_soc):
     appointments = []
     start = 0
     previous = None
-    for _ in range(rng.randint(2, 3)):
-        start += rng.randint(4, 14)
+    for _ in range(rng.randint(*counts)):
         pool = [n for n in nodes if n != previous] if previous else nodes
-        appointments.append(Appointment(rng.choice(pool), start,
-                                        rng.randint(1, 4)))
+        location = rng.choice(pool)
+        paths = oracle_paths(edges, previous, location, 10**9) \
+            if previous else []
+        if tight and paths:
+            start += min(time for _, time, _ in paths) + rng.randint(0, 2)
+        else:
+            start += rng.randint(4, 14)
+        appointments.append(Appointment(location, start, rng.randint(1, 4)))
         start = appointments[-1].end
         previous = appointments[-1].location
     stations = [ChargingStation(f"cs{i}", rng.randint(0, 3),
@@ -353,11 +362,18 @@ def test_random_instances_match_oracle():
 
 @pytest.mark.parametrize("mode", [STRICT, WEAK])
 def test_best_journeys_match_filtered_oracle(mode):
+    # The first 60 draws have 2 or 3 appointments and loose gaps; the
+    # rest add tight gaps (least travel time plus 0..2), where the time
+    # cut bites, and 4 appointments, where states are reached again.
     rng = random.Random(f"journey-frontier-{mode}")
-    kept = charged = 0
-    for index in range(60):
+    draws = ([{}] * 60 + [{"tight": True}] * 60
+             + [{"counts": (4, 4)}] * 30
+             + [{"counts": (4, 4), "tight": True}] * 30)
+    kept = charged = late = 0
+    for index, shape in enumerate(draws):
         net, edges, appointments, stations, soc = \
-            random_journey_instance(rng, force_low_soc=index % 2 == 0)
+            random_journey_instance(rng, force_low_soc=index % 2 == 0,
+                                    **shape)
         raw_appointments = [(a.location, a.start, a.duration)
                             for a in appointments]
         raw_stations = [(s.name, s.spots, s.location) for s in stations]
@@ -369,7 +385,84 @@ def test_best_journeys_match_filtered_oracle(mode):
         assert got == expected
         kept += len(got)
         charged += sum(1 for j in got if j[1])
-    assert charged > 0 and kept > charged
+        late += not got and shape.get("tight", False)
+    assert charged > 0 and kept > charged and late > 0
+
+
+def reference_journeys(net, appointments, stations, soc, policy, mode):
+    """best_journeys by its definition: the filtered enumeration."""
+    every = enumerate_journeys(net, appointments, stations, soc, policy)
+    front = frontier_filter([((tuple(leg.path for leg in s.legs),
+                               s.charging_events), s.cost) for s in every],
+                            mode)
+    return journey.journey_solutions(front, every)
+
+
+def small_network(*edges):
+    return network_from_json({"nodes": sorted({n for e in edges
+                                               for n in e[:2]}),
+                              "edges": [{"from": s, "to": d, "time": t,
+                                         "energy": e}
+                                        for s, d, t, e in edges]})
+
+
+class TestLegCuts:
+    # Each case has a leg with no trip, so no journey exists; the solver
+    # must agree with the filtered enumeration in both modes.
+    POLICY = ChargingPolicy(rate=2)
+
+    def check(self, net, appointments, stations, soc):
+        for mode in (STRICT, WEAK):
+            expected = reference_journeys(net, appointments, stations, soc,
+                                          self.POLICY, mode)
+            assert best_journeys(net, appointments, stations, soc,
+                                 self.POLICY, mode) == expected == []
+
+    def test_only_route_within_the_charge_arrives_late(self):
+        # a,b fits the charge but arrives at 15, after b starts at 10.  A
+        # path fits, so the vehicle may not charge for the fast a,x,b, and
+        # the journey dies.
+        net = small_network(("a", "b", 10, 1), ("a", "x", 1, 3),
+                            ("x", "b", 1, 3))
+        appointments = [Appointment("a", 0, 5), Appointment("b", 10, 0)]
+        stations = [ChargingStation("s", 1, "a")]
+        self.check(net, appointments, stations, 2)
+        # With time to spare, the slow route is the journey, uncharged.
+        appointments[1] = Appointment("b", 15, 0)
+        assert [summarize(s) for s in best_journeys(
+            net, appointments, stations, 2, self.POLICY)] \
+            == [((("a", "b"),), (), (10, 1), 1)]
+
+    @pytest.mark.parametrize("spots", [0, 1])
+    def test_consecutive_appointments_at_one_node(self, spots):
+        net = small_network(("a", "b", 1, 1), ("b", "a", 1, 1))
+        appointments = [Appointment("a", 0, 1), Appointment("b", 5, 1),
+                        Appointment("b", 10, 1)]
+        self.check(net, appointments, [ChargingStation("s", spots, "b")], 4)
+
+    def test_negative_gap(self):
+        net = small_network(("a", "b", 0, 1))
+        appointments = [Appointment("a", 0, 5), Appointment("b", 4, 0)]
+        self.check(net, appointments, [ChargingStation("s", 1, "a")], 3)
+
+    def test_goal_cannot_be_reached(self):
+        net = small_network(("a", "b", 1, 1), ("c", "a", 1, 1))
+        appointments = [Appointment("a", 0, 1), Appointment("c", 5, 1)]
+        self.check(net, appointments, [ChargingStation("s", 1, "a")], 4)
+
+
+def counting_searches(monkeypatch):
+    """Record the arguments of every leg search the journey solvers make."""
+    searches = []
+    real = journey.enumerate_paths
+
+    def counting(net, source, dest, energy_limit, time_limit=None,
+                 least=None):
+        searches.append((source, dest, energy_limit, time_limit))
+        return real(net, source, dest, energy_limit, time_limit, least)
+
+    monkeypatch.setattr(journey, "enumerate_paths", counting)
+    return searches
 
 
 def test_one_search_per_charging_decision(monkeypatch):
@@ -380,15 +473,32 @@ def test_one_search_per_charging_decision(monkeypatch):
                                         "energy": 2}]})
     appointments = [Appointment("a", 0, 3), Appointment("b", 10, 0)]
     stations = [ChargingStation("s2", 1, "a"), ChargingStation("s1", 2, "a")]
-    limits = []
-    real = journey.enumerate_paths
+    for solver in (enumerate_journeys, best_journeys):
+        searches = counting_searches(monkeypatch)
+        found = solver(net, appointments, stations, 1)
+        assert [s.charging_events for s in found] == [(("a", "s1"),),
+                                                       (("a", "s2"),)]
+        assert [limit for _, _, limit, _ in searches].count(
+            new_soc(1, 3)) == 1
 
-    def counting(net, source, dest, energy_limit):
-        limits.append(energy_limit)
-        return real(net, source, dest, energy_limit)
 
-    monkeypatch.setattr(journey, "enumerate_paths", counting)
-    found = enumerate_journeys(net, appointments, stations, 1)
-    assert [s.charging_events for s in found] == [(("a", "s1"),),
-                                                   (("a", "s2"),)]
-    assert limits.count(new_soc(1, 3)) == 1
+def test_each_leg_and_charge_is_searched_once(monkeypatch):
+    # Two routes of equal energy each way between a and b, and appointments
+    # alternating between them, so many partial journeys reach one leg
+    # with one usable charge.  enumerate_journeys searches such a pair
+    # again for each of them; best_journeys searches it once per call.
+    net = small_network(("a", "b", 1, 2), ("a", "x", 1, 1), ("x", "b", 2, 1),
+                        ("b", "a", 1, 2), ("b", "y", 1, 1), ("y", "a", 2, 1))
+    appointments = [Appointment("a" if k % 2 == 0 else "b", 20 * k, 2)
+                    for k in range(5)]
+    stations = [ChargingStation("sa", 1, "a"), ChargingStation("sb", 1, "b")]
+    searches = counting_searches(monkeypatch)
+    every = enumerate_journeys(net, appointments, stations, 5)
+    assert max(Counter((s, d, e) for s, d, e, _ in searches).values()) > 1
+    assert any(s.charging_events for s in every)
+    for mode in (STRICT, WEAK):
+        searches.clear()
+        found = best_journeys(net, appointments, stations, 5, mode=mode)
+        assert max(Counter(searches).values()) == 1
+        assert found == reference_journeys(net, appointments, stations, 5,
+                                           DEFAULT_POLICY, mode)

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -18,7 +19,8 @@ from softcsp.errors import (
     UnknownNodeError,
 )
 from softcsp.frontier import STRICT, WEAK, frontier_filter
-from softcsp.roadnet import RoadNetwork, _walk, trip_solutions
+from softcsp.roadnet import LeastCosts, RoadNetwork, _walk, trip_solutions
+from softcsp.semiring import INF
 
 from conftest import FIXTURES
 from oracles import oracle_filter, oracle_paths
@@ -108,6 +110,17 @@ class TestRoadNetwork:
         edges = {("a", "z"): CostPair(1, 1), ("z", "b"): CostPair(1, 1)}
         with pytest.raises(InputError, match="edge a->z: unknown node 'z'"):
             RoadNetwork(nodes=["a", "b"], edges=edges)
+
+
+    @pytest.mark.parametrize("cost", [(1, 2), CostPair(1, INF),
+                                      CostPair(INF, 1), None])
+    def test_rejects_a_cost_that_is_not_a_finite_cost_pair(self, cost):
+        # Unchecked, a tuple failed later in the walk with AttributeError,
+        # and an infinite component broke the least-cost bounds.
+        with pytest.raises(InputError, match=re.escape(
+                f"edge a->b: cost must be a CostPair of finite components, "
+                f"got {cost!r}")):
+            RoadNetwork(nodes=["a", "b"], edges={("a", "b"): cost})
 
 
 class TestEnumeration:
@@ -225,6 +238,56 @@ def test_against_recursive_oracle(cyclic):
             front = best_paths(net, source, dest, limit, mode)
             assert {(c.time, c.energy) for c in front.costs()} \
                 == oracle_filter(costs, mode)
+    # The time limit keeps exactly the trips within it; one LeastCosts
+    # serves every search toward its destination.
+    for _ in range(40):
+        net, edges, nodes = random_network(rng, cyclic=cyclic)
+        source, dest = rng.sample(nodes, 2)
+        least = LeastCosts(net, dest)
+        for _ in range(4):
+            limit, time_limit = rng.randint(0, 12), rng.randint(-1, 12)
+            expected = [p for p in oracle_paths(edges, source, dest, limit)
+                        if p[1] <= time_limit]
+            got = enumerate_paths(net, source, dest, limit, time_limit, least)
+            assert [(t.path, t.cost.time, t.cost.energy) for t in got] \
+                == expected
+
+
+@pytest.mark.parametrize("cyclic", [False, True], ids=["dag", "cyclic"])
+def test_least_costs_are_the_cheapest_paths(cyclic):
+    # Each component's least cost over the simple paths, whatever the
+    # order and size of the radii asked for; a node beyond the radius may
+    # be absent, and a node that cannot reach dest always is.
+    rng = random.Random(f"least-{cyclic}")
+    for _ in range(60):
+        net, edges, nodes = random_network(rng, cyclic=cyclic)
+        dest = rng.choice(nodes)
+        cheapest = {}
+        for node in nodes:
+            paths = oracle_paths(edges, node, dest, 10**9)
+            if node == dest:
+                cheapest[node] = (0, 0)
+            elif paths:
+                cheapest[node] = (min(p[1] for p in paths),
+                                  min(p[2] for p in paths))
+        least = LeastCosts(net, dest)
+        for _ in range(4):
+            radius = rng.randint(-1, 25)
+            for index, found in enumerate((least.time(radius),
+                                           least.energy(radius))):
+                assert all(cheapest[node][index] == cost
+                           for node, cost in found.items())
+                assert {node for node, costs in cheapest.items()
+                        if costs[index] <= radius} <= set(found)
+
+
+def test_walk_checks_its_steering(network):
+    with pytest.raises(ValueError, match="least costs to 'q'"):
+        enumerate_paths(network, "p", "t", 10, least=LeastCosts(network, "q"))
+    with pytest.raises(InputError, match="time limit"):
+        enumerate_paths(network, "p", "t", 10, time_limit=1.5)
+    with pytest.raises(UnknownNodeError):
+        LeastCosts(network, "nowhere")
 
 
 def test_pruned_search_matches_enumerate_then_filter():
@@ -302,7 +365,7 @@ def test_walk_work_is_pinned(monkeypatch):
         for net, source, dest, limit in queries:
             trips += len(_walk(net, source, dest, limit, mode))
         work[mode] = (calls, trips)
-    assert work == {STRICT: (2462, 292), WEAK: (2026, 197)}
+    assert work == {STRICT: (1675, 292), WEAK: (1346, 197)}
 
 
 def test_best_paths_checks_its_inputs(network):
