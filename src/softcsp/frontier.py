@@ -16,12 +16,18 @@ supported:
 Elements may carry a witness (e.g. the node sequence of a route).
 Dominance compares costs only; witnesses merely ride along and fix a
 deterministic output order.
+
+:func:`_frontier` finds the non-dominated ``(time, energy)`` pairs by one
+sort and one sweep (Kung, Luccio and Preparata 1975).  Sorted by time,
+then energy, every pair that could dominate a pair comes before it, so a
+pair survives when its energy is below the least energy seen so far
+(weak), or at most the least energy at strictly earlier times (strict).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, Optional, Tuple
+from typing import Any, Iterable, Optional, Set, Tuple
 
 from .errors import ModeMismatchError
 from .semiring import CostPair
@@ -50,15 +56,33 @@ def weakly_dominates(u: CostPair, v: CostPair) -> bool:
     return _weakly(u.time, u.energy, v.time, v.energy)
 
 
-_DOMINATES = {STRICT: strictly_dominates, WEAK: weakly_dominates}
-# The same rules on (time, energy) components, for callers that keep
-# costs as plain numbers.
+# The rules on (time, energy) components, for callers that keep costs as
+# plain numbers.
 _DOMINATES_COMPONENTS = {STRICT: _strictly, WEAK: _weakly}
 
 
 def _check_mode(mode: str) -> None:
     if mode not in MODES:
         raise ModeMismatchError(f"unknown dominance mode {mode!r}")
+
+
+def _frontier(costs: Iterable[Tuple[Any, Any]], mode: str) -> Set[tuple]:
+    """The pairs of ``costs`` that no pair of it dominates under ``mode``."""
+    strict = mode == STRICT
+    kept = set()
+    # None, not infinity, marks "nothing seen yet": an infinite energy is
+    # not below an infinite least energy.
+    least = before = last_time = None
+    for pair in sorted(set(costs)):
+        time, energy = pair
+        if time != last_time:
+            before, last_time = least, time
+        if least is None or energy < least:
+            least = energy
+            kept.add(pair)
+        elif strict and (before is None or energy <= before):
+            kept.add(pair)
+    return kept
 
 
 @dataclass(frozen=True)
@@ -114,10 +138,10 @@ def frontier_filter(items: Iterable[Tuple[Any, CostPair]],
     out.  Output order is lexicographic by witness, then by cost.
     """
     _check_mode(mode)
-    dominates = _DOMINATES[mode]
     unique = {FrontierItem(cost=cost, witness=witness) for witness, cost in items}
+    front = _frontier([(i.cost.time, i.cost.energy) for i in unique], mode)
     kept = [item for item in unique
-            if not any(dominates(other.cost, item.cost) for other in unique)]
+            if (item.cost.time, item.cost.energy) in front]
     kept.sort(key=_item_key)
     return CostFrontier(items=tuple(kept), mode=mode)
 

@@ -10,20 +10,21 @@ Charging spans the whole appointment and never delays departure: the
 vehicle always leaves when the appointment ends and must arrive before the
 next one starts.
 
-:func:`enumerate_journeys` lists every journey by a depth-first search;
-it is the exhaustive reference.  :func:`best_journeys` solves the same
-problem as a dynamic program.  Each leg departs at its appointment's end
-whatever came before, and the charging rule reads only the current level,
-so the rest of a journey depends only on the state (appointment index,
-state of charge).  The non-dominated completions of each state are
-computed once: the union, over the state's legs, of the leg's cost added
-to each completion of the state it leads to, with dominated costs
-dropped.  Dropping them early is exact in both dominance modes, because
-adding one fixed leg cost preserves dominance and equal costs never knock
-each other out.  A leg's trips are searched once per (leg, usable charge),
-capped by the energy and by the time to the next appointment, and steered
-by the least costs to the leg's destination; the same least energy decides
-whether any path fits, late ones included, and so whether to charge.
+:func:`enumerate_journeys` and :func:`best_journeys` share one dynamic
+program.  Each leg departs at its appointment's end whatever came before,
+and the charging rule reads only the current level, so the rest of a
+journey depends only on the state (appointment index, state of charge).
+The completions of each state are computed once: the union, over the
+state's legs, of the leg's cost added to each completion of the state it
+leads to.  ``enumerate_journeys`` keeps them all; ``best_journeys`` drops
+the dominated costs at every state.  Dropping them early is exact in both
+dominance modes, because adding one fixed leg cost preserves dominance and
+equal costs never knock each other out.  A leg's trips are searched once
+per (leg, usable charge), capped by the energy and by the time to the next
+appointment, and steered by the least costs to the leg's destination; the
+same least energy decides whether any path fits, late ones included, and
+so whether to charge.  The independent reference is the brute force
+``oracle_journeys`` of the test suite's ``oracles`` module.
 
 A finished journey is built from its legs, its per-leg charging events
 (``None`` where the leg did not charge) and its final charge, and the
@@ -33,12 +34,12 @@ charge trace is replayed as a self-check before the journey is emitted.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from .errors import FormatError, InputError, fields, load_json
-from .frontier import (_DOMINATES_COMPONENTS, STRICT, CostFrontier,
-                       _check_mode, frontier_filter)
+from .frontier import STRICT, CostFrontier, _check_mode, _frontier
 from .roadnet import LeastCosts, RoadNetwork, TripSolution, enumerate_paths
 from .semiring import CostPair
 
@@ -130,14 +131,17 @@ def _validate_inputs(net: RoadNetwork, appointments, stations, initial_soc,
         if appt.start < 0 or appt.duration < 0:
             raise InputError(f"appointment at {appt.location!r} has negative "
                              f"timing")
-    _check_station_names(stations)
     for station in stations:
+        if not isinstance(station.name, str):
+            raise InputError(f"charging station name {station.name!r} is "
+                             f"not a string")
         if station.location not in net.nodes:
             raise InputError(f"charging station {station.name!r} is at "
                              f"unknown node {station.location!r}")
         if station.spots < 0:
             raise InputError(f"charging station {station.name!r} has "
                              f"negative spots")
+    _check_station_names(stations)
     if initial_soc < policy.threshold:
         raise InputError("initial state of charge is below the threshold")
     if policy.capacity is not None and initial_soc > policy.capacity:
@@ -181,13 +185,10 @@ def _replay(solution: JourneySolution, leg_charges, initial_soc: int,
     check(soc == solution.final_soc, "final state of charge mismatch")
 
 
-def _solution(legs: tuple, leg_charges: tuple, final_soc: int,
-              initial_soc: int, policy: ChargingPolicy,
+def _solution(legs: tuple, leg_charges: tuple, cost: CostPair,
+              final_soc: int, initial_soc: int, policy: ChargingPolicy,
               appointments) -> JourneySolution:
     """The checked journey of these legs and per-leg charging events."""
-    cost = CostPair(0, 0)
-    for leg in legs:
-        cost = cost.add(leg.cost)
     timings = tuple(
         LegTiming(departure=appt.end,
                   arrival=time_sum(appt.start, appt.duration, leg.cost.time))
@@ -214,10 +215,79 @@ def _journey_witness(solution: JourneySolution) -> tuple:
             solution.charging_events)
 
 
-def enumerate_journeys(net: RoadNetwork,
-                       appointments: List[Appointment],
-                       stations: List[ChargingStation],
-                       initial_soc: int,
+def _journeys(net: RoadNetwork, appointments, stations, initial_soc: int,
+              policy: ChargingPolicy,
+              mode: Optional[str]) -> List[JourneySolution]:
+    """The journeys of the module docstring's dynamic program, in witness
+    order: every one without a ``mode``, the non-dominated ones with it."""
+    _validate_inputs(net, appointments, stations, initial_soc, policy)
+    if mode is not None:
+        _check_mode(mode)
+    appointments = list(appointments)
+    usable = _usable_stations(stations)
+    last = len(appointments) - 1
+
+    @cache
+    def least(dest: str) -> LeastCosts:
+        return LeastCosts(net, dest)
+
+    # Every trip, not only the non-dominated ones (best_paths): a dominated
+    # leg can force the charge that opens a non-dominated journey.
+    @cache
+    def trips(source: str, dest: str, gap: int,
+              usable_charge: int) -> List[TripSolution]:
+        return enumerate_paths(net, source, dest, usable_charge, gap,
+                               least(dest))
+
+    # A completion is (time, energy, final_soc, chain), where chain links
+    # (trip, charge, rest of the chain) and is None past the last leg.
+    @cache
+    def complete(index: int, soc: int) -> list:
+        if index == last:
+            return [(0, 0, soc, None)]
+        here, there = appointments[index], appointments[index + 1]
+        # Charge only when no path at all fits, however late it arrives.
+        usable_charge = soc - policy.threshold
+        need = least(there.location).energy(usable_charge).get(here.location)
+        if (here.location != there.location
+                and (need is None or need > usable_charge)):
+            level = new_soc(soc, here.duration, policy)
+            charges = [(here.location, name)
+                       for name in usable.get(here.location, ())]
+        else:
+            level, charges = soc, [None]
+        candidates = []
+        if charges:
+            for trip in trips(here.location, there.location,
+                              there.start - here.end,
+                              level - policy.threshold):
+                leg_time, leg_energy = trip.cost.time, trip.cost.energy
+                rest = complete(index + 1, level - leg_energy)
+                for charge in charges:
+                    candidates += [(leg_time + time, leg_energy + energy,
+                                    final, (trip, charge, chain))
+                                   for time, energy, final, chain in rest]
+        if mode is None:
+            return candidates
+        front = _frontier([(c[0], c[1]) for c in candidates], mode)
+        return [c for c in candidates if (c[0], c[1]) in front]
+
+    journeys = []
+    for time, energy, final_soc, chain in complete(0, initial_soc):
+        legs, leg_charges = [], []
+        while chain is not None:
+            trip, charge, chain = chain
+            legs.append(trip)
+            leg_charges.append(charge)
+        journeys.append(_solution(tuple(legs), tuple(leg_charges),
+                                  CostPair(time, energy), final_soc,
+                                  initial_soc, policy, appointments))
+    journeys.sort(key=_journey_witness)
+    return journeys
+
+
+def enumerate_journeys(net: RoadNetwork, appointments: List[Appointment],
+                       stations: List[ChargingStation], initial_soc: int,
                        policy: ChargingPolicy = DEFAULT_POLICY,
                        ) -> List[JourneySolution]:
     """All feasible journeys through the appointments, in a fixed order.
@@ -228,130 +298,27 @@ def enumerate_journeys(net: RoadNetwork,
     free spots, followed by any path within the recharged level.  Ordered
     lexicographically by leg node sequences, then by station names.
     """
-    _validate_inputs(net, appointments, stations, initial_soc, policy)
-    appointments = list(appointments)
-    usable = _usable_stations(stations)
-
-    results: List[JourneySolution] = []
-
-    def extend(index: int, soc: int, legs: tuple, leg_charges: tuple) -> None:
-        if index == len(appointments) - 1:
-            results.append(_solution(legs, leg_charges, soc, initial_soc,
-                                     policy, appointments))
-            return
-        here, there = appointments[index], appointments[index + 1]
-        # Every leg, not only the non-dominated ones (best_paths): charging
-        # happens only when no path fits, so a dominated leg can force a
-        # charge that leads to a non-dominated journey.
-        branches = [(trip, None, soc) for trip in enumerate_paths(
-            net, here.location, there.location, soc - policy.threshold)]
-        if not branches and here.location in usable:
-            # One search at the recharged level serves every local station.
-            charged = new_soc(soc, here.duration, policy)
-            trips = enumerate_paths(net, here.location, there.location,
-                                    charged - policy.threshold)
-            branches = [(trip, (here.location, name), charged)
-                        for name in usable[here.location] for trip in trips]
-        for trip, charge, level in branches:
-            if time_sum(here.start, here.duration,
-                        trip.cost.time) <= there.start:
-                extend(index + 1, level - trip.cost.energy, legs + (trip,),
-                       leg_charges + (charge,))
-
-    extend(0, initial_soc, (), ())
-    results.sort(key=_journey_witness)
-    return results
+    return _journeys(net, appointments, stations, initial_soc, policy, None)
 
 
-def best_journeys(net: RoadNetwork,
-                  appointments: List[Appointment],
-                  stations: List[ChargingStation],
-                  initial_soc: int,
+def best_journeys(net: RoadNetwork, appointments: List[Appointment],
+                  stations: List[ChargingStation], initial_soc: int,
                   policy: ChargingPolicy = DEFAULT_POLICY,
                   mode: str = STRICT) -> List[JourneySolution]:
     """The non-dominated journeys by total (time, energy) cost, as a list
     of :class:`JourneySolution` in frontier order.
 
     The same items, in the same order, as ``frontier_filter`` over
-    :func:`enumerate_journeys`, found by the dynamic program over (appointment
-    index, state of charge) described in the module docstring.
+    :func:`enumerate_journeys`: node and station names are strings, so the
+    witness order is the frontier's order.
     """
-    _validate_inputs(net, appointments, stations, initial_soc, policy)
-    _check_mode(mode)
-    dominates = _DOMINATES_COMPONENTS[mode]
-    appointments = list(appointments)
-    usable = _usable_stations(stations)
-    last = len(appointments) - 1
-    least: Dict[str, LeastCosts] = {}
-    searched: Dict[tuple, List[TripSolution]] = {}
-    # A completion is (time, energy, final_soc, chain), where chain links
-    # (trip, charge, rest of the chain) and is None past the last leg.
-    completions: Dict[Tuple[int, int], list] = {}
-
-    def trips(here: Appointment, there: Appointment, usable_charge: int,
-              to_there: LeastCosts) -> List[TripSolution]:
-        gap = there.start - here.end
-        key = (here.location, there.location, gap, usable_charge)
-        found = searched.get(key)
-        if found is None:
-            found = searched[key] = enumerate_paths(
-                net, here.location, there.location, usable_charge, gap,
-                to_there)
-        return found
-
-    def complete(index: int, soc: int) -> list:
-        if index == last:
-            return [(0, 0, soc, None)]
-        found = completions.get((index, soc))
-        if found is not None:
-            return found
-        here, there = appointments[index], appointments[index + 1]
-        to_there = least.get(there.location)
-        if to_there is None:
-            to_there = least[there.location] = LeastCosts(net, there.location)
-        # Charge only when no path at all fits, however late it arrives.
-        usable_charge = soc - policy.threshold
-        need = to_there.energy(usable_charge).get(here.location)
-        if (here.location != there.location
-                and (need is None or need > usable_charge)):
-            level = new_soc(soc, here.duration, policy)
-            charges = [(here.location, name)
-                       for name in usable.get(here.location, ())]
-        else:
-            level, charges = soc, [None]
-        candidates = []
-        if charges:
-            for trip in trips(here, there, level - policy.threshold, to_there):
-                leg_time, leg_energy = trip.cost.time, trip.cost.energy
-                rest = complete(index + 1, level - leg_energy)
-                for charge in charges:
-                    candidates += [(leg_time + time, leg_energy + energy,
-                                    final, (trip, charge, chain))
-                                   for time, energy, final, chain in rest]
-        costs = {(c[0], c[1]) for c in candidates}
-        beaten = {u for u in costs
-                  if any(dominates(v[0], v[1], u[0], u[1]) for v in costs)}
-        found = completions[index, soc] = [
-            c for c in candidates if (c[0], c[1]) not in beaten]
-        return found
-
-    journeys = []
-    for _, _, final_soc, chain in complete(0, initial_soc):
-        legs, leg_charges = [], []
-        while chain is not None:
-            trip, charge, chain = chain
-            legs.append(trip)
-            leg_charges.append(charge)
-        journeys.append(_solution(tuple(legs), tuple(leg_charges), final_soc,
-                                  initial_soc, policy, appointments))
-    front = frontier_filter([(_journey_witness(s), s.cost) for s in journeys],
-                            mode)
-    return journey_solutions(front, journeys)
+    return _journeys(net, appointments, stations, initial_soc, policy, mode)
 
 
 def journey_solutions(front: CostFrontier,
                       journeys: List[JourneySolution]) -> List[JourneySolution]:
     """Map frontier items back to the journeys they were built from."""
+    # Unused by the solvers; perfbench/tracer.py wraps it by name.
     by_witness = {_journey_witness(s): s for s in journeys}
     return [by_witness[item.witness] for item in front]
 

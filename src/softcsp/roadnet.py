@@ -63,8 +63,9 @@ class RoadNetwork:
 
     ``nodes`` and ``edges`` are stored as the network's own copies (a tuple
     and a read-only mapping), so the adjacency indexes built from them at
-    construction can never go stale.  Every edge endpoint must be a node,
-    and every edge cost a :class:`CostPair` with finite components.
+    construction can never go stale.  Node names must be non-empty
+    strings, every edge endpoint must be a node, and every edge cost a
+    :class:`CostPair` with finite components.
     """
 
     nodes: Tuple[str, ...]
@@ -77,6 +78,10 @@ class RoadNetwork:
 
     def __post_init__(self):
         nodes = tuple(self.nodes)
+        for node in nodes:
+            if not isinstance(node, str) or not node:
+                raise InputError(f"node name must be a non-empty string, "
+                                 f"got {node!r}")
         known = set(nodes)
         edges = MappingProxyType(dict(self.edges))
         out: Dict[str, List[Tuple[str, CostPair]]] = {}

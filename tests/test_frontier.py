@@ -12,6 +12,7 @@ from softcsp import (
 )
 from softcsp.errors import ModeMismatchError
 from softcsp.frontier import STRICT, WEAK, empty_frontier, unit_frontier
+from softcsp.semiring import INF
 
 from oracles import oracle_filter
 
@@ -143,6 +144,27 @@ def test_semiring_laws(mode):
         assert frontier_times(a, empty_frontier(mode)) == empty_frontier(mode)
         assert frontier_times(a, frontier_union(b, c)) \
             == frontier_union(frontier_times(a, b), frontier_times(a, c))
+
+
+@pytest.mark.parametrize("mode", [STRICT, WEAK])
+def test_sweep_matches_bruteforce_on_infinite_and_large_sets(mode):
+    def check(costs):
+        kept = [(c.time, c.energy) for c in bare(costs, mode).costs()]
+        assert kept == sorted(oracle_filter(costs, mode))
+
+    rng = random.Random(f"sweep-{mode}")
+    # Infinite components, alone and tied: an infinite energy is never
+    # below an infinite least energy, so "nothing seen yet" must differ.
+    for _ in range(300):
+        check([tuple(INF if rng.random() < 0.3 else rng.randint(0, 4)
+                     for _ in range(2))
+               for _ in range(rng.randint(0, 8))])
+    # Anti-correlated, with ties in time: most items are near the line
+    # time + energy = 1000, so the frontier is large.
+    costs = [(time, 1000 - time + rng.randint(0, 3))
+             for time in (rng.randint(0, 750) for _ in range(1500))]
+    assert len(set(costs)) >= 1000
+    check(costs)
 
 
 def test_weak_is_subset_of_strict():

@@ -16,7 +16,7 @@ from softcsp import (
     time_sum,
 )
 from softcsp.errors import FormatError, InputError
-from softcsp.frontier import STRICT, WEAK, frontier_filter
+from softcsp.frontier import STRICT, WEAK
 from softcsp.journey import (
     DEFAULT_POLICY,
     LegTiming,
@@ -221,6 +221,16 @@ class TestValidation:
             with pytest.raises(InputError, match=re.escape(message)):
                 solver(net, appointments, stations, 1)
 
+    @pytest.mark.parametrize("name", [1, None, ("s",)])
+    def test_station_name_is_not_a_string(self, network, appointments, name):
+        # Journeys are ordered by witness, station names included, and that
+        # order is the frontier's only over strings.
+        stations = [ChargingStation(name, 1, "r")]
+        for solver in (enumerate_journeys, best_journeys):
+            with pytest.raises(InputError, match=re.escape(
+                    f"charging station name {name!r} is not a string")):
+                solver(network, appointments, stations, 10)
+
 
 class TestInputFiles:
     def test_appointment_schema(self):
@@ -289,15 +299,30 @@ class TestInvariants:
             assert low <= high
 
 
+def oracle_of(net, appointments, stations, soc, policy=DEFAULT_POLICY):
+    """Every journey by the brute-force oracle, as ``summarize`` tuples in
+    witness order."""
+    return oracle_journeys(
+        {(s, d): (c.time, c.energy) for (s, d), c in net.edges.items()},
+        [(a.location, a.start, a.duration) for a in appointments],
+        [(s.name, s.spots, s.location) for s in stations], soc,
+        policy.rate, policy.capacity, policy.threshold)
+
+
+def reference_journeys(net, appointments, stations, soc, policy, mode):
+    """best_journeys by its definition, from the brute-force oracles: the
+    non-dominated journeys, as ``summarize`` tuples in witness order."""
+    every = oracle_of(net, appointments, stations, soc, policy)
+    front = oracle_filter([cost for _, _, cost, _ in every], mode)
+    return [j for j in every if j[2] in front]
+
+
 def test_against_bruteforce_oracle(network, appointments, stations):
-    edges = {(s, d): (c.time, c.energy) for (s, d), c in network.edges.items()}
-    raw_appointments = [(a.location, a.start, a.duration) for a in appointments]
-    raw_stations = [(s.name, s.spots, s.location) for s in stations]
     for soc in range(0, 14):
-        expected = oracle_journeys(edges, raw_appointments, raw_stations, soc)
+        expected = oracle_of(network, appointments, stations, soc)
         got = [summarize(s)
                for s in enumerate_journeys(network, appointments, stations, soc)]
-        assert sorted(got) == expected
+        assert got == expected
 
 
 def random_journey_instance(rng, force_low_soc, counts=(2, 3), tight=False):
@@ -343,59 +368,46 @@ def random_journey_instance(rng, force_low_soc, counts=(2, 3), tight=False):
     return net, edges, appointments, stations, soc
 
 
+# The first draws have 2 or 3 appointments and loose gaps; the rest add
+# tight gaps (least travel time plus 0..2), where the time cut bites, and 4
+# appointments, where states are reached again.
+JOURNEY_DRAWS = ([{}] * 60 + [{"tight": True}] * 60
+                 + [{"counts": (4, 4)}] * 30
+                 + [{"counts": (4, 4), "tight": True}] * 30)
+
+
 def test_random_instances_match_oracle():
     rng = random.Random("journey-oracle")
-    charged = 0
-    for index in range(30):
-        net, edges, appointments, stations, soc = \
-            random_journey_instance(rng, force_low_soc=index % 2 == 0)
-        raw_appointments = [(a.location, a.start, a.duration)
-                            for a in appointments]
-        raw_stations = [(s.name, s.spots, s.location) for s in stations]
-        expected = oracle_journeys(edges, raw_appointments, raw_stations, soc)
-        got = sorted(summarize(s) for s in
-                     enumerate_journeys(net, appointments, stations, soc))
-        assert got == expected
+    charged = late = 0
+    for index, shape in enumerate(JOURNEY_DRAWS[:30] + JOURNEY_DRAWS[60:]):
+        net, _, appointments, stations, soc = \
+            random_journey_instance(rng, force_low_soc=index % 2 == 0,
+                                    **shape)
+        got = [summarize(s) for s in
+               enumerate_journeys(net, appointments, stations, soc)]
+        assert got == oracle_of(net, appointments, stations, soc)
         charged += sum(1 for j in got if j[1])
-    assert charged > 0  # the forced-charging branch must be exercised
+        late += not got and shape.get("tight", False)
+    # The forced-charging branch and the time cut must be exercised.
+    assert charged > 0 and late > 0
 
 
 @pytest.mark.parametrize("mode", [STRICT, WEAK])
 def test_best_journeys_match_filtered_oracle(mode):
-    # The first 60 draws have 2 or 3 appointments and loose gaps; the
-    # rest add tight gaps (least travel time plus 0..2), where the time
-    # cut bites, and 4 appointments, where states are reached again.
     rng = random.Random(f"journey-frontier-{mode}")
-    draws = ([{}] * 60 + [{"tight": True}] * 60
-             + [{"counts": (4, 4)}] * 30
-             + [{"counts": (4, 4), "tight": True}] * 30)
     kept = charged = late = 0
-    for index, shape in enumerate(draws):
-        net, edges, appointments, stations, soc = \
+    for index, shape in enumerate(JOURNEY_DRAWS):
+        net, _, appointments, stations, soc = \
             random_journey_instance(rng, force_low_soc=index % 2 == 0,
                                     **shape)
-        raw_appointments = [(a.location, a.start, a.duration)
-                            for a in appointments]
-        raw_stations = [(s.name, s.spots, s.location) for s in stations]
-        every = oracle_journeys(edges, raw_appointments, raw_stations, soc)
-        front = oracle_filter([cost for _, _, cost, _ in every], mode)
-        expected = [j for j in every if j[2] in front]
         got = [summarize(s) for s in
                best_journeys(net, appointments, stations, soc, mode=mode)]
-        assert got == expected
+        assert got == reference_journeys(net, appointments, stations, soc,
+                                         DEFAULT_POLICY, mode)
         kept += len(got)
         charged += sum(1 for j in got if j[1])
         late += not got and shape.get("tight", False)
     assert charged > 0 and kept > charged and late > 0
-
-
-def reference_journeys(net, appointments, stations, soc, policy, mode):
-    """best_journeys by its definition: the filtered enumeration."""
-    every = enumerate_journeys(net, appointments, stations, soc, policy)
-    front = frontier_filter([((tuple(leg.path for leg in s.legs),
-                               s.charging_events), s.cost) for s in every],
-                            mode)
-    return journey.journey_solutions(front, every)
 
 
 def small_network(*edges):
@@ -407,16 +419,17 @@ def small_network(*edges):
 
 
 class TestLegCuts:
-    # Each case has a leg with no trip, so no journey exists; the solver
-    # must agree with the filtered enumeration in both modes.
+    # Each case has a leg with no trip, so no journey exists; both solvers
+    # must agree with the oracle in both modes.
     POLICY = ChargingPolicy(rate=2)
 
     def check(self, net, appointments, stations, soc):
+        assert oracle_of(net, appointments, stations, soc, self.POLICY) == []
+        assert enumerate_journeys(net, appointments, stations, soc,
+                                  self.POLICY) == []
         for mode in (STRICT, WEAK):
-            expected = reference_journeys(net, appointments, stations, soc,
-                                          self.POLICY, mode)
             assert best_journeys(net, appointments, stations, soc,
-                                 self.POLICY, mode) == expected == []
+                                 self.POLICY, mode) == []
 
     def test_only_route_within_the_charge_arrives_late(self):
         # a,b fits the charge but arrives at 15, after b starts at 10.  A
@@ -449,6 +462,27 @@ class TestLegCuts:
         net = small_network(("a", "b", 1, 1), ("c", "a", 1, 1))
         appointments = [Appointment("a", 0, 1), Appointment("c", 5, 1)]
         self.check(net, appointments, [ChargingStation("s", 1, "a")], 4)
+
+
+def test_journeys_are_ordered_by_legs_before_stations():
+    # No path fits the starting charge, so the first leg charges at one of
+    # two stations, and the second leg has two incomparable routes.  The
+    # search meets the stations before the second legs; the output is
+    # ordered by every leg first, then by station.
+    net = small_network(("a", "b", 1, 2), ("b", "c", 3, 1), ("b", "x", 1, 1),
+                        ("x", "c", 1, 1))
+    appointments = [Appointment("a", 0, 3), Appointment("b", 10, 0),
+                    Appointment("c", 20, 0)]
+    stations = [ChargingStation("s2", 1, "a"), ChargingStation("s1", 1, "a")]
+    expected = oracle_of(net, appointments, stations, 1)
+    assert [(legs[1], events) for legs, events, _, _ in expected] == [
+        (("b", "c"), (("a", "s1"),)), (("b", "c"), (("a", "s2"),)),
+        (("b", "x", "c"), (("a", "s1"),)), (("b", "x", "c"), (("a", "s2"),))]
+    assert [summarize(s) for s in enumerate_journeys(
+        net, appointments, stations, 1)] == expected
+    for mode in (STRICT, WEAK):
+        assert [summarize(s) for s in best_journeys(
+            net, appointments, stations, 1, mode=mode)] == expected
 
 
 def counting_searches(monkeypatch):
@@ -484,21 +518,29 @@ def test_one_search_per_charging_decision(monkeypatch):
 
 def test_each_leg_and_charge_is_searched_once(monkeypatch):
     # Two routes of equal energy each way between a and b, and appointments
-    # alternating between them, so many partial journeys reach one leg
-    # with one usable charge.  enumerate_journeys searches such a pair
-    # again for each of them; best_journeys searches it once per call.
+    # alternating between them, so distinct partial journeys reach one
+    # (appointment, charge) state.  Each solver searches a leg once per
+    # usable charge in a call.
     net = small_network(("a", "b", 1, 2), ("a", "x", 1, 1), ("x", "b", 2, 1),
                         ("b", "a", 1, 2), ("b", "y", 1, 1), ("y", "a", 2, 1))
     appointments = [Appointment("a" if k % 2 == 0 else "b", 20 * k, 2)
                     for k in range(5)]
     stations = [ChargingStation("sa", 1, "a"), ChargingStation("sb", 1, "b")]
+    # The oracle's journeys to appointment k are the prefixes reaching it;
+    # the last field of each is the charge on arrival.
+    reached = Counter((k, prefix[-1]) for k in range(2, len(appointments) + 1)
+                      for prefix in oracle_of(net, appointments[:k],
+                                              stations, 5))
+    assert max(reached.values()) > 1
     searches = counting_searches(monkeypatch)
     every = enumerate_journeys(net, appointments, stations, 5)
-    assert max(Counter((s, d, e) for s, d, e, _ in searches).values()) > 1
+    assert max(Counter(searches).values()) == 1
     assert any(s.charging_events for s in every)
+    assert [summarize(s) for s in every] \
+        == oracle_of(net, appointments, stations, 5)
     for mode in (STRICT, WEAK):
         searches.clear()
         found = best_journeys(net, appointments, stations, 5, mode=mode)
         assert max(Counter(searches).values()) == 1
-        assert found == reference_journeys(net, appointments, stations, 5,
-                                           DEFAULT_POLICY, mode)
+        assert [summarize(s) for s in found] == reference_journeys(
+            net, appointments, stations, 5, DEFAULT_POLICY, mode)

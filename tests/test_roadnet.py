@@ -111,6 +111,12 @@ class TestRoadNetwork:
         with pytest.raises(InputError, match="edge a->z: unknown node 'z'"):
             RoadNetwork(nodes=["a", "b"], edges=edges)
 
+    @pytest.mark.parametrize("name", [1, "", None, ("a",)])
+    def test_rejects_a_node_name_that_is_not_a_non_empty_string(self, name):
+        # The JSON reader's rule; it keeps witness order the frontier's.
+        with pytest.raises(InputError, match=re.escape(
+                f"node name must be a non-empty string, got {name!r}")):
+            RoadNetwork(nodes=["a", name], edges={})
 
     @pytest.mark.parametrize("cost", [(1, 2), CostPair(1, INF),
                                       CostPair(INF, 1), None])
