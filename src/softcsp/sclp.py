@@ -14,22 +14,20 @@ the all-worst interpretation climbs monotonically to the least fixpoint;
 with exact arithmetic the fixpoint test is plain equality.
 
 :func:`lfp` runs exactly those rounds on the program as written, ground
-or not, and does per round only the work that can change a value
-(semi-naive evaluation).  It grounds forward from the facts: starting
-from the facts with a non-zero value, it instantiates a rule only over
-bindings whose body atoms all head an instance already built, until no
-new head appears.  Every other instance :func:`ground` would build adds
-zero in every round: its value is zero, or it reads an atom that no
-instance heads, and such an atom stays at zero in every round (dead
-cycles such as ``p :- q. q :- p.`` included), because zero absorbs the
-product and is the unit of the sum.  The instances built are indexed by
-head, and for each atom the heads that read it.  The first round
-evaluates every head built; each later round only the heads that read an
-atom changed by the round before, since every other head would be
-recomputed from the same values.  So after k rounds the interpretation is
-still the k-th naive iterate of the ground program, the round count and
-the iteration cap mean what they mean for :func:`tp_step`, and every atom
-of the universe, dead ones included, is in the result.
+or not, in one semi-naive loop that grounds as it evaluates.  An instance
+that reads an atom at zero adds zero, because zero absorbs the product and
+is the unit of the sum; and values only climb, so an atom that has turned
+non-zero stays so.  The first round therefore evaluates only the heads of
+the facts with a non-zero value.  After each round the atoms that just
+turned non-zero are joined against the rules, each instance built is
+filed under its head and under the atoms it reads, and the next round
+evaluates only the heads that read an atom the round changed.  Every
+instance that can add a non-zero value in a round exists by then, and
+every other head would be recomputed from the same values, so after k
+rounds the interpretation is still the k-th naive iterate of the ground
+program.  The round count and the iteration cap mean what they mean for
+:func:`tp_step`, and every atom of the universe is in the result, atoms
+that stay at zero (dead cycles such as ``p :- q. q :- p.``) included.
 
 Program text format (one clause per line)::
 
@@ -49,7 +47,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass, field
-from typing import Container, Dict, FrozenSet, Iterable, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, Optional, Tuple
 
 from .errors import (
     EmptyUniverseError,
@@ -313,75 +311,44 @@ def _join(patterns: list, index: _AtomIndex, binding: Dict[str, str],
             yield from _join(rest, index, extended, slots)
 
 
-def _ground_forward(program: Program,
-                    universe: Container[Atom]) -> Dict[Atom, list]:
-    """The ground instances whose value is not zero and whose body atoms
-    all head such an instance, by head.
+def _new_instances(clauses: Iterable[Clause],
+                   fresh: Dict[Tuple[str, int], list], index: _AtomIndex,
+                   constants: Tuple[str, ...]) -> Iterable[Clause]:
+    """The instances of the rules among ``clauses`` that read an atom of
+    ``fresh`` and otherwise only indexed atoms (``fresh`` is indexed too).
 
-    Semi-naive over the atoms that can be non-zero: first the facts with a
-    non-zero value, then in each round every rule over the bindings that
-    match one body atom to a head first built in the round before and the
-    others, fewest heads first, to heads built so far, until a round builds
-    no new head.  A binding is taken once per rule; variables only in the
-    head range over every constant.  Instances whose head is outside
-    ``universe`` are left out.
+    Each rule is matched with one body atom to an atom of ``fresh`` and
+    the others, fewest indexed atoms first, to indexed atoms; a body that
+    matches at several positions is built once.  Variables only in the
+    head range over every constant.
     """
-    constants = program.constants
-    zero = program.spec.zero
-    rules = []
-    for number, clause in enumerate(program.clauses):
-        if clause.body_atoms:
-            body_variables = sorted({t for a in clause.body_atoms
-                                     for t in a.args if is_variable(t)})
-            head_only = sorted(clause.variables() - set(body_variables))
-            rules.append((number, clause, body_variables, head_only))
-    found = [instance for clause in program.clauses
-             if not clause.body_atoms and clause.body_value != zero
-             for instance in _instances(clause, constants)]
-    live: Dict[Atom, list] = {}
-    index = _AtomIndex()
-    taken = set()
-    while True:
-        delta: Dict[Tuple[str, int], list] = {}
-        for clause in found:
-            head = clause.head
-            if head not in universe:
+    for rule in clauses:
+        body = rule.body_atoms
+        taken = set()
+        for i, pattern in enumerate(body):
+            atoms = fresh.get(_signature(pattern))
+            if not atoms:
                 continue
-            clauses = live.get(head)
-            if clauses is None:
-                clauses = live[head] = []
-                delta.setdefault(_signature(head), []).append(head)
-            clauses.append(clause)
-        if not delta:
-            return live
-        for atoms in delta.values():
+            head_only = sorted(rule.variables()
+                               - {t for a in body for t in a.args})
+            rest = sorted(((j, a) for j, a in enumerate(body) if j != i),
+                          key=lambda pair: index.size(pair[1]))
+            slots = list(body)
             for atom in atoms:
-                index.add(atom)
-        found = []
-        for number, rule, body_variables, head_only in rules:
-            body = rule.body_atoms
-            for i, pattern in enumerate(body):
-                fresh = delta.get(_signature(pattern))
-                if not fresh:
+                binding = _unify(pattern, atom, {})
+                if binding is None:
                     continue
-                rest = sorted(((j, a) for j, a in enumerate(body) if j != i),
-                              key=lambda pair: index.size(pair[1]))
-                slots = list(body)
-                for atom in fresh:
-                    binding = _unify(pattern, atom, {})
-                    if binding is None:
+                slots[i] = atom
+                for full in _join(rest, index, binding, slots):
+                    instance_body = tuple(slots)
+                    if instance_body in taken:
                         continue
-                    slots[i] = atom
-                    for full in _join(rest, index, binding, slots):
-                        key = (number, tuple(full[v] for v in body_variables))
-                        if key in taken:
-                            continue
-                        taken.add(key)
-                        for values in itertools.product(constants,
-                                                        repeat=len(head_only)):
-                            head = _substitute_atom(
-                                rule.head, {**full, **dict(zip(head_only, values))})
-                            found.append(Clause(head=head, body_atoms=tuple(slots)))
+                    taken.add(instance_body)
+                    for values in itertools.product(constants,
+                                                    repeat=len(head_only)):
+                        head = _substitute_atom(
+                            rule.head, {**full, **dict(zip(head_only, values))})
+                        yield Clause(head=head, body_atoms=instance_body)
 
 
 def _changes(spec: SemiringSpec, live: Dict[Atom, list],
@@ -426,14 +393,14 @@ def lfp(program: Program, max_iters: Optional[int] = None) -> LfpResult:
     """Iterate the consequence operator from bottom until it stabilises.
 
     ``program`` need not be ground: the rounds are those of iterating
-    :func:`tp_step` on ``ground(program)``, but only the instances that
-    forward grounding from the facts builds take part, the first round
-    evaluates their heads and each later one only the heads reading an
-    atom the round before changed (see the module docstring), so after k
-    rounds the interpretation is T_P^k(bottom), in dump order.
+    :func:`tp_step` on ``ground(program)``, but each round builds and
+    evaluates only the instances whose body atoms are all non-zero (see
+    the module docstring).  After k rounds the interpretation is
+    T_P^k(bottom), in dump order.
 
     Raises :class:`EmptyUniverseError`, as :func:`ground` does, if a clause
-    has variables but the program declares no constants.
+    has variables but the program declares no constants, and
+    :class:`InputError` if ``max_iters`` is not an integer of at least 1.
 
     Raises :class:`NonConvergenceError`, carrying the last two
     interpretations and naming the atoms that differ between them, if no
@@ -442,26 +409,46 @@ def lfp(program: Program, max_iters: Optional[int] = None) -> LfpResult:
     _check_universe(program)
     if max_iters is None:
         max_iters = default_max_iters(program)
+    if type(max_iters) is not int:
+        raise InputError(f"max_iters must be an integer, got {max_iters!r}")
     if max_iters < 1:
         raise InputError("max_iters must be at least 1")
-    spec = program.spec
+    spec, constants = program.spec, program.constants
+    zero = spec.zero
     interp = bottom(program)
-    # Heads outside the universe are left out, as tp_step leaves them out.
-    live = _ground_forward(program, interp)
+    live: Dict[Atom, list] = {}
     readers: Dict[Atom, set] = {}
-    for head, clauses in live.items():
-        for clause in clauses:
-            for atom in clause.body_atoms:
-                readers.setdefault(atom, set()).add(head)
-
-    heads: Iterable[Atom] = live
-    for step in range(max_iters):
+    index = _AtomIndex()
+    built: Iterable[Clause] = [
+        instance for clause in program.clauses
+        if not clause.body_atoms and clause.body_value != zero
+        for instance in _instances(clause, constants)]
+    changed: Interpretation = {}
+    for step in range(max_iters + 1):
+        heads = {h for atom in changed for h in readers.get(atom, ())}
+        for instance in built:
+            head = instance.head
+            # Heads outside the universe are left out, as tp_step leaves
+            # them out.
+            if head in interp:
+                live.setdefault(head, []).append(instance)
+                heads.add(head)
+                for atom in instance.body_atoms:
+                    readers.setdefault(atom, set()).add(head)
         changed = _changes(spec, live, heads, interp)
+        if step == max_iters:
+            break
         if not changed:
             return LfpResult(interpretation=interp, iterations=step)
+        # Values only climb, so an atom turns non-zero once, and each
+        # instance is built in the round its last body atom does.
+        fresh: Dict[Tuple[str, int], list] = {}
+        for atom in changed:
+            if interp[atom] == zero:
+                index.add(atom)
+                fresh.setdefault(_signature(atom), []).append(atom)
         interp.update(changed)
-        heads = {h for atom in changed for h in readers.get(atom, ())}
-    changed = _changes(spec, live, heads, interp)
+        built = _new_instances(program.clauses, fresh, index, constants)
     message = f"no fixpoint within {max_iters} iterations"
     if changed:
         message += ("; still changing: "

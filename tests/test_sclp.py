@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -24,7 +25,8 @@ from softcsp.errors import (
     NonConvergenceError,
     ParseError,
 )
-from softcsp.sclp import _ground_forward, atom_universe, bottom, default_max_iters
+from softcsp import sclp
+from softcsp.sclp import atom_universe, bottom, default_max_iters
 
 from conftest import FIXTURES
 from oracles import oracle_lfp
@@ -503,29 +505,102 @@ def test_default_max_iters_counts_the_universe():
     assert default_max_iters(empty) == 10 * len(atom_universe(empty)) + 10 == 20
 
 
-def test_forward_grounding_builds_only_live_instances():
+def _record_evaluations(monkeypatch):
+    """Have ``lfp`` report each (clauses, interpretation) pair it passes to
+    ``_head_value``: the instances of one head and, copied at the call,
+    the values they read."""
+    calls = []
+    head_value = sclp._head_value
+
+    def recording(spec, clauses, interp):
+        calls.append((list(clauses), dict(interp)))
+        return head_value(spec, clauses, interp)
+
+    monkeypatch.setattr(sclp, "_head_value", recording)
+    return calls
+
+
+def _rule_instances(calls):
+    """The distinct rule instances among the recorded evaluations."""
+    return list(dict.fromkeys(c for clauses, _ in calls for c in clauses
+                              if c.body_atoms))
+
+
+def test_forward_grounding_builds_only_live_instances(monkeypatch):
     # Over a 6-ring, ground() builds 36 + 216 instances of the two path
-    # rules; only 6 + 36 of them read atoms that some instance heads.
+    # rules; only 6 + 36 of them read atoms that turn non-zero.
     program = parse_program(ring_text(6))
-    universe = set(atom_universe(program))
     rules = [c for c in ground(program).clauses if c.body_atoms]
-    built = [c for clauses in _ground_forward(program, universe).values()
-             for c in clauses if c.body_atoms]
+    calls = _record_evaluations(monkeypatch)
+    result = lfp(program)
+    built = _rule_instances(calls)
     assert (len(rules), len(built)) == (252, 42)
     assert set(built) <= set(rules)
-    assert lfp(program) == lfp(ground(program))
+    assert result == lfp(ground(program))
 
     # A dead cycle, or a reader of a zero fact, builds nothing, but every
     # atom still dumps at zero.
     dead = parse_program("#semiring wcsp\n#constants a.\np :- q.\nq :- p.\n"
                          "z :- inf.\ny :- z.\n")
-    assert _ground_forward(dead, set(atom_universe(dead))) == {}
+    calls.clear()
     result = lfp(dead)
+    assert calls == []
     assert list(result.interpretation.items()) == \
         [(Atom(name), WCSP.zero) for name in "pqyz"]
     assert result.iterations == 0
 
     # A binding that both body atoms match is taken once.
     twice = parse_program("#semiring wcsp\n#constants a.\nq :- 1.\ne :- q, q.\n")
-    assert _ground_forward(twice, set(atom_universe(twice)))[Atom("e")] == \
-        [Clause(Atom("e"), (Atom("q"), Atom("q")))]
+    calls.clear()
+    lfp(twice)
+    assert _rule_instances(calls) == [Clause(Atom("e"), (Atom("q"), Atom("q")))]
+
+
+def _zero_product_program():
+    """``h`` has an instance but stays zero: <inf,0> x <0,inf> is
+    <inf,inf>, the costpair zero.  ``g`` and ``k`` read it."""
+    spec = lookup("costpair")
+    a, b, h, g, k = (Atom(name) for name in "abhgk")
+    return Program(spec=spec, constants=(), clauses=(
+        Clause(a, body_value=spec.value(("inf", 0))),
+        Clause(b, body_value=spec.value((0, "inf"))),
+        Clause(h, (a, b)), Clause(g, (h,)), Clause(k, (a, h)),
+        Clause(k, (a,))))
+
+
+@pytest.mark.parametrize("key", ["csp", "fcsp", "wcsp", "costpair"])
+def test_no_instance_is_evaluated_with_a_zero_body_atom(key, monkeypatch):
+    spec = lookup(key)
+    rng = random.Random(f"zero-body:{key}")
+    programs = [(_random_closure_program if trial % 4 == 0
+                 else _random_gate_program)(rng, spec) for trial in range(200)]
+    programs += [Program(spec=spec, clauses=clauses, constants=("a",))
+                 for clauses in _filter_edge_programs(spec)]
+    programs += [Program(spec=spec, clauses=clauses, constants=("a", "b"))
+                 for clauses in _grounding_edge_programs(spec)]
+    if key == "costpair":
+        programs.append(_zero_product_program())
+    calls = _record_evaluations(monkeypatch)
+    for program in programs:
+        for cap in (1, 2, default_max_iters(program)):
+            calls.clear()
+            try:
+                lfp(program, max_iters=cap)
+            except NonConvergenceError:
+                pass
+            for clauses, interp in calls:
+                for clause in clauses:
+                    assert all(interp[a] != spec.zero for a in clause.body_atoms), \
+                        clause
+    if key == "costpair":
+        # h's instance is built and evaluated, but nothing that reads h.
+        evaluated = {c.head: c for c in _rule_instances(calls)}
+        assert set(evaluated) == {Atom("h"), Atom("k")}
+        assert evaluated[Atom("k")].body_atoms == (Atom("a"),)
+        assert lfp(_zero_product_program()).interpretation[Atom("h")] == spec.zero
+
+
+@pytest.mark.parametrize("cap", [2.0, "3", True])
+def test_max_iters_must_be_an_integer(costs_program, cap):
+    with pytest.raises(InputError, match=re.escape(f"got {cap!r}")):
+        lfp(costs_program, max_iters=cap)
