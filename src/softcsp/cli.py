@@ -252,3 +252,7 @@ def run(argv: Optional[List[str]] = None, out=None, err=None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -17,15 +17,19 @@ with exact arithmetic the fixpoint test is plain equality.
 or not, in one semi-naive loop that grounds as it evaluates.  An instance
 that reads an atom at zero adds zero, because zero absorbs the product and
 is the unit of the sum; and values only climb, so an atom that has turned
-non-zero stays so.  The first round therefore evaluates only the heads of
-the facts with a non-zero value.  After each round the atoms that just
-turned non-zero are joined against the rules, each instance built is
-filed under its head and under the atoms it reads, and the next round
-evaluates only the heads that read an atom the round changed.  Every
-instance that can add a non-zero value in a round exists by then, and
-every other head would be recomputed from the same values, so after k
-rounds the interpretation is still the k-th naive iterate of the ground
-program.  The round count and the iteration cap mean what they mean for
+non-zero stays so.  The first round therefore evaluates only the facts
+with a non-zero value.  After each round the atoms that just turned
+non-zero are joined against the rules, and each instance built is filed
+under the atoms it reads.  A round then updates a head differentially: it
+evaluates only the head's instances that are new or that read an atom
+the round before changed, and adds their products to the head's current
+value.  This is exact because the sum of a c-semiring is idempotent, so
+it is the least upper bound of the semiring order, and values only
+climb: an instance that reads no changed atom has the product it had a
+round ago, which the head's current value already covers, and the
+current value is covered by the next one.  So after k rounds the
+interpretation is still the k-th naive iterate of the ground program.
+The round count and the iteration cap mean what they mean for
 :func:`tp_step`, and every atom of the universe is in the result, atoms
 that stay at zero (dead cycles such as ``p :- q. q :- p.``) included.
 
@@ -117,6 +121,11 @@ class Program:
     clauses: Tuple[Clause, ...]
     constants: Tuple[str, ...]
 
+    def __post_init__(self):
+        # Own copies, so the caller's lists cannot change the program.
+        object.__setattr__(self, "clauses", tuple(self.clauses))
+        object.__setattr__(self, "constants", tuple(self.constants))
+
 
 Interpretation = Dict[Atom, SemiringValue]
 
@@ -153,10 +162,9 @@ def _instances(clause: Clause, constants: Tuple[str, ...]) -> Iterable[Clause]:
 def ground(program: Program) -> Program:
     """Replace every clause by all instantiations of its variables."""
     _check_universe(program)
-    clauses = [instance for clause in program.clauses
-               for instance in _instances(clause, program.constants)]
-    return Program(spec=program.spec, clauses=tuple(clauses),
-                   constants=program.constants)
+    return Program(spec=program.spec, constants=program.constants,
+                   clauses=[instance for clause in program.clauses
+                            for instance in _instances(clause, program.constants)])
 
 
 def _signatures(program: Program) -> list:
@@ -351,17 +359,6 @@ def _new_instances(clauses: Iterable[Clause],
                         yield Clause(head=head, body_atoms=instance_body)
 
 
-def _changes(spec: SemiringSpec, live: Dict[Atom, list],
-             heads: Iterable[Atom], interp: Interpretation) -> Interpretation:
-    """The new values of ``heads`` under ``interp`` that differ from it."""
-    changed = {}
-    for head in heads:
-        value = _head_value(spec, live[head], interp)
-        if value != interp[head]:
-            changed[head] = value
-    return changed
-
-
 def _name_atoms(atoms: Iterable[Atom]) -> str:
     """The first five atoms, then how many more there are."""
     names = [str(a) for a in atoms]
@@ -393,9 +390,12 @@ def lfp(program: Program, max_iters: Optional[int] = None) -> LfpResult:
     """Iterate the consequence operator from bottom until it stabilises.
 
     ``program`` need not be ground: the rounds are those of iterating
-    :func:`tp_step` on ``ground(program)``, but each round builds and
-    evaluates only the instances whose body atoms are all non-zero (see
-    the module docstring).  After k rounds the interpretation is
+    :func:`tp_step` on ``ground(program)``, but an instance is built only
+    once its body atoms are all non-zero, and a round evaluates only the
+    instances that are new or read an atom the round before changed.
+    Their products are added to their head's current value, which is
+    exact because the semiring sum is idempotent and values only climb
+    (see the module docstring).  After k rounds the interpretation is
     T_P^k(bottom), in dump order.
 
     Raises :class:`EmptyUniverseError`, as :func:`ground` does, if a clause
@@ -416,8 +416,7 @@ def lfp(program: Program, max_iters: Optional[int] = None) -> LfpResult:
     spec, constants = program.spec, program.constants
     zero = spec.zero
     interp = bottom(program)
-    live: Dict[Atom, list] = {}
-    readers: Dict[Atom, set] = {}
+    readers: Dict[Atom, list] = {}
     index = _AtomIndex()
     built: Iterable[Clause] = [
         instance for clause in program.clauses
@@ -425,17 +424,23 @@ def lfp(program: Program, max_iters: Optional[int] = None) -> LfpResult:
         for instance in _instances(clause, constants)]
     changed: Interpretation = {}
     for step in range(max_iters + 1):
-        heads = {h for atom in changed for h in readers.get(atom, ())}
+        due: Dict[Atom, dict] = {}
+        for atom in changed:
+            for instance in readers.get(atom, ()):
+                due.setdefault(instance.head, {})[instance] = None
         for instance in built:
-            head = instance.head
             # Heads outside the universe are left out, as tp_step leaves
             # them out.
-            if head in interp:
-                live.setdefault(head, []).append(instance)
-                heads.add(head)
-                for atom in instance.body_atoms:
-                    readers.setdefault(atom, set()).add(head)
-        changed = _changes(spec, live, heads, interp)
+            if instance.head in interp:
+                due.setdefault(instance.head, {})[instance] = None
+                for atom in set(instance.body_atoms):
+                    readers.setdefault(atom, []).append(instance)
+        changed = {}
+        for head, instances in due.items():
+            value = sr_plus(spec, interp[head],
+                            _head_value(spec, instances, interp))
+            if value != interp[head]:
+                changed[head] = value
         if step == max_iters:
             break
         if not changed:
@@ -634,4 +639,4 @@ def parse_program(text: str) -> Program:
                         line_no)
         clauses.append(clause)
 
-    return Program(spec=spec, clauses=tuple(clauses), constants=constants)
+    return Program(spec=spec, clauses=clauses, constants=constants)

@@ -373,6 +373,20 @@ class TestDispatch:
         assert status == 1 and "non-negative" in err
         assert invoke(*query) == (0, fresh.stdout, "")
 
+    @pytest.mark.parametrize("module", ["softcsp", "softcsp.cli"])
+    @pytest.mark.parametrize("argv, status", [
+        (["sclp", "--program", PROGRAM, "--goal", "s(a)"], 0),
+        (["sclp", "--goal", "s(a)"], 1),
+    ])
+    def test_python_m_runs_the_command(self, module, argv, status):
+        ran = subprocess.run(
+            [sys.executable, "-m", module, *argv], capture_output=True,
+            text=True,
+            env={**os.environ,
+                 "PYTHONPATH": str(Path(softcsp.__file__).parents[1])})
+        assert (ran.returncode, ran.stdout, ran.stderr) == invoke(*argv)
+        assert ran.returncode == status and (ran.stdout or ran.stderr)
+
     def test_no_diagnostic_on_success(self):
         status, out, err = invoke("scsp", "--problem", PROBLEM)
         assert status == 0 and err == "" and out != ""

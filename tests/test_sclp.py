@@ -118,6 +118,14 @@ class TestGrounding:
         assert Clause(head=Atom("s", ("a",)),
                       body_atoms=(Atom("p", ("a", "b")),)) in grounded.clauses
 
+    def test_program_keeps_its_own_copies(self):
+        fact = Clause(head=Atom("p"), body_value=WCSP.one)
+        clauses, constants = [fact], ["a"]
+        program = Program(spec=WCSP, clauses=clauses, constants=constants)
+        clauses.append(Clause(head=Atom("q")))
+        constants.append("b")
+        assert (program.clauses, program.constants) == ((fact,), ("a",))
+
     def test_ground_program_unchanged(self, costs_program):
         grounded = ground(costs_program)
         assert ground(grounded).clauses == grounded.clauses
@@ -554,6 +562,23 @@ def test_forward_grounding_builds_only_live_instances(monkeypatch):
     calls.clear()
     lfp(twice)
     assert _rule_instances(calls) == [Clause(Atom("e"), (Atom("q"), Atom("q")))]
+
+
+def test_round_evaluates_only_instances_whose_body_moved(monkeypatch):
+    # Round 2 sets h from h :- q.  Round 3 builds h :- b; q did not change
+    # in round 2, so h's value already covers h :- q and only h :- b is
+    # evaluated (the sum is idempotent and values only climb).
+    program = parse_program("#semiring wcsp\n#constants a.\nq :- 1.\n"
+                            "b :- q.\nh :- q.\nh :- b.\n")
+    calls = _record_evaluations(monkeypatch)
+    result = lfp(program)
+    evaluated = [c for clauses, _ in calls for c in clauses]
+    assert evaluated.count(Clause(Atom("h"), (Atom("q"),))) == 1
+    assert evaluated.count(Clause(Atom("h"), (Atom("b"),))) == 1
+    one = WCSP.value(1)
+    assert list(result.interpretation.items()) == \
+        [(Atom("b"), one), (Atom("h"), one), (Atom("q"), one)]
+    assert result.iterations == 2
 
 
 def _zero_product_program():
