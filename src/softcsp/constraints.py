@@ -13,23 +13,22 @@ operators manage names explicitly:
 * ``fusion(x, y, ...)`` is the constraint that is best exactly where two
   names agree.
 
-Constraints are dense tables over their sorted *declared* support, with
-rows in product order over the domain.  Every operator reads rows by
-position through one reader, ``_rows``, in its first operand's domain
-order.  Two constraints are equal when they agree on every assignment of
-the union of their supports.  The *minimal* support (the names a table
-genuinely depends on) is computed on demand; names the table is constant
-in do not count.  Names are plain strings, totally ordered lexicographically.
+Constraints are dense tables over their sorted *declared* support: one
+tuple of bare payloads in product order over the domain.  Semiring tags
+are checked where values enter, so operators apply the instance's payload
+operations to rows read by one stride walk, ``_rows``, in their first
+operand's domain order.  Two constraints are equal when they agree on
+every assignment of the union of their supports.  The *minimal* support
+(the names a table genuinely depends on) is computed on demand.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import operator
-from dataclasses import dataclass, field
-from types import MappingProxyType
-from typing import Any, Callable, Dict, FrozenSet, Iterable, Mapping, Tuple
+from collections.abc import Mapping
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, FrozenSet, Iterable, Tuple
 
 from .errors import (
     DegenerateFusionError,
@@ -39,7 +38,7 @@ from .errors import (
     InvalidPermutationError,
     UnboundNameError,
 )
-from .semiring import SemiringSpec, SemiringValue, sr_plus, sr_times
+from .semiring import SemiringSpec, SemiringValue
 
 Name = str
 
@@ -111,21 +110,23 @@ class Permutation:
 class SoftConstraint:
     """A dense table from support assignments to semiring values.
 
-    ``support`` is the declared support, kept sorted; ``table`` maps a
-    value tuple per support name (in support order) to a tagged value,
-    lists its rows in product order over ``domain``, and is stored as a
-    read-only copy.  Equality is semantic: two constraints over the same
-    instance and domain set are equal when :meth:`evaluate` gives equal
-    payloads on every assignment of the union of their supports.
+    ``support`` is the declared support, kept sorted; ``rows`` holds a bare
+    payload of ``spec`` per assignment, in product order over ``domain``;
+    ``table`` is a read-only mapping of the same rows from a value tuple
+    per support name to the tagged value.  Equality is semantic: two
+    constraints over the same instance and domain set are equal when they
+    give equal payloads on every assignment of the union of their supports.
     """
 
     spec: SemiringSpec
     domain: Tuple[Any, ...]
     support: Tuple[Name, ...]
-    table: Mapping[Tuple[Any, ...], SemiringValue] = field(repr=False)
+    rows: Tuple[Any, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "table", MappingProxyType(dict(self.table)))
+        object.__setattr__(self, "rows", tuple(self.rows))
+
+    table = property(lambda self: _Table(self))
 
     def evaluate(self, assignment: Mapping[Name, Any]) -> SemiringValue:
         """Look up the value for ``assignment``.
@@ -154,17 +155,14 @@ class SoftConstraint:
         A declared name whose slices are constant (the table never changes
         when only that name varies) is dropped.
         """
+        size = len(self.domain)
         real = set()
-        for idx, name in enumerate(self.support):
-            groups: Dict[Tuple[Any, ...], SemiringValue] = {}
-            for key, value in self.table.items():
-                rest = key[:idx] + key[idx + 1:]
-                seen = groups.get(rest)
-                if seen is None:
-                    groups[rest] = value
-                elif seen.payload != value.payload:
-                    real.add(name)
-                    break
+        for name in self.support:
+            # With the name read last, each run of |D| rows is one slice.
+            rest = tuple(n for n in self.support if n != name)
+            rows = _rows(self, rest + (name,), self.domain)
+            if any(rows[k::size] != rows[::size] for k in range(1, size)):
+                real.add(name)
         return frozenset(real)
 
     def __eq__(self, other):
@@ -177,18 +175,36 @@ class SoftConstraint:
             )
         if set(self.domain) != set(other.domain):
             return False
-        names = sorted(set(self.support) | set(other.support))
-        for key in itertools.product(self.domain, repeat=len(names)):
-            eta = dict(zip(names, key))
-            if self.evaluate(eta).payload != other.evaluate(eta).payload:
-                return False
-        return True
+        names = tuple(sorted(set(self.support) | set(other.support)))
+        return _rows(self, names, self.domain) == _rows(other, names, self.domain)
 
     __hash__ = None
 
     def __repr__(self):
         return (f"SoftConstraint({self.spec.key}, support={list(self.support)}, "
-                f"{len(self.table)} rows)")
+                f"{len(self.rows)} rows)")
+
+
+class _Table(Mapping):
+    """A constraint's rows as tagged values, in product order."""
+
+    def __init__(self, c: SoftConstraint):
+        self._c = c
+
+    def __len__(self):
+        return len(self._c.rows)
+
+    def __iter__(self):
+        return itertools.product(self._c.domain, repeat=len(self._c.support))
+
+    def __getitem__(self, key):
+        c, at = self._c, 0
+        if not (isinstance(key, tuple) and len(key) == len(c.support)
+                and all(map(c.domain.__contains__, key))):
+            raise KeyError(key)
+        for value in key:
+            at = at * len(c.domain) + c.domain.index(value)
+        return SemiringValue(c.spec.key, c.rows[at])
 
 
 def check_domain(domain: Iterable[Any]) -> Tuple[Any, ...]:
@@ -218,62 +234,64 @@ def make_constraint(spec: SemiringSpec, domain: Iterable[Any],
     ``table`` keys are value tuples aligned with ``support`` as given by
     the caller; rows are re-indexed to the canonical sorted support order.
     Missing or extra rows raise :class:`IncompleteTableError`; values are
-    coerced into ``spec``'s carrier.
+    coerced into ``spec``'s carrier, and the tags of tagged values checked.
     """
     dom = check_domain(domain)
     given = tuple(support)
     if len(set(given)) != len(given):
         raise InputError(f"duplicate names in support {list(given)!r}")
-
-    rows: Dict[Tuple[Any, ...], SemiringValue] = {}
+    canonical = tuple(sorted(given))
+    strides = [len(dom) ** (len(given) - 1 - canonical.index(n)) for n in given]
+    rows = [None] * len(dom) ** len(given)  # None is in no carrier
     for raw_key, raw_value in table.items():
         key = tuple(raw_key)
-        if len(key) != len(given) or any(v not in dom for v in key):
+        if len(key) != len(given) or not all(map(dom.__contains__, key)):
             raise IncompleteTableError(
                 f"row {key!r} does not match support {list(given)!r} over "
                 f"domain {list(dom)!r}"
             )
-        if key in rows:
+        at = sum(map(operator.mul, strides, map(dom.index, key)))
+        if rows[at] is not None:
             raise IncompleteTableError(f"duplicate row {key!r}")
-        rows[key] = spec.value(raw_value)
+        try:
+            rows[at] = spec._payload(raw_value)
+        except InstanceMismatchError as exc:
+            if isinstance(raw_value, SemiringValue):
+                raise  # a tag mismatch, not a value outside the carrier
+            raise InstanceMismatchError(f"row {key!r}: {exc}") from None
 
-    expected = len(dom) ** len(given)
-    if len(rows) != expected:
+    if len(table) != len(rows):  # each row filled one place or raised
+        listed = _rows(SoftConstraint(spec, dom, canonical, rows), given, dom)
+        missing = [*itertools.product(dom, repeat=len(given))][listed.index(None)]
         raise IncompleteTableError(
-            f"table has {len(rows)} rows, expected {expected} "
-            f"(|D|^{len(given)})"
+            f"table has {len(table)} rows, expected {len(rows)} "
+            f"(|D|^{len(given)}); first missing {missing!r}"
         )
-    canonical = tuple(sorted(given))
-    return _build(spec, dom, canonical, _rows(given, rows, canonical, dom))
+    return SoftConstraint(spec, dom, canonical, rows)
 
 
-def _rows(names: Tuple[Name, ...], table: Mapping[Tuple[Any, ...], Any],
-          support: Tuple[Name, ...], domain: Tuple[Any, ...],
-          rename: Callable[[Name], Name] = lambda n: n) -> list:
-    # The rows of a table over ``names``, listed in product order over
-    # ``support`` and ``domain``; each name n is read at rename(n).  Keys
-    # are looked up by value, so the table's own domain order is irrelevant.
-    at = [support.index(rename(n)) for n in names]
-    keys = itertools.product(domain, repeat=len(support))
+def _rows(c: SoftConstraint, support: Tuple[Name, ...], domain: Tuple[Any, ...],
+          rename: Callable[[Name], Name] = lambda n: n) -> tuple:
+    # c's payloads in product order over ``support`` and ``domain``, each name
+    # n read at rename(n): a stride walk over c.rows and the places in c.domain.
+    if domain == c.domain and tuple(map(rename, c.support)) == support:
+        return c.rows
+    at = [0]
+    for name in support:
+        stride = sum(len(domain) ** k for k, n in enumerate(reversed(c.support))
+                     if rename(n) == name)
+        offsets = [stride * c.domain.index(v) for v in domain]
+        at = [i + offset for i in at for offset in offsets]
     # itemgetter returns a bare value, not a tuple, for a single index.
     if len(at) > 1:
-        return [table[key] for key in map(operator.itemgetter(*at), keys)]
-    return [table[tuple([key[i] for i in at])] for key in keys]
-
-
-def _build(spec: SemiringSpec, domain: Tuple[Any, ...],
-           support: Tuple[Name, ...],
-           values: Iterable[SemiringValue]) -> SoftConstraint:
-    # ``values`` lists the rows in product order over ``domain``.
-    keys = itertools.product(domain, repeat=len(support))
-    return SoftConstraint(spec=spec, domain=domain, support=support,
-                          table=dict(zip(keys, values)))
+        return operator.itemgetter(*at)(c.rows)
+    return (c.rows[at[0]],)
 
 
 def constant_constraint(spec: SemiringSpec, domain: Iterable[Any],
                         value: Any) -> SoftConstraint:
     """The support-free constraint mapping every assignment to ``value``."""
-    return _build(spec, check_domain(domain), (), [spec.value(value)])
+    return SoftConstraint(spec, check_domain(domain), (), (spec._payload(value),))
 
 
 def unit_constraint(spec: SemiringSpec, domain: Iterable[Any]) -> SoftConstraint:
@@ -297,20 +315,18 @@ def _check_compatible(c1: SoftConstraint, c2: SoftConstraint) -> None:
 def _pointwise(op, c1: SoftConstraint, c2: SoftConstraint) -> SoftConstraint:
     _check_compatible(c1, c2)
     support = tuple(sorted(set(c1.support) | set(c2.support)))
-    rows1 = _rows(c1.support, c1.table, support, c1.domain)
-    rows2 = _rows(c2.support, c2.table, support, c1.domain)
-    return _build(c1.spec, c1.domain, support,
-                  [op(c1.spec, a, b) for a, b in zip(rows1, rows2)])
+    return SoftConstraint(c1.spec, c1.domain, support, map(
+        op, _rows(c1, support, c1.domain), _rows(c2, support, c1.domain)))
 
 
 def combine(c1: SoftConstraint, c2: SoftConstraint) -> SoftConstraint:
     """Pointwise multiplicative combination over the union of supports."""
-    return _pointwise(sr_times, c1, c2)
+    return _pointwise(c1.spec._times, c1, c2)
 
 
 def csum(c1: SoftConstraint, c2: SoftConstraint) -> SoftConstraint:
     """Pointwise additive combination over the union of supports."""
-    return _pointwise(sr_plus, c1, c2)
+    return _pointwise(c1.spec._plus, c1, c2)
 
 
 def hide(name: Name, c: SoftConstraint) -> SoftConstraint:
@@ -323,12 +339,11 @@ def hide(name: Name, c: SoftConstraint) -> SoftConstraint:
         return c
     support = tuple(n for n in c.support if n != name)
     # With the hidden name read last, each run of |D| rows is one output row.
-    rows = _rows(c.support, c.table, support + (name,), c.domain)
-    plus = functools.partial(sr_plus, c.spec)
-    size = len(c.domain)
-    return _build(c.spec, c.domain, support,
-                  [functools.reduce(plus, rows[i:i + size])
-                   for i in range(0, len(rows), size)])
+    rows, size = _rows(c, support + (name,), c.domain), len(c.domain)
+    values = rows[::size]
+    for k in range(1, size):
+        values = map(c.spec._plus, values, rows[k::size])
+    return SoftConstraint(c.spec, c.domain, support, values)
 
 
 def _renamed(c: SoftConstraint,
@@ -337,8 +352,8 @@ def _renamed(c: SoftConstraint,
     if all(rename(n) == n for n in c.support):
         return c
     support = tuple(sorted({rename(n) for n in c.support}))
-    return _build(c.spec, c.domain, support,
-                  _rows(c.support, c.table, support, c.domain, rename))
+    return SoftConstraint(c.spec, c.domain, support,
+                          _rows(c, support, c.domain, rename))
 
 
 def permute(rho: Permutation, c: SoftConstraint) -> SoftConstraint:
@@ -363,9 +378,9 @@ def fusion(x: Name, y: Name, spec: SemiringSpec,
     if x == y:
         raise DegenerateFusionError(f"fusion of {x!r} with itself")
     dom = check_domain(domain)
-    return _build(spec, dom, tuple(sorted((x, y))),
-                  [spec.one if a == b else spec.zero
-                   for a, b in itertools.product(dom, repeat=2)])
+    return SoftConstraint(spec, dom, tuple(sorted((x, y))),
+                          [spec._one if a == b else spec._zero
+                           for a, b in itertools.product(dom, repeat=2)])
 
 
 def support(c: SoftConstraint) -> FrozenSet[Name]:

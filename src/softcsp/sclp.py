@@ -51,7 +51,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Optional, Tuple
+from typing import Any, Dict, FrozenSet, Iterable, Optional, Tuple
 
 from .errors import (
     EmptyUniverseError,
@@ -60,7 +60,7 @@ from .errors import (
     NonConvergenceError,
     ParseError,
 )
-from .semiring import SemiringSpec, SemiringValue, format_value, lookup, sr_plus, sr_times
+from .semiring import SemiringSpec, SemiringValue, format_value, lookup, sr_times
 
 
 @dataclass(frozen=True)
@@ -122,9 +122,10 @@ class Program:
     constants: Tuple[str, ...]
 
     def __post_init__(self):
-        # Own copies, so the caller's lists cannot change the program.
+        # Own copies the caller cannot change; fact tags checked once, here.
         object.__setattr__(self, "clauses", tuple(self.clauses))
         object.__setattr__(self, "constants", tuple(self.constants))
+        self.spec.check(*filter(None, (c.body_value for c in self.clauses)))
 
 
 Interpretation = Dict[Atom, SemiringValue]
@@ -204,19 +205,19 @@ def _by_head(program: Program) -> Dict[Atom, list]:
 
 
 def _head_value(spec: SemiringSpec, clauses: Iterable[Clause],
-                interp: Interpretation) -> SemiringValue:
-    """The sum over ``clauses`` of the product of their body values."""
+                interp: Interpretation) -> Any:
+    """The payload of the sum over ``clauses`` of their body products."""
     zero = spec.zero
-    value = zero
+    value = spec._zero
     for clause in clauses:
         if clause.body_value is not None:
-            contribution = clause.body_value
+            contribution = clause.body_value.payload
         else:
-            contribution = spec.one
+            contribution = spec._one
             for body_atom in clause.body_atoms:
-                contribution = sr_times(spec, contribution,
-                                        interp.get(body_atom, zero))
-        value = sr_plus(spec, value, contribution)
+                contribution = spec._times(
+                    contribution, interp.get(body_atom, zero).payload)
+        value = spec._plus(value, contribution)
     return value
 
 
@@ -227,8 +228,8 @@ def tp_step(program: Program, interp: Interpretation) -> Interpretation:
     product of the body values under ``interp``; atoms with no defining
     clause stay at zero.  ``program`` must be ground.
     """
-    by_head = _by_head(program)
-    return {atom: _head_value(program.spec, by_head.get(atom, ()), interp)
+    rules, spec = _by_head(program), program.spec
+    return {atom: SemiringValue(spec.key, _head_value(spec, rules.get(atom, ()), interp))
             for atom in atom_universe(program)}
 
 
@@ -437,10 +438,10 @@ def lfp(program: Program, max_iters: Optional[int] = None) -> LfpResult:
                     readers.setdefault(atom, []).append(instance)
         changed = {}
         for head, instances in due.items():
-            value = sr_plus(spec, interp[head],
-                            _head_value(spec, instances, interp))
-            if value != interp[head]:
-                changed[head] = value
+            old = interp[head].payload
+            value = spec._plus(old, _head_value(spec, instances, interp))
+            if value != old:
+                changed[head] = SemiringValue(spec.key, value)
         if step == max_iters:
             break
         if not changed:

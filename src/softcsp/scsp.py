@@ -40,6 +40,8 @@ from .constraints import (Name, SoftConstraint, check_domain, combine, hide,
 from .errors import FormatError, InputError, InstanceMismatchError, fields, load_json
 from .semiring import SemiringSpec, SemiringValue, lookup
 
+_SCALARS = (str, int, float, type(None))
+
 
 @dataclass(frozen=True)
 class SCSPProblem:
@@ -107,7 +109,7 @@ def blevel(problem: SCSPProblem) -> SemiringValue:
 
 def _check_scalars(values: list, where: str) -> None:
     for index, value in enumerate(values):
-        if not isinstance(value, (str, int, float, type(None))):
+        if not isinstance(value, _SCALARS):
             raise FormatError(f"{where}[{index}] must be a JSON scalar, "
                               f"got {value!r}")
 
@@ -136,16 +138,18 @@ def problem_from_json(data: Any) -> SCSPProblem:
             raise FormatError(f"{where}.rows must be a list")
         table = {}
         for row_index, row in enumerate(rows):
-            row_where = f"{where}.rows[{row_index}]"
-            assign, value = fields(row, row_where, ("assign", "value"))
+            assign = row.get("assign") if isinstance(row, dict) else None
+            if (isinstance(assign, list) and "value" in row
+                    and all(isinstance(v, _SCALARS) for v in assign)
+                    and tuple(assign) not in table):
+                table[tuple(assign)] = row["value"]
+                continue
+            row_where = f"{where}.rows[{row_index}]"  # the row at fault
+            assign = fields(row, row_where, ("assign", "value"))[0]
             if not isinstance(assign, list):
                 raise FormatError(f"{row_where}.assign must be a list")
             _check_scalars(assign, f"{row_where}.assign")
-            key = tuple(assign)
-            if key in table:
-                raise FormatError(f"{row_where}: duplicate "
-                                  f"assignment {assign!r}")
-            table[key] = value
+            raise FormatError(f"{row_where}: duplicate assignment {assign!r}")
         try:
             constraints.append(make_constraint(spec, domain, support, table))
         except InputError as exc:

@@ -23,10 +23,10 @@ All arithmetic is exact: Python integers with a distinguished infinity and
 of anything built from them (constraint tables, interpretations), is
 therefore decidable, which the fixpoint and axiom machinery relies on.
 
-Values are tagged with their instance key.  Every public operation checks
-the tags and raises :class:`~softcsp.errors.InstanceMismatchError` when
-values from different instances are mixed, so wiring bugs surface at the
-point of the mistake instead of as silently wrong results.
+Values are tagged with their instance key.  The public operations, and
+constraint tables and programs where values enter them, check the tags and
+raise :class:`~softcsp.errors.InstanceMismatchError` on a mix, so wiring
+bugs surface there; inside, tables and programs compute on bare payloads.
 """
 
 from __future__ import annotations
@@ -139,15 +139,15 @@ class SemiringSpec:
         ``"inf"`` for the weighted infinity, ``"1/2"`` for a fuzzy
         rational) and already-tagged values of the same instance.
         """
+        return SemiringValue(self.key, self._payload(raw))
+
+    def _payload(self, raw: Any) -> Any:
+        # What value(raw) carries, without building the tagged value.
         if isinstance(raw, SemiringValue):
-            if raw.kind != self.key:
-                raise InstanceMismatchError(
-                    f"value of instance {raw.kind!r} used where {self.key!r} "
-                    f"was expected"
-                )
-            return raw
+            self.check(raw)
+            return raw.payload
         try:
-            return SemiringValue(self.key, self._coerce(raw))
+            return self._coerce(raw)
         except (ValueError, ZeroDivisionError, TypeError) as exc:
             raise InstanceMismatchError(
                 f"{raw!r} is not a value of the {self.key!r} carrier: {exc}"

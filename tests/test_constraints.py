@@ -100,6 +100,28 @@ class TestMakeConstraint:
         with pytest.raises(IncompleteTableError):
             make_constraint(WCSP, COLORS, ("v", "w"), table)
 
+    def test_value_outside_carrier_names_its_row(self):
+        table = {(a, b): q_value(a, b)
+                 for a, b in itertools.product(COLORS, repeat=2)}
+        table[("red", "blue")] = -2
+        with pytest.raises(InstanceMismatchError) as info:
+            make_constraint(WCSP, COLORS, ("v", "w"), table)
+        assert str(info.value) == (
+            "row ('red', 'blue'): -2 is not a value of the 'wcsp' carrier: "
+            "-2 is not a natural number or infinity")
+
+    def test_short_table_names_the_first_missing_row(self):
+        # Rows are keyed in the given order (w, v); the first missing one in
+        # product order over that order is ('blue', 'green'), though the
+        # canonical (v, w) order would list ('green', 'red') first.
+        table = {(a, b): q_value(a, b)
+                 for a, b in itertools.product(COLORS, repeat=2)}
+        del table[("green", "red")], table[("blue", "green")]
+        with pytest.raises(IncompleteTableError) as info:
+            make_constraint(WCSP, COLORS, ("w", "v"), table)
+        assert str(info.value) == ("table has 7 rows, expected 9 (|D|^2); "
+                                   "first missing ('blue', 'green')")
+
     def test_bad_row_key(self):
         with pytest.raises(IncompleteTableError):
             make_constraint(WCSP, COLORS, ("v",), {("purple",): 1})

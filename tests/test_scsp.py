@@ -115,6 +115,21 @@ class TestProblemFile:
         with pytest.raises(FormatError):
             problem_from_json(data)
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda rows: rows[1].update(value=-2),
+         "constraints[0]: row ('red', 'blue'): -2 is not a value of the "
+         "'wcsp' carrier: -2 is not a natural number or infinity"),
+        (lambda rows: rows.pop(4),
+         "constraints[0]: table has 8 rows, expected 9 (|D|^2); "
+         "first missing ('blue', 'blue')"),
+    ], ids=["value", "count"])
+    def test_table_errors_name_the_row(self, edit, message):
+        data = json.loads((FIXTURES / "coloring.json").read_text())
+        edit(data["constraints"][0]["rows"])
+        with pytest.raises(FormatError) as info:
+            problem_from_json(data)
+        assert str(info.value) == message
+
     def test_duplicate_row(self):
         row = {"assign": ["a"], "value": 1}
         data = {"semiring": "wcsp", "domain": ["a"], "interface": [],

@@ -16,7 +16,10 @@ from softcsp import (
     sr_plus,
     sr_times,
 )
+from softcsp.constraints import combine, csum, make_constraint
 from softcsp.errors import InstanceMismatchError, UnknownInstanceError
+from softcsp.sclp import Atom, Clause, Program, lfp
+from softcsp.scsp import SCSPProblem
 
 from conftest import SEMIRING_KEYS, random_value, specs
 
@@ -157,6 +160,46 @@ class TestCatalog:
             sr_eq(w, w.value(1), f.value(1))
         with pytest.raises(InstanceMismatchError):
             f.value(w.value(1))
+
+
+def _mismatches():
+    """(entry point, call mixing a wcsp place with an fcsp value, message)."""
+    w, f = lookup("wcsp"), lookup("fcsp")
+    foreign = "value of instance 'fcsp' used where 'wcsp' was expected"
+    cw = make_constraint(w, ("a", "b"), ("x",), {("a",): 1, ("b",): 2})
+    cf = make_constraint(f, ("a", "b"), ("x",), {("a",): 1, ("b",): 0})
+    combined = "cannot combine constraints over 'wcsp' and 'fcsp'"
+    return [
+        ("sr_plus", lambda: sr_plus(w, w.one, f.one), foreign),
+        ("sr_times", lambda: sr_times(w, w.one, f.one), foreign),
+        ("sr_leq", lambda: sr_leq(w, w.one, f.one), foreign),
+        ("sr_eq", lambda: sr_eq(w, w.one, f.one), foreign),
+        ("value", lambda: w.value(f.one), foreign),
+        ("to_json", lambda: w.to_json(f.one), foreign),
+        ("make_constraint",
+         lambda: make_constraint(w, ("a",), ("x",), {("a",): f.one}), foreign),
+        ("combine", lambda: combine(cw, cf), combined),
+        ("csum", lambda: csum(cw, cf), combined),
+        ("__eq__", lambda: cw == cf,
+         "cannot compare constraints over 'wcsp' and 'fcsp'"),
+        ("SCSPProblem", lambda: SCSPProblem(spec=w, domain=("a", "b"),
+                                            constraints=[cw, cf],
+                                            interface=()),
+         "constraint over 'fcsp' in a 'wcsp' problem"),
+        ("lfp", lambda: lfp(Program(spec=w, constants=(), clauses=[
+            Clause(Atom("p"), body_value=f.one)])), foreign),
+    ]
+
+
+@pytest.mark.parametrize("call, message",
+                         [case[1:] for case in _mismatches()],
+                         ids=[case[0] for case in _mismatches()])
+def test_every_entry_point_checks_instance_tags(call, message):
+    # Tables and programs compute on bare payloads, so each place where a
+    # value or a constraint enters must check its tag, with this message.
+    with pytest.raises(InstanceMismatchError) as info:
+        call()
+    assert str(info.value) == message
 
 
 class TestRendering:
