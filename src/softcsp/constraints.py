@@ -243,14 +243,15 @@ def make_constraint(spec: SemiringSpec, domain: Iterable[Any],
     canonical = tuple(sorted(given))
     strides = [len(dom) ** (len(given) - 1 - canonical.index(n)) for n in given]
     rows = [None] * len(dom) ** len(given)  # None is in no carrier
+    place = {v: i for i, v in enumerate(dom)}
     for raw_key, raw_value in table.items():
         key = tuple(raw_key)
-        if len(key) != len(given) or not all(map(dom.__contains__, key)):
+        if len(key) != len(given) or not all(map(place.__contains__, key)):
             raise IncompleteTableError(
                 f"row {key!r} does not match support {list(given)!r} over "
                 f"domain {list(dom)!r}"
             )
-        at = sum(map(operator.mul, strides, map(dom.index, key)))
+        at = sum(map(operator.mul, strides, map(place.__getitem__, key)))
         if rows[at] is not None:
             raise IncompleteTableError(f"duplicate row {key!r}")
         try:
@@ -342,7 +343,7 @@ def hide(name: Name, c: SoftConstraint) -> SoftConstraint:
     rows, size = _rows(c, support + (name,), c.domain), len(c.domain)
     values = rows[::size]
     for k in range(1, size):
-        values = map(c.spec._plus, values, rows[k::size])
+        values = list(map(c.spec._plus, values, rows[k::size]))
     return SoftConstraint(c.spec, c.domain, support, values)
 
 

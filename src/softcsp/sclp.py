@@ -229,6 +229,7 @@ def tp_step(program: Program, interp: Interpretation) -> Interpretation:
     clause stay at zero.  ``program`` must be ground.
     """
     rules, spec = _by_head(program), program.spec
+    spec.check(*interp.values())
     return {atom: SemiringValue(spec.key, _head_value(spec, rules.get(atom, ()), interp))
             for atom in atom_universe(program)}
 

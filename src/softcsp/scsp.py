@@ -33,14 +33,12 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, FrozenSet, Tuple
+from typing import Any, Callable, FrozenSet, Tuple
 
 from .constraints import (Name, SoftConstraint, check_domain, combine, hide,
                           make_constraint, unit_constraint)
 from .errors import FormatError, InputError, InstanceMismatchError, fields, load_json
 from .semiring import SemiringSpec, SemiringValue, lookup
-
-_SCALARS = (str, int, float, type(None))
 
 
 @dataclass(frozen=True)
@@ -107,10 +105,11 @@ def blevel(problem: SCSPProblem) -> SemiringValue:
     return best_level(solve(problem))
 
 
-def _check_scalars(values: list, where: str) -> None:
+def _check_scalars(values: list, where: Callable[[], str]) -> None:
+    # where() names the list; it is formatted only for a fault.
     for index, value in enumerate(values):
-        if not isinstance(value, _SCALARS):
-            raise FormatError(f"{where}[{index}] must be a JSON scalar, "
+        if not isinstance(value, (str, int, float, type(None))):
+            raise FormatError(f"{where()}[{index}] must be a JSON scalar, "
                               f"got {value!r}")
 
 
@@ -121,7 +120,7 @@ def problem_from_json(data: Any) -> SCSPProblem:
     spec = lookup(semiring)
     if not isinstance(domain, list) or not domain:
         raise FormatError('"domain" must be a non-empty list')
-    _check_scalars(domain, "domain")
+    _check_scalars(domain, lambda: "domain")
     check_domain(domain)
     if not isinstance(interface, list) or not all(isinstance(n, str) for n in interface):
         raise FormatError('"interface" must be a list of names')
@@ -138,18 +137,17 @@ def problem_from_json(data: Any) -> SCSPProblem:
             raise FormatError(f"{where}.rows must be a list")
         table = {}
         for row_index, row in enumerate(rows):
-            assign = row.get("assign") if isinstance(row, dict) else None
-            if (isinstance(assign, list) and "value" in row
-                    and all(isinstance(v, _SCALARS) for v in assign)
-                    and tuple(assign) not in table):
-                table[tuple(assign)] = row["value"]
-                continue
-            row_where = f"{where}.rows[{row_index}]"  # the row at fault
-            assign = fields(row, row_where, ("assign", "value"))[0]
+            if not isinstance(row, dict) or "assign" not in row or "value" not in row:
+                fields(row, f"{where}.rows[{row_index}]", ("assign", "value"))  # raises
+            assign = row["assign"]
             if not isinstance(assign, list):
-                raise FormatError(f"{row_where}.assign must be a list")
-            _check_scalars(assign, f"{row_where}.assign")
-            raise FormatError(f"{row_where}: duplicate assignment {assign!r}")
+                raise FormatError(f"{where}.rows[{row_index}].assign must be a list")
+            _check_scalars(assign, lambda: f"{where}.rows[{row_index}].assign")
+            key = tuple(assign)
+            if key in table:
+                raise FormatError(f"{where}.rows[{row_index}]: duplicate "
+                                  f"assignment {assign!r}")
+            table[key] = row["value"]
         try:
             constraints.append(make_constraint(spec, domain, support, table))
         except InputError as exc:

@@ -218,6 +218,12 @@ class TestHide:
         assert hide("v", combine(one, q)) == hide("v", q)
         assert hide("x", one) == one
 
+    def test_large_domain(self):
+        # Building and hiding stay linear in |D| for a unary table.
+        domain = range(20000)
+        c = make_constraint(WCSP, domain, ("x",), {(v,): v % 7 + 3 for v in domain})
+        assert hide("x", c).table[()].payload == 3
+
 
 class TestPermute:
     def test_relabels_support(self):

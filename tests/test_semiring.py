@@ -18,7 +18,7 @@ from softcsp import (
 )
 from softcsp.constraints import combine, csum, make_constraint
 from softcsp.errors import InstanceMismatchError, UnknownInstanceError
-from softcsp.sclp import Atom, Clause, Program, lfp
+from softcsp.sclp import Atom, Clause, Program, lfp, tp_step
 from softcsp.scsp import SCSPProblem
 
 from conftest import SEMIRING_KEYS, random_value, specs
@@ -188,6 +188,9 @@ def _mismatches():
          "constraint over 'fcsp' in a 'wcsp' problem"),
         ("lfp", lambda: lfp(Program(spec=w, constants=(), clauses=[
             Clause(Atom("p"), body_value=f.one)])), foreign),
+        ("tp_step", lambda: tp_step(Program(spec=w, constants=(), clauses=[
+            Clause(Atom("p"), body_atoms=(Atom("q"),))]),
+            {Atom("q"): f.one}), foreign),
     ]
 
 
