@@ -219,7 +219,7 @@ class TestHide:
         assert hide("x", one) == one
 
     def test_large_domain(self):
-        # Building and hiding stay linear in |D| for a unary table.
+        # A domain far larger than those of the fixtures and workloads.
         domain = range(20000)
         c = make_constraint(WCSP, domain, ("x",), {(v,): v % 7 + 3 for v in domain})
         assert hide("x", c).table[()].payload == 3
