@@ -44,6 +44,13 @@ from .roadnet import LeastCosts, RoadNetwork, TripSolution, enumerate_paths
 from .semiring import CostPair
 
 
+def _check_int(value, what: str) -> None:
+    # type(), not isinstance(): bool is an int subclass; the JSON readers
+    # reject it too.
+    if type(value) is not int:
+        raise InputError(f"{what} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Appointment:
     location: str
@@ -77,6 +84,10 @@ class ChargingPolicy:
     threshold: int = 0
 
     def __post_init__(self):
+        _check_int(self.rate, "charging rate")
+        if self.capacity is not None:
+            _check_int(self.capacity, "capacity")
+        _check_int(self.threshold, "threshold")
         if self.rate <= 0:
             raise InputError("charging rate must be positive")
         if self.capacity is not None and self.capacity < 0:
@@ -128,6 +139,9 @@ def _validate_inputs(net: RoadNetwork, appointments, stations, initial_soc,
         if appt.location not in net.nodes:
             raise InputError(f"appointment location {appt.location!r} is not "
                              f"a network node")
+        _check_int(appt.start, f"appointment at {appt.location!r}: start")
+        _check_int(appt.duration,
+                   f"appointment at {appt.location!r}: duration")
         if appt.start < 0 or appt.duration < 0:
             raise InputError(f"appointment at {appt.location!r} has negative "
                              f"timing")
@@ -138,10 +152,12 @@ def _validate_inputs(net: RoadNetwork, appointments, stations, initial_soc,
         if station.location not in net.nodes:
             raise InputError(f"charging station {station.name!r} is at "
                              f"unknown node {station.location!r}")
+        _check_int(station.spots, f"charging station {station.name!r}: spots")
         if station.spots < 0:
             raise InputError(f"charging station {station.name!r} has "
                              f"negative spots")
     _check_station_names(stations)
+    _check_int(initial_soc, "initial state of charge")
     if initial_soc < policy.threshold:
         raise InputError("initial state of charge is below the threshold")
     if policy.capacity is not None and initial_soc > policy.capacity:

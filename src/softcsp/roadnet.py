@@ -200,18 +200,12 @@ def network_from_json(data) -> RoadNetwork:
     edges: Dict[Tuple[str, str], CostPair] = {}
     fault = None
     for index, entry in enumerate(raw_edges):
-        # A plain object with every key is read directly; anything else
-        # goes through fields(), which names the fault.
-        if type(entry) is dict:
-            try:
-                src, dst = entry["from"], entry["to"]
-                time, energy = entry["time"], entry["energy"]
-            except KeyError:
-                src, dst, time, energy = fields(entry, f"edges[{index}]",
-                                                _EDGE_KEYS)
-        else:
-            src, dst, time, energy = fields(entry, f"edges[{index}]",
-                                            _EDGE_KEYS)
+        try:
+            src, dst = entry["from"], entry["to"]
+            time, energy = entry["time"], entry["energy"]
+        except (KeyError, TypeError):
+            fields(entry, f"edges[{index}]", _EDGE_KEYS)  # names the fault
+            raise
         if not isinstance(src, str):
             raise FormatError(f"edges[{index}].from must be a node name, "
                               f"got {src!r}")

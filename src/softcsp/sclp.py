@@ -464,6 +464,16 @@ def lfp(program: Program, max_iters: Optional[int] = None) -> LfpResult:
                               last={**interp, **changed})
 
 
+def _ground_goal(atoms: Tuple[Atom, ...]) -> Tuple[Atom, ...]:
+    """``atoms``, once each is checked to be ground."""
+    for atom in atoms:
+        for term in atom.args:
+            if is_variable(term):
+                raise ParseError(f"goal atom {atom} is not ground "
+                                 f"({term} is a variable)")
+    return atoms
+
+
 def eval_goal(program: Program, goal: Optional[Iterable[Atom]] = None,
               max_iters: Optional[int] = None) -> SemiringValue:
     """Compute the fixpoint with :func:`lfp`, then multiply the goal
@@ -472,11 +482,7 @@ def eval_goal(program: Program, goal: Optional[Iterable[Atom]] = None,
     Atoms over unknown predicates or constants evaluate to zero, matching
     the bottom default.  The empty goal is the empty product, i.e. one.
     """
-    goal_atoms = tuple(goal or ())
-    for atom in goal_atoms:
-        bad = [t for t in atom.args if is_variable(t)]
-        if bad:
-            raise ParseError(f"goal atom {atom} is not ground ({bad[0]} is a variable)")
+    goal_atoms = _ground_goal(tuple(goal or ()))
     result = lfp(program, max_iters=max_iters)
     spec = program.spec
     value = spec.one
@@ -568,13 +574,8 @@ def parse_goal(text: str) -> Tuple[Atom, ...]:
         stripped = stripped[2:].strip()
     if not stripped:
         raise ParseError("empty goal")
-    atoms = tuple(parse_atom(p) for p in _split_top(stripped, None))
-    for atom in atoms:
-        for term in atom.args:
-            if is_variable(term):
-                raise ParseError(f"goal atom {atom} is not ground "
-                                 f"({term} is a variable)")
-    return atoms
+    return _ground_goal(tuple(parse_atom(p)
+                              for p in _split_top(stripped, None)))
 
 
 def parse_program(text: str) -> Program:

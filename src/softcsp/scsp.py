@@ -4,7 +4,7 @@ A problem is a set of constraints over one semiring plus a set of
 *interface* names.  Its solution combines every constraint and hides all
 non-interface names, leaving a constraint over (at most) the interface;
 the *best level of consistency* hides everything and leaves the single
-best value the problem can achieve.
+best value the problem can achieve: the ``+`` of the solution's rows.
 
 :func:`solve` never combines every constraint into one table.  Hiding
 distributes over combination (``hide(x, c1 x c2) = c1 x hide(x, c2)``
@@ -93,11 +93,10 @@ def solve(problem: SCSPProblem) -> SoftConstraint:
 
 
 def best_level(solution: SoftConstraint) -> SemiringValue:
-    """The best level of consistency from :func:`solve`'s result: hide
-    the names left in it."""
-    for name in sorted(solution.support):
-        solution = hide(name, solution)
-    return solution.table[()]
+    """The best level of consistency from :func:`solve`'s result: the
+    ``+`` of its rows, which is what hiding every name left in it gives."""
+    spec = solution.spec
+    return SemiringValue(spec.key, functools.reduce(spec._plus, solution.rows))
 
 
 def blevel(problem: SCSPProblem) -> SemiringValue:

@@ -485,6 +485,12 @@ def _network(*edges):
     # Every edge's types are checked before any edge's endpoints.
     (reading("trip", FILE), _network(_edge(to="z"), _edge(time="1")),
      "{path}: edges[1]: time must be a non-negative integer, got '1'"),
+    (reading("trip", FILE), _network(_edge(), ["p", "t", 1, 1]),
+     "{path}: edges[1] must be an object"),
+    (reading("trip", FILE), _network({"from": "p", "to": "t", "time": 1}),
+     "{path}: edges[0] is missing ['energy']"),
+    (["sclp", "--program", PROGRAM, "--goal", "s(X)"], None,
+     "goal atom s(X) is not ground (X is a variable)"),
 ])
 def test_input_error_names_the_fault(tmp_path, argv, text, message):
     path = tmp_path / "input"

@@ -231,6 +231,36 @@ class TestValidation:
                     f"charging station name {name!r} is not a string")):
                 solver(network, appointments, stations, 10)
 
+    @pytest.mark.parametrize("change, message", [
+        ({"initial_soc": 2.0},
+         "initial state of charge must be an integer, got 2.0"),
+        ({"initial_soc": "2"},
+         "initial state of charge must be an integer, got '2'"),
+        ({"initial_soc": True},
+         "initial state of charge must be an integer, got True"),
+        ({"appointments": [Appointment("p", 0.5, 1), Appointment("t", 9, 1)]},
+         "appointment at 'p': start must be an integer, got 0.5"),
+        ({"appointments": [Appointment("p", 0, 1), Appointment("t", 9, 1.0)]},
+         "appointment at 't': duration must be an integer, got 1.0"),
+        ({"stations": [ChargingStation("cs", 1.5, "r")]},
+         "charging station 'cs': spots must be an integer, got 1.5"),
+        ({"policy": {"rate": 1.5}},
+         "charging rate must be an integer, got 1.5"),
+        ({"policy": {"capacity": False}},
+         "capacity must be an integer, got False"),
+        ({"policy": {"threshold": 0.5}},
+         "threshold must be an integer, got 0.5"),
+    ])
+    def test_counts_must_be_integers(self, network, appointments, stations,
+                                     change, message):
+        args = {"appointments": appointments, "stations": stations,
+                "initial_soc": 10, "policy": {}, **change}
+        for solver in (enumerate_journeys, best_journeys):
+            with pytest.raises(InputError) as info:
+                solver(network, args["appointments"], args["stations"],
+                       args["initial_soc"], ChargingPolicy(**args["policy"]))
+            assert str(info.value) == message
+
 
 class TestInputFiles:
     def test_appointment_schema(self):

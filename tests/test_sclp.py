@@ -91,9 +91,14 @@ class TestParsing:
         with pytest.raises(ParseError):
             parse_program("#semiring wcsp\n#constants a.\np(a) :- true.\n")
 
-    def test_goal_atoms_must_be_ground(self):
-        with pytest.raises(ParseError):
-            parse_goal("s(X)")
+    def test_goal_atoms_must_be_ground(self, costs_program):
+        # parse_goal and eval_goal apply one rule, with one message.
+        message = "goal atom s(X,Y) is not ground (X is a variable)"
+        with pytest.raises(ParseError) as parsed:
+            parse_goal("t(a), s(X,Y)")
+        with pytest.raises(ParseError) as evaluated:
+            eval_goal(costs_program, [Atom("t", ("a",)), Atom("s", ("X", "Y"))])
+        assert str(parsed.value) == str(evaluated.value) == message
 
     def test_goal_errors_carry_no_line(self):
         # A goal is not read from a file, so its errors have no line.
