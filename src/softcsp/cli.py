@@ -93,8 +93,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(document: dict, out) -> None:
-    json.dump(document, out, indent=2, sort_keys=True)
-    out.write("\n")
+    # One write: json.dump would stream hundreds of small chunks into out.
+    out.write(json.dumps(document, indent=2, sort_keys=True) + "\n")
 
 
 def _run_trip(args, out) -> int:

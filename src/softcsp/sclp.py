@@ -33,6 +33,15 @@ The round count and the iteration cap mean what they mean for
 :func:`tp_step`, and every atom of the universe is in the result, atoms
 that stay at zero (dead cycles such as ``p :- q. q :- p.``) included.
 
+The tags of a program's values are checked once, when the
+:class:`Program` is built, so inside the rounds the interpretation maps
+each atom to its bare payload and the instance's payload operations
+combine them.  Values are tagged again once per atom, where they leave:
+in :func:`lfp`'s result and in a :class:`NonConvergenceError`.
+:func:`tp_step` checks the tags of the interpretation it is given, then
+reads its payloads.  Atoms and clauses are tuples, so the rounds' many
+dictionary lookups hash and compare them in C.
+
 Program text format (one clause per line)::
 
     #semiring wcsp
@@ -51,7 +60,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, Iterable, Optional, Tuple
+from typing import Any, Dict, FrozenSet, Iterable, NamedTuple, Optional, Tuple
 
 from .errors import (
     EmptyUniverseError,
@@ -63,8 +72,13 @@ from .errors import (
 from .semiring import SemiringSpec, SemiringValue, format_value, lookup, sr_times
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(NamedTuple):
+    """``predicate(args)``, or ``predicate`` alone when there are no args.
+
+    An atom is a tuple, so it hashes and compares in C; it therefore also
+    compares equal to the plain tuple ``(predicate, args)``.
+    """
+
     predicate: str
     args: Tuple[str, ...] = ()
 
@@ -78,22 +92,28 @@ def is_variable(term: str) -> bool:
     return bool(term) and (term[0].isupper() or term[0] == "_")
 
 
-@dataclass(frozen=True)
-class Clause:
-    """``head :- body`` with the body split into atoms and/or a value.
-
-    Facts carry their value in ``body_value`` and have no body atoms; an
-    empty body (no atoms, no value) is the unconditional best-value fact,
-    because the product over zero atoms is the multiplicative unit.
-    """
-
+class _ClauseFields(NamedTuple):
     head: Atom
     body_atoms: Tuple[Atom, ...] = ()
     body_value: Optional[SemiringValue] = None
 
-    def __post_init__(self):
-        if self.body_value is not None and self.body_atoms:
+
+class Clause(_ClauseFields):
+    """``head :- body`` with the body split into atoms and/or a value.
+
+    Facts carry their value in ``body_value`` and have no body atoms; an
+    empty body (no atoms, no value) is the unconditional best-value fact,
+    because the product over zero atoms is the multiplicative unit.  Like
+    :class:`Atom`, a clause is a tuple.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, head: Atom, body_atoms: Tuple[Atom, ...] = (),
+                body_value: Optional[SemiringValue] = None):
+        if body_value is not None and body_atoms:
             raise ValueError("a clause body is either atoms or a value, not both")
+        return tuple.__new__(cls, (head, body_atoms, body_value))
 
     def atoms(self) -> Iterable[Atom]:
         yield self.head
@@ -132,8 +152,7 @@ Interpretation = Dict[Atom, SemiringValue]
 
 
 def _substitute_atom(atom: Atom, binding: Dict[str, str]) -> Atom:
-    return Atom(atom.predicate,
-                tuple(binding.get(t, t) for t in atom.args))
+    return Atom(atom.predicate, tuple(map(binding.get, atom.args, atom.args)))
 
 
 def _check_universe(program: Program) -> None:
@@ -205,20 +224,28 @@ def _by_head(program: Program) -> Dict[Atom, list]:
 
 
 def _head_value(spec: SemiringSpec, clauses: Iterable[Clause],
-                interp: Interpretation) -> Any:
-    """The payload of the sum over ``clauses`` of their body products."""
-    zero = spec.zero
-    value = spec._zero
+                payloads: Dict[Atom, Any]) -> Any:
+    """The payload of the sum over ``clauses`` of their body products,
+    reading each body atom's payload in ``payloads`` (zero if absent)."""
+    zero, times = spec._zero, spec._times
+    value = zero
     for clause in clauses:
         if clause.body_value is not None:
             contribution = clause.body_value.payload
         else:
             contribution = spec._one
             for body_atom in clause.body_atoms:
-                contribution = spec._times(
-                    contribution, interp.get(body_atom, zero).payload)
+                contribution = times(contribution,
+                                     payloads.get(body_atom, zero))
         value = spec._plus(value, contribution)
     return value
+
+
+def _boxed(spec: SemiringSpec, payloads: Dict[Atom, Any]) -> Interpretation:
+    """``payloads`` with each payload tagged with ``spec``'s instance."""
+    key = spec.key
+    return {atom: SemiringValue(key, payload)
+            for atom, payload in payloads.items()}
 
 
 def tp_step(program: Program, interp: Interpretation) -> Interpretation:
@@ -230,8 +257,9 @@ def tp_step(program: Program, interp: Interpretation) -> Interpretation:
     """
     rules, spec = _by_head(program), program.spec
     spec.check(*interp.values())
-    return {atom: SemiringValue(spec.key, _head_value(spec, rules.get(atom, ()), interp))
-            for atom in atom_universe(program)}
+    payloads = {atom: value.payload for atom, value in interp.items()}
+    return _boxed(spec, {atom: _head_value(spec, rules.get(atom, ()), payloads)
+                         for atom in atom_universe(program)})
 
 
 def _signature(atom: Atom) -> Tuple[str, int]:
@@ -321,26 +349,33 @@ def _join(patterns: list, index: _AtomIndex, binding: Dict[str, str],
             yield from _join(rest, index, extended, slots)
 
 
-def _new_instances(clauses: Iterable[Clause],
-                   fresh: Dict[Tuple[str, int], list], index: _AtomIndex,
+def _rules(clauses: Iterable[Clause]) -> list:
+    """Each clause with body atoms, paired with its head-only variables
+    (sorted): the variables that appear in the head and in no body atom."""
+    return [(rule, sorted(rule.variables()
+                          - {t for a in rule.body_atoms for t in a.args}))
+            for rule in clauses if rule.body_atoms]
+
+
+def _new_instances(rules: list, fresh: Dict[Tuple[str, int], list],
+                   index: _AtomIndex,
                    constants: Tuple[str, ...]) -> Iterable[Clause]:
-    """The instances of the rules among ``clauses`` that read an atom of
-    ``fresh`` and otherwise only indexed atoms (``fresh`` is indexed too).
+    """The instances of ``rules`` (as :func:`_rules` lists them) that read
+    an atom of ``fresh`` and otherwise only indexed atoms (``fresh`` is
+    indexed too).
 
     Each rule is matched with one body atom to an atom of ``fresh`` and
     the others, fewest indexed atoms first, to indexed atoms; a body that
     matches at several positions is built once.  Variables only in the
     head range over every constant.
     """
-    for rule in clauses:
+    for rule, head_only in rules:
         body = rule.body_atoms
         taken = set()
         for i, pattern in enumerate(body):
             atoms = fresh.get(_signature(pattern))
             if not atoms:
                 continue
-            head_only = sorted(rule.variables()
-                               - {t for a in body for t in a.args})
             rest = sorted(((j, a) for j, a in enumerate(body) if j != i),
                           key=lambda pair: index.size(pair[1]))
             slots = list(body)
@@ -397,16 +432,18 @@ def lfp(program: Program, max_iters: Optional[int] = None) -> LfpResult:
     instances that are new or read an atom the round before changed.
     Their products are added to their head's current value, which is
     exact because the semiring sum is idempotent and values only climb
-    (see the module docstring).  After k rounds the interpretation is
-    T_P^k(bottom), in dump order.
+    (see the module docstring).  The rounds compute on bare payloads; the
+    result tags each atom's value once.  After k rounds the
+    interpretation is T_P^k(bottom), in dump order.
 
     Raises :class:`EmptyUniverseError`, as :func:`ground` does, if a clause
     has variables but the program declares no constants, and
     :class:`InputError` if ``max_iters`` is not an integer of at least 1.
 
     Raises :class:`NonConvergenceError`, carrying the last two
-    interpretations and naming the atoms that differ between them, if no
-    fixpoint is found within ``max_iters`` applications.
+    interpretations (tagged, like the result) and naming the atoms that
+    differ between them, if no fixpoint is found within ``max_iters``
+    applications.
     """
     _check_universe(program)
     if max_iters is None:
@@ -416,15 +453,16 @@ def lfp(program: Program, max_iters: Optional[int] = None) -> LfpResult:
     if max_iters < 1:
         raise InputError("max_iters must be at least 1")
     spec, constants = program.spec, program.constants
-    zero = spec.zero
-    interp = bottom(program)
+    plus, zero = spec._plus, spec._zero
+    interp = dict.fromkeys(atom_universe(program), zero)
+    rules = _rules(program.clauses)
     readers: Dict[Atom, list] = {}
     index = _AtomIndex()
     built: Iterable[Clause] = [
         instance for clause in program.clauses
-        if not clause.body_atoms and clause.body_value != zero
+        if not clause.body_atoms and clause.body_value != spec.zero
         for instance in _instances(clause, constants)]
-    changed: Interpretation = {}
+    changed: Dict[Atom, Any] = {}
     for step in range(max_iters + 1):
         due: Dict[Atom, dict] = {}
         for atom in changed:
@@ -439,14 +477,15 @@ def lfp(program: Program, max_iters: Optional[int] = None) -> LfpResult:
                     readers.setdefault(atom, []).append(instance)
         changed = {}
         for head, instances in due.items():
-            old = interp[head].payload
-            value = spec._plus(old, _head_value(spec, instances, interp))
+            old = interp[head]
+            value = plus(old, _head_value(spec, instances, interp))
             if value != old:
-                changed[head] = SemiringValue(spec.key, value)
+                changed[head] = value
         if step == max_iters:
             break
         if not changed:
-            return LfpResult(interpretation=interp, iterations=step)
+            return LfpResult(interpretation=_boxed(spec, interp),
+                             iterations=step)
         # Values only climb, so an atom turns non-zero once, and each
         # instance is built in the round its last body atom does.
         fresh: Dict[Tuple[str, int], list] = {}
@@ -455,13 +494,13 @@ def lfp(program: Program, max_iters: Optional[int] = None) -> LfpResult:
                 index.add(atom)
                 fresh.setdefault(_signature(atom), []).append(atom)
         interp.update(changed)
-        built = _new_instances(program.clauses, fresh, index, constants)
+        built = _new_instances(rules, fresh, index, constants)
     message = f"no fixpoint within {max_iters} iterations"
     if changed:
         message += ("; still changing: "
                     + _name_atoms(a for a in interp if a in changed))
-    raise NonConvergenceError(message, previous=interp,
-                              last={**interp, **changed})
+    raise NonConvergenceError(message, previous=_boxed(spec, interp),
+                              last=_boxed(spec, {**interp, **changed}))
 
 
 def _ground_goal(atoms: Tuple[Atom, ...]) -> Tuple[Atom, ...]:

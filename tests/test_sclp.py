@@ -9,6 +9,7 @@ from softcsp import (
     Clause,
     INF,
     Program,
+    SemiringValue,
     eval_goal,
     ground,
     lookup,
@@ -52,6 +53,46 @@ def ring_text(n):
         text += f"edge({a},{b}) :- 1.\n"
     return text + ("path(X,Y) :- edge(X,Y).\n"
                    "path(X,Y) :- edge(X,Z), path(Z,Y).\n")
+
+
+class TestAtomsAndClauses:
+    def test_atom_value_semantics(self):
+        a = Atom(predicate="p", args=("a",))
+        assert str(a) == "p(a)" and str(Atom("q")) == "q"
+        assert repr(a) == "Atom(predicate='p', args=('a',))"
+        assert a == Atom("p", ("a",)) and hash(a) == hash(Atom("p", ("a",)))
+        assert a != Atom("p", ("b",)) and Atom("q").args == ()
+        # An atom is the tuple (predicate, args).
+        assert a == ("p", ("a",)) and hash(a) == hash(("p", ("a",)))
+        with pytest.raises(AttributeError):
+            a.predicate = "q"
+        with pytest.raises(AttributeError):
+            a.extra = 1
+
+    def test_clause_value_semantics(self):
+        head, body = Atom("p", ("X",)), (Atom("q", ("X", "a")),)
+        rule = Clause(head=head, body_atoms=body)
+        fact = Clause(head=Atom("t", ("a",)), body_value=WCSP.value(2))
+        assert str(rule) == "p(X) :- q(X,a)."
+        assert str(fact) == "t(a) :- 2."
+        assert str(Clause(Atom("u"))) == "u."
+        assert repr(rule) == ("Clause(head=Atom(predicate='p', args=('X',)), "
+                              "body_atoms=(Atom(predicate='q', args=('X', 'a')),), "
+                              "body_value=None)")
+        assert rule == Clause(head, body) and hash(rule) == hash(Clause(head, body))
+        assert (fact.body_atoms, rule.body_value) == ((), None)
+        assert list(rule.atoms()) == [head, *body]
+        assert rule.variables() == {"X"} and not rule.is_ground()
+        assert fact.is_ground()
+        with pytest.raises(AttributeError):
+            rule.head = Atom("z")
+        with pytest.raises(AttributeError):
+            rule.extra = 1
+
+    def test_clause_body_is_atoms_or_a_value(self):
+        with pytest.raises(ValueError, match="either atoms or a value, not both"):
+            Clause(head=Atom("p"), body_atoms=(Atom("q"),),
+                   body_value=WCSP.one)
 
 
 class TestParsing:
@@ -505,6 +546,29 @@ def test_lfp_matches_naive_iteration(key):
     assert outcomes == {"cap", 0, 1, 2, 3}
 
 
+@pytest.mark.parametrize("key", ["csp", "fcsp", "wcsp", "costpair"])
+def test_lfp_returns_tagged_values(key):
+    # lfp computes on bare payloads; what it hands out is tagged again.
+    spec = lookup(key)
+    rng = random.Random(f"lfp-tags:{key}")
+    seen = {"fixpoint": 0, "cap": 0}
+    for trial in range(60):
+        build = _random_closure_program if trial % 4 == 0 else _random_gate_program
+        program = build(rng, spec)
+        for cap in (1, 2, default_max_iters(program)):
+            try:
+                interps = [lfp(program, max_iters=cap).interpretation]
+                outcome = "fixpoint"
+            except NonConvergenceError as err:
+                interps = [err.previous, err.last]
+                outcome = "cap"
+            for interp in interps:
+                assert list(interp) == list(atom_universe(program))
+                spec.check(*interp.values())
+            seen[outcome] += bool(interps[0])
+    assert seen["fixpoint"] and seen["cap"]
+
+
 def test_default_max_iters_counts_the_universe():
     rng = random.Random("max-iters")
     for key in ("csp", "wcsp"):
@@ -520,14 +584,16 @@ def test_default_max_iters_counts_the_universe():
 
 def _record_evaluations(monkeypatch):
     """Have ``lfp`` report each (clauses, interpretation) pair it passes to
-    ``_head_value``: the instances of one head and, copied at the call,
-    the values they read."""
+    ``_head_value``: the instances of one head and, copied at the call and
+    tagged with the program's instance, the values they read (``lfp``
+    passes bare payloads)."""
     calls = []
     head_value = sclp._head_value
 
-    def recording(spec, clauses, interp):
-        calls.append((list(clauses), dict(interp)))
-        return head_value(spec, clauses, interp)
+    def recording(spec, clauses, payloads):
+        calls.append((list(clauses), {atom: SemiringValue(spec.key, payload)
+                                      for atom, payload in payloads.items()}))
+        return head_value(spec, clauses, payloads)
 
     monkeypatch.setattr(sclp, "_head_value", recording)
     return calls
