@@ -92,6 +92,12 @@ def is_variable(term: str) -> bool:
     return bool(term) and (term[0].isupper() or term[0] == "_")
 
 
+def _is_constant(name: Any) -> bool:
+    """Whether ``name`` is an identifier that is not a variable."""
+    return (isinstance(name, str) and _IDENT.fullmatch(name) is not None
+            and not is_variable(name))
+
+
 class _ClauseFields(NamedTuple):
     head: Atom
     body_atoms: Tuple[Atom, ...] = ()
@@ -142,9 +148,15 @@ class Program:
     constants: Tuple[str, ...]
 
     def __post_init__(self):
-        # Own copies the caller cannot change; fact tags checked once, here.
+        # Own copies the caller cannot change; constants checked as
+        # #constants checks them and kept once each, in first order; fact
+        # tags checked once, here.
+        constants = tuple(self.constants)
+        for name in constants:
+            if not _is_constant(name):
+                raise InputError(f"bad constant {name!r}")
         object.__setattr__(self, "clauses", tuple(self.clauses))
-        object.__setattr__(self, "constants", tuple(self.constants))
+        object.__setattr__(self, "constants", tuple(dict.fromkeys(constants)))
         self.spec.check(*filter(None, (c.body_value for c in self.clauses)))
 
 
@@ -266,27 +278,6 @@ def _signature(atom: Atom) -> Tuple[str, int]:
     return atom.predicate, len(atom.args)
 
 
-def _unify(pattern: Atom, atom: Atom,
-           binding: Dict[str, str]) -> Optional[Dict[str, str]]:
-    """``binding`` extended so that ``pattern`` reads ``atom``, or None.
-
-    ``pattern`` and ``atom`` have the same signature.
-    """
-    extended = binding
-    for term, value in zip(pattern.args, atom.args):
-        if is_variable(term):
-            bound = extended.get(term)
-            if bound is None:
-                if extended is binding:
-                    extended = dict(binding)
-                extended[term] = value
-                continue
-            term = bound
-        if term != value:
-            return None
-    return extended
-
-
 class _AtomIndex:
     """Ground atoms by signature and, once asked for, by the values at
     given argument positions."""
@@ -305,48 +296,59 @@ class _AtomIndex:
     def size(self, pattern: Atom) -> int:
         return len(self._atoms.get(_signature(pattern), ()))
 
-    def candidates(self, pattern: Atom, binding: Dict[str, str]) -> list:
-        """The atoms that agree with ``pattern`` wherever ``binding`` and
-        its constants fix a term."""
+    def matches(self, pattern: Atom,
+                binding: Dict[str, str]) -> Iterable[Tuple[Atom, Dict[str, str]]]:
+        """Each indexed atom that ``pattern`` reads under ``binding``, in
+        the order added, with ``binding`` extended to read it.
+
+        The atoms come from the bucket keyed by the positions that
+        constants and ``binding`` fix, so only the other, free positions
+        are read; a variable free at two positions must read one value.
+        """
         signature = _signature(pattern)
-        positions, key = [], []
+        fixed, free = {}, []
         for i, term in enumerate(pattern.args):
             if is_variable(term):
-                term = binding.get(term)
-                if term is None:
+                if term not in binding:
+                    free.append((i, term))
                     continue
-            positions.append(i)
-            key.append(term)
-        if not positions:
-            return self._atoms.get(signature, [])
-        by_positions = self._keyed.setdefault(signature, {})
-        positions = tuple(positions)
-        buckets = by_positions.get(positions)
-        if buckets is None:
-            buckets = by_positions[positions] = {}
-            for atom in self._atoms.get(signature, ()):
-                buckets.setdefault(tuple(atom.args[i] for i in positions),
-                                   []).append(atom)
-        return buckets.get(tuple(key), [])
+                term = binding[term]
+            fixed[i] = term
+        atoms = self._atoms.get(signature, ())
+        if fixed:
+            by_positions = self._keyed.setdefault(signature, {})
+            positions = tuple(fixed)
+            buckets = by_positions.get(positions)
+            if buckets is None:
+                buckets = by_positions[positions] = {}
+                for atom in atoms:
+                    buckets.setdefault(tuple(atom.args[i] for i in positions),
+                                       []).append(atom)
+            atoms = buckets.get(tuple(fixed.values()), ())
+        for atom in atoms:
+            extended = dict(binding)
+            for i, variable in free:
+                if extended.setdefault(variable, atom.args[i]) != atom.args[i]:
+                    break
+            else:
+                yield atom, extended
 
 
-def _join(patterns: list, index: _AtomIndex, binding: Dict[str, str],
+def _join(steps: list, binding: Dict[str, str],
           slots: list) -> Iterable[Dict[str, str]]:
-    """Every extension of ``binding`` that matches each pattern to an
-    indexed atom, taking the patterns in the order given.
+    """Every extension of ``binding`` that matches each step's pattern to
+    an atom of its index, taking the steps in the order given.
 
-    ``patterns`` are (body position, atom) pairs; when a binding is
-    yielded, ``slots`` holds the matched atoms at their positions.
+    ``steps``, at least one, are (body position, pattern, index) triples;
+    with each binding yielded, ``slots`` holds the atoms matched, by position.
     """
-    if not patterns:
-        yield binding
-        return
-    (position, pattern), rest = patterns[0], patterns[1:]
-    for atom in index.candidates(pattern, binding):
-        extended = _unify(pattern, atom, binding)
-        if extended is not None:
-            slots[position] = atom
-            yield from _join(rest, index, extended, slots)
+    (position, pattern, index), rest = steps[0], steps[1:]
+    for atom, extended in index.matches(pattern, binding):
+        slots[position] = atom
+        if rest:
+            yield from _join(rest, extended, slots)
+        else:
+            yield extended
 
 
 def _rules(clauses: Iterable[Clause]) -> list:
@@ -357,43 +359,37 @@ def _rules(clauses: Iterable[Clause]) -> list:
             for rule in clauses if rule.body_atoms]
 
 
-def _new_instances(rules: list, fresh: Dict[Tuple[str, int], list],
-                   index: _AtomIndex,
+def _new_instances(rules: list, fresh: _AtomIndex, index: _AtomIndex,
                    constants: Tuple[str, ...]) -> Iterable[Clause]:
     """The instances of ``rules`` (as :func:`_rules` lists them) that read
-    an atom of ``fresh`` and otherwise only indexed atoms (``fresh`` is
-    indexed too).
+    an atom of ``fresh`` and otherwise only atoms of ``index`` (which
+    holds ``fresh`` too).
 
-    Each rule is matched with one body atom to an atom of ``fresh`` and
-    the others, fewest indexed atoms first, to indexed atoms; a body that
-    matches at several positions is built once.  Variables only in the
-    head range over every constant.
+    For each body position whose signature ``fresh`` holds, the rule is
+    joined with that body atom matched in ``fresh`` first, then the
+    others, fewest indexed atoms first, in ``index``; a body that matches
+    at several positions is built once.  Variables only in the head range
+    over every constant.
     """
     for rule, head_only in rules:
         body = rule.body_atoms
         taken = set()
+        slots = list(body)
         for i, pattern in enumerate(body):
-            atoms = fresh.get(_signature(pattern))
-            if not atoms:
+            if not fresh.size(pattern):
                 continue
-            rest = sorted(((j, a) for j, a in enumerate(body) if j != i),
-                          key=lambda pair: index.size(pair[1]))
-            slots = list(body)
-            for atom in atoms:
-                binding = _unify(pattern, atom, {})
-                if binding is None:
+            rest = sorted(((j, a, index) for j, a in enumerate(body) if j != i),
+                          key=lambda step: index.size(step[1]))
+            for full in _join([(i, pattern, fresh), *rest], {}, slots):
+                instance_body = tuple(slots)
+                if instance_body in taken:
                     continue
-                slots[i] = atom
-                for full in _join(rest, index, binding, slots):
-                    instance_body = tuple(slots)
-                    if instance_body in taken:
-                        continue
-                    taken.add(instance_body)
-                    for values in itertools.product(constants,
-                                                    repeat=len(head_only)):
-                        head = _substitute_atom(
-                            rule.head, {**full, **dict(zip(head_only, values))})
-                        yield Clause(head=head, body_atoms=instance_body)
+                taken.add(instance_body)
+                for values in itertools.product(constants,
+                                                repeat=len(head_only)):
+                    head = _substitute_atom(
+                        rule.head, {**full, **dict(zip(head_only, values))})
+                    yield Clause(head=head, body_atoms=instance_body)
 
 
 def _name_atoms(atoms: Iterable[Atom]) -> str:
@@ -488,11 +484,11 @@ def lfp(program: Program, max_iters: Optional[int] = None) -> LfpResult:
                              iterations=step)
         # Values only climb, so an atom turns non-zero once, and each
         # instance is built in the round its last body atom does.
-        fresh: Dict[Tuple[str, int], list] = {}
+        fresh = _AtomIndex()
         for atom in changed:
             if interp[atom] == zero:
                 index.add(atom)
-                fresh.setdefault(_signature(atom), []).append(atom)
+                fresh.add(atom)
         interp.update(changed)
         built = _new_instances(rules, fresh, index, constants)
     message = f"no fixpoint within {max_iters} iterations"
@@ -650,9 +646,9 @@ def parse_program(text: str) -> Program:
             body = line[len("#constants"):].strip().rstrip(".")
             names = [n.strip() for n in body.split(",") if n.strip()]
             for name in names:
-                if not _IDENT.match(name) or is_variable(name):
+                if not _is_constant(name):
                     raise ParseError(f"bad constant {name!r}", line_no)
-            constants = tuple(dict.fromkeys(names))
+            constants = tuple(names)
             continue
         if line.startswith("#"):
             raise ParseError(f"unknown directive {line.split()[0]!r}", line_no)

@@ -100,6 +100,32 @@ def dense_solve(problem):
     return acc
 
 
+def scsp_as_sclp(key, domain, constraints, support):
+    """Program text whose ``sol`` atoms hold an SCSP's solution rows.
+
+    ``constraints`` are (support, table) pairs with tables over raw value
+    tuples; domain values must be lowercase identifiers.  Each row of the
+    i-th constraint becomes the fact ``c_i(d0,d1) :- v.``, and the one
+    rule ``sol(...) :- c_0(...), c_1(...), ....`` reads every constraint
+    with one variable per name, so ``sol`` over ``support`` is the
+    product of the constraints summed over the other names.
+    """
+    def atom(predicate, args):
+        return f"{predicate}({','.join(args)})" if args else predicate
+
+    lines = [f"#semiring {key}", f"#constants {','.join(domain)}."]
+    body = []
+    for i, (names, table) in enumerate(constraints):
+        # str gives True/False, inf, n/m or a whole number; the program
+        # text spells them in lower case.
+        lines += [f"{atom(f'c_{i}', row)} :- {str(value).lower()}."
+                  for row, value in table.items()]
+        body.append(atom(f"c_{i}", [f"V_{n}" for n in names]))
+    head = atom("sol", [f"V_{n}" for n in support])
+    lines.append(f"{head} :- {', '.join(body)}." if body else f"{head}.")
+    return "\n".join(lines) + "\n"
+
+
 # --- journeys ----------------------------------------------------------------
 
 def oracle_journeys(edges, appointments, stations, initial_soc,

@@ -28,9 +28,10 @@ from softcsp.errors import (
 )
 from softcsp import sclp
 from softcsp.sclp import atom_universe, bottom, default_max_iters
+from softcsp.scsp import SCSPProblem, solve
 
-from conftest import FIXTURES
-from oracles import oracle_lfp
+from conftest import FIXTURES, random_constraint
+from oracles import oracle_lfp, scsp_as_sclp
 
 WCSP = lookup("wcsp")
 CSP = lookup("csp")
@@ -171,6 +172,20 @@ class TestGrounding:
         clauses.append(Clause(head=Atom("q")))
         constants.append("b")
         assert (program.clauses, program.constants) == ((fact,), ("a",))
+
+    @pytest.mark.parametrize("name", ["X", "_a", "a b", "", "a\n", "1a", 1, None])
+    def test_program_checks_its_constants(self, name):
+        # A program built in code checks its constants as #constants does.
+        with pytest.raises(InputError, match=re.escape(f"bad constant {name!r}")):
+            Program(spec=WCSP, clauses=(), constants=("a", name))
+
+    def test_program_keeps_each_constant_once(self):
+        clauses = (Clause(head=Atom("p", ("X",)), body_value=WCSP.one),)
+        program = Program(spec=WCSP, clauses=clauses, constants=("b", "a", "b"))
+        assert program.constants == ("b", "a")
+        assert atom_universe(program) == (Atom("p", ("a",)), Atom("p", ("b",)))
+        assert default_max_iters(program) == 30
+        assert lfp(program) == lfp(ground(program))
 
     def test_ground_program_unchanged(self, costs_program):
         grounded = ground(costs_program)
@@ -546,6 +561,33 @@ def test_lfp_matches_naive_iteration(key):
     assert outcomes == {"cap", 0, 1, 2, 3}
 
 
+# --- gate: lfp against bucket elimination ------------------------------------
+
+@pytest.mark.parametrize("key", ["csp", "fcsp", "wcsp"])
+def test_lfp_matches_bucket_elimination(key):
+    # An SCSP written as a program: the sol rule joins every constraint,
+    # so lfp's join and scsp.solve, which share no code, must give each
+    # sol atom the payload of the solution's row.
+    spec = lookup(key)
+    rng = random.Random(f"scsp-sclp:{key}")
+    for _ in range(100):
+        domain = ("d0", "d1", "d2")[: rng.randint(2, 3)]
+        names = [f"n{k}" for k in range(rng.randint(2, 5))]
+        constraints = [random_constraint(rng, spec, domain, names, 3)
+                       for _ in range(rng.randint(0, 4))]
+        interface = rng.sample(names, rng.randint(0, len(names)))
+        solution = solve(SCSPProblem(spec=spec, domain=domain,
+                                     constraints=constraints,
+                                     interface=interface))
+        tables = [(c.support, {row: v.payload for row, v in c.table.items()})
+                  for c in constraints]
+        program = parse_program(scsp_as_sclp(key, domain, tables,
+                                             solution.support))
+        sol = {a.args: v.payload for a, v in lfp(program).interpretation.items()
+               if a.predicate == "sol"}
+        assert sol == {row: v.payload for row, v in solution.table.items()}
+
+
 @pytest.mark.parametrize("key", ["csp", "fcsp", "wcsp", "costpair"])
 def test_lfp_returns_tagged_values(key):
     # lfp computes on bare payloads; what it hands out is tagged again.
@@ -694,6 +736,84 @@ def test_no_instance_is_evaluated_with_a_zero_body_atom(key, monkeypatch):
         assert set(evaluated) == {Atom("h"), Atom("k")}
         assert evaluated[Atom("k")].body_atoms == (Atom("a"),)
         assert lfp(_zero_product_program()).interpretation[Atom("h")] == spec.zero
+
+
+def _sized_closure_program(rng, spec, n, shape):
+    """Transitive closure over ``n`` constants, as the benchmark writes
+    it: ``dense`` draws each ordered pair of distinct constants as an edge
+    with probability 1/2, ``ring`` is one cycle through the constants in
+    random order, and no edge is the semiring zero."""
+    constants = tuple(f"c{k:02d}" for k in range(n))
+    if shape == "dense":
+        pairs = [(a, b) for a in constants for b in constants
+                 if a != b and rng.random() < 0.5]
+    else:
+        order = rng.sample(constants, n)
+        pairs = list(zip(order, order[1:] + order[:1]))
+    clauses = [Clause(head=Atom("edge", pair), body_value=spec.value(
+        rng.randint(0, 9) if spec.key == "wcsp"
+        else Fraction(rng.randint(1, 10), 10))) for pair in pairs]
+    clauses += [
+        Clause(head=Atom("path", ("X", "Y")),
+               body_atoms=(Atom("edge", ("X", "Y")),)),
+        Clause(head=Atom("path", ("X", "Y")),
+               body_atoms=(Atom("edge", ("X", "Z")), Atom("path", ("Z", "Y")))),
+    ]
+    return Program(spec=spec, clauses=tuple(clauses), constants=constants)
+
+
+def test_join_work_is_pinned(monkeypatch):
+    # The work the fixpoint does, pinned per program: the rule instances
+    # the join builds (each once, and each evaluated), the _head_value
+    # calls (one per head a round re-evaluates) and the rounds.  A
+    # different join must build the same instances and evaluate them in
+    # the same rounds.
+    calls = _record_evaluations(monkeypatch)
+    built = []
+    new_instances = sclp._new_instances
+
+    def recording(*args):
+        for instance in new_instances(*args):
+            built.append(instance)
+            yield instance
+
+    monkeypatch.setattr(sclp, "_new_instances", recording)
+
+    def work_of(program):
+        calls.clear()
+        built.clear()
+        iterations = lfp(program).iterations
+        assert len(set(built)) == len(built)
+        assert set(built) == set(_rule_instances(calls))
+        return len(built), len(calls), iterations
+
+    work = {}
+    for key in ("wcsp", "fcsp"):
+        rng = random.Random(f"join-work:{key}")
+        for shape in ("ring", "dense"):
+            for n in (8, 12, 16):
+                work[key, shape, n] = work_of(
+                    _sized_closure_program(rng, lookup(key), n, shape))
+    # Every body atom turns non-zero in round one, so each instance reads
+    # a fresh atom at every position; it is still built once.
+    assert work_of(parse_program(
+        "#semiring wcsp\n#constants a,b.\nq(a) :- 1.\nq(b) :- 2.\n"
+        "r(a,b) :- 1.\nr(b,b) :- 3.\ns(X,Y) :- q(X), r(X,Y), q(Y).\n")) \
+        == (2, 6, 2)
+    assert work == {
+        ("wcsp", "ring", 8): (72, 80, 9),
+        ("wcsp", "ring", 12): (156, 168, 13),
+        ("wcsp", "ring", 16): (272, 288, 17),
+        ("wcsp", "dense", 8): (252, 218, 5),
+        ("wcsp", "dense", 12): (884, 710, 8),
+        ("wcsp", "dense", 16): (2108, 1119, 6),
+        ("fcsp", "ring", 8): (72, 80, 9),
+        ("fcsp", "ring", 12): (156, 168, 13),
+        ("fcsp", "ring", 16): (272, 288, 17),
+        ("fcsp", "dense", 8): (243, 231, 6),
+        ("fcsp", "dense", 12): (832, 762, 8),
+        ("fcsp", "dense", 16): (1819, 1270, 8),
+    }
 
 
 @pytest.mark.parametrize("cap", [2.0, "3", True])
