@@ -20,7 +20,13 @@ is the unit of the sum; and values only climb, so an atom that has turned
 non-zero stays so.  The first round therefore evaluates only the facts
 with a non-zero value.  After each round the atoms that just turned
 non-zero are joined against the rules, and each instance built is filed
-under the atoms it reads.  A round then updates a head differentially: it
+under the atoms it reads.  Each rule is compiled once per call, the way
+compiled Datalog engines evaluate semi-naively: its variables and
+constants get slots of one list, and each join order becomes a plan whose
+steps look up an index bucket keyed by the positions that constants and
+earlier steps fix, bind the slots of the variables they meet first, and
+compare the positions of a variable repeated within one atom; the head is
+read off the slots.  A round then updates a head differentially: it
 evaluates only the head's instances that are new or that read an atom
 the round before changed, and adds their products to the head's current
 value.  This is exact because the sum of a c-semiring is idempotent, so
@@ -52,7 +58,9 @@ Program text format (one clause per line)::
 
 Identifiers starting with an uppercase letter or ``_`` are variables;
 ``%`` starts a comment.  Terms must be constants or variables: function
-symbols are recognised and rejected.
+symbols are recognised and rejected.  A clause body or goal is read by
+one compiled regex match per atom; only text the scan rejects is split at
+its top-level commas, to name the fault.
 """
 
 from __future__ import annotations
@@ -60,7 +68,9 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, Iterable, NamedTuple, Optional, Tuple
+from operator import itemgetter
+from typing import (Any, Callable, Dict, FrozenSet, Iterable, NamedTuple,
+                    NoReturn, Optional, Tuple)
 
 from .errors import (
     EmptyUniverseError,
@@ -278,118 +288,184 @@ def _signature(atom: Atom) -> Tuple[str, int]:
     return atom.predicate, len(atom.args)
 
 
+def _tuple_getter(slots: Tuple[int, ...]) -> Callable[[list], tuple]:
+    """The values of a list at ``slots``, as a tuple of any length."""
+    if len(slots) > 1:
+        return itemgetter(*slots)
+    if slots:
+        slot, = slots
+        return lambda env: (env[slot],)
+    return lambda env: ()
+
+
 class _AtomIndex:
-    """Ground atoms by signature and, once asked for, by the values at
-    given argument positions."""
+    """Ground atoms by signature and, once asked for, in buckets keyed by
+    their values at given argument positions (one value for one position,
+    a tuple of values for several)."""
 
     def __init__(self):
         self._atoms: Dict[Tuple[str, int], list] = {}
-        self._keyed: Dict[Tuple[str, int], Dict[tuple, Dict[tuple, list]]] = {}
+        self._keyed: Dict[Tuple[str, int], Dict[tuple, tuple]] = {}
 
     def add(self, atom: Atom) -> None:
         signature = _signature(atom)
         self._atoms.setdefault(signature, []).append(atom)
-        for positions, buckets in self._keyed.get(signature, {}).items():
-            key = tuple(atom.args[i] for i in positions)
-            buckets.setdefault(key, []).append(atom)
+        for key, buckets in self._keyed.get(signature, {}).values():
+            buckets.setdefault(key(atom.args), []).append(atom)
 
-    def size(self, pattern: Atom) -> int:
-        return len(self._atoms.get(_signature(pattern), ()))
+    def size(self, signature: Tuple[str, int]) -> int:
+        return len(self._atoms.get(signature, ()))
 
-    def matches(self, pattern: Atom,
-                binding: Dict[str, str]) -> Iterable[Tuple[Atom, Dict[str, str]]]:
-        """Each indexed atom that ``pattern`` reads under ``binding``, in
-        the order added, with ``binding`` extended to read it.
-
-        The atoms come from the bucket keyed by the positions that
-        constants and ``binding`` fix, so only the other, free positions
-        are read; a variable free at two positions must read one value.
-        """
-        signature = _signature(pattern)
-        fixed, free = {}, []
-        for i, term in enumerate(pattern.args):
-            if is_variable(term):
-                if term not in binding:
-                    free.append((i, term))
-                    continue
-                term = binding[term]
-            fixed[i] = term
-        atoms = self._atoms.get(signature, ())
-        if fixed:
-            by_positions = self._keyed.setdefault(signature, {})
-            positions = tuple(fixed)
-            buckets = by_positions.get(positions)
-            if buckets is None:
-                buckets = by_positions[positions] = {}
-                for atom in atoms:
-                    buckets.setdefault(tuple(atom.args[i] for i in positions),
-                                       []).append(atom)
-            atoms = buckets.get(tuple(fixed.values()), ())
-        for atom in atoms:
-            extended = dict(binding)
-            for i, variable in free:
-                if extended.setdefault(variable, atom.args[i]) != atom.args[i]:
-                    break
-            else:
-                yield atom, extended
+    def source(self, signature: Tuple[str, int],
+               positions: Tuple[int, ...]) -> Any:
+        """The atoms of ``signature`` in the order added: a list, or, when
+        ``positions`` is not empty, a dict of lists by their values there."""
+        atoms = self._atoms.get(signature, [])
+        if not positions:
+            return atoms
+        by_positions = self._keyed.setdefault(signature, {})
+        if positions not in by_positions:
+            key, buckets = itemgetter(*positions), {}
+            for atom in atoms:
+                buckets.setdefault(key(atom.args), []).append(atom)
+            by_positions[positions] = key, buckets
+        return by_positions[positions][1]
 
 
-def _join(steps: list, binding: Dict[str, str],
-          slots: list) -> Iterable[Dict[str, str]]:
-    """Every extension of ``binding`` that matches each step's pattern to
-    an atom of its index, taking the steps in the order given.
+class _Rule:
+    """A clause with body atoms, compiled once per :func:`lfp` call.
 
-    ``steps``, at least one, are (body position, pattern, index) triples;
-    with each binding yielded, ``slots`` holds the atoms matched, by position.
+    Every term of the rule has a slot of ``env``: the body variables in
+    order of first occurrence, then the head-only variables (the ones in
+    the head and in no body atom) in sorted order, then the constants,
+    whose slots hold them from the start.  A join writes the slots of the
+    variables it binds and reads only slots written before, so one
+    ``env`` serves every join of the rule.  The head is read off ``env``.
     """
-    (position, pattern, index), rest = steps[0], steps[1:]
-    for atom, extended in index.matches(pattern, binding):
-        slots[position] = atom
-        if rest:
-            yield from _join(rest, extended, slots)
+
+    def __init__(self, clause: Clause):
+        self.body = clause.body_atoms
+        self.signatures = tuple(map(_signature, self.body))
+        slot: Dict[str, int] = {}
+        for atom in self.body:
+            for term in atom.args:
+                if term not in slot and is_variable(term):
+                    slot[term] = len(slot)
+        start = len(slot)
+        for term in sorted({t for t in clause.head.args if is_variable(t)}
+                           .difference(slot)):
+            slot[term] = len(slot)
+        self.head_only = slice(start, len(slot))
+        self.head_width = len(slot) - start
+        for atom in clause.atoms():
+            for term in atom.args:
+                slot.setdefault(term, len(slot))
+        self._slot, self.env = slot, list(slot)
+        self.head = (clause.head.predicate,
+                     _tuple_getter(tuple(slot[t] for t in clause.head.args)))
+        self._plans: Dict[Tuple[int, ...], list] = {}
+
+    def plan(self, order: Tuple[int, ...]) -> list:
+        """The join steps that match the body atoms in ``order``.
+
+        A step is (body position, signature, bucket positions, bucket
+        key, binds, checks).  The bucket positions are those a constant
+        or an earlier step fixes, and the key reads their values off
+        ``env`` (None when no position is fixed).  ``binds`` are the
+        (argument position, slot) pairs of the variables first bound
+        here; ``checks`` pair an argument position with an earlier one of
+        the same atom that holds the same unbound variable.  Compiled
+        once per order.
+        """
+        steps = self._plans.get(order)
+        if steps is None:
+            steps = self._plans[order] = []
+            bound = set()
+            for position in order:
+                atom = self.body[position]
+                fixed, binds, checks, first = [], [], [], {}
+                for i, term in enumerate(atom.args):
+                    slot = self._slot[term]
+                    if slot in bound or not is_variable(term):
+                        fixed.append((i, slot))
+                    elif term in first:
+                        checks.append((first[term], i))
+                    else:
+                        first[term] = i
+                        binds.append((i, slot))
+                bound.update(slot for _, slot in binds)
+                steps.append((position, self.signatures[position],
+                              tuple(i for i, _ in fixed),
+                              itemgetter(*(s for _, s in fixed)) if fixed
+                              else None, tuple(binds), tuple(checks)))
+        return steps
+
+
+def _join(steps: list, env: list, matched: list) -> Iterable[None]:
+    """Yield once per way to match each step to an atom of its source,
+    taking the steps in the order given.
+
+    ``steps``, at least one, are :meth:`_Rule.plan` steps whose signature
+    and positions are replaced by what :meth:`_AtomIndex.source` returns
+    for them.  At each yield ``env`` holds the slots bound and ``matched``
+    the atoms matched, by body position.
+    """
+    (position, atoms, key, binds, checks), rest = steps[0], steps[1:]
+    if key is not None:
+        atoms = atoms.get(key(env), ())
+    for atom in atoms:
+        args = atom.args
+        for i, j in checks:
+            if args[i] != args[j]:
+                break
         else:
-            yield extended
-
-
-def _rules(clauses: Iterable[Clause]) -> list:
-    """Each clause with body atoms, paired with its head-only variables
-    (sorted): the variables that appear in the head and in no body atom."""
-    return [(rule, sorted(rule.variables()
-                          - {t for a in rule.body_atoms for t in a.args}))
-            for rule in clauses if rule.body_atoms]
+            for i, slot in binds:
+                env[slot] = args[i]
+            matched[position] = atom
+            if rest:
+                yield from _join(rest, env, matched)
+            else:
+                yield None
 
 
 def _new_instances(rules: list, fresh: _AtomIndex, index: _AtomIndex,
                    constants: Tuple[str, ...]) -> Iterable[Clause]:
-    """The instances of ``rules`` (as :func:`_rules` lists them) that read
-    an atom of ``fresh`` and otherwise only atoms of ``index`` (which
-    holds ``fresh`` too).
+    """The instances of ``rules``, each a :class:`_Rule`, that read an atom
+    of ``fresh`` and otherwise only atoms of ``index`` (which holds
+    ``fresh`` too).
 
     For each body position whose signature ``fresh`` holds, the rule is
     joined with that body atom matched in ``fresh`` first, then the
     others, fewest indexed atoms first, in ``index``; a body that matches
-    at several positions is built once.  Variables only in the head range
-    over every constant.
+    at several positions is built once.  Each order runs the rule's
+    compiled plan for it, so the join binds slots and reads bucket keys
+    without looking at a term.  Variables only in the head range over
+    every constant.
     """
-    for rule, head_only in rules:
-        body = rule.body_atoms
+    for rule in rules:
+        signatures, env = rule.signatures, rule.env
+        predicate, head_args = rule.head
         taken = set()
-        slots = list(body)
-        for i, pattern in enumerate(body):
-            if not fresh.size(pattern):
+        matched = list(rule.body)
+        for i, signature in enumerate(signatures):
+            if not fresh.size(signature):
                 continue
-            rest = sorted(((j, a, index) for j, a in enumerate(body) if j != i),
-                          key=lambda step: index.size(step[1]))
-            for full in _join([(i, pattern, fresh), *rest], {}, slots):
-                instance_body = tuple(slots)
+            order = (i, *sorted((j for j in range(len(signatures)) if j != i),
+                                key=lambda j: index.size(signatures[j])))
+            steps = [(position, (index if n else fresh).source(sig, fixed),
+                      key, binds, checks)
+                     for n, (position, sig, fixed, key, binds, checks)
+                     in enumerate(rule.plan(order))]
+            for _ in _join(steps, env, matched):
+                instance_body = tuple(matched)
                 if instance_body in taken:
                     continue
                 taken.add(instance_body)
                 for values in itertools.product(constants,
-                                                repeat=len(head_only)):
-                    head = _substitute_atom(
-                        rule.head, {**full, **dict(zip(head_only, values))})
-                    yield Clause(head=head, body_atoms=instance_body)
+                                                repeat=rule.head_width):
+                    env[rule.head_only] = values
+                    yield Clause(head=Atom(predicate, head_args(env)),
+                                 body_atoms=instance_body)
 
 
 def _name_atoms(atoms: Iterable[Atom]) -> str:
@@ -414,9 +490,12 @@ class LfpResult:
 
 def default_max_iters(program: Program) -> int:
     """Ten rounds per atom of the universe, plus ten."""
-    size = sum(len(program.constants) ** arity
-               for _, arity in _signatures(program))
-    return 10 * size + 10
+    return _default_cap(atom_universe(program))
+
+
+def _default_cap(universe: Tuple[Atom, ...]) -> int:
+    """:func:`default_max_iters` for a program with this atom universe."""
+    return 10 * len(universe) + 10
 
 
 def lfp(program: Program, max_iters: Optional[int] = None) -> LfpResult:
@@ -442,16 +521,17 @@ def lfp(program: Program, max_iters: Optional[int] = None) -> LfpResult:
     applications.
     """
     _check_universe(program)
+    universe = atom_universe(program)
     if max_iters is None:
-        max_iters = default_max_iters(program)
+        max_iters = _default_cap(universe)
     if type(max_iters) is not int:
         raise InputError(f"max_iters must be an integer, got {max_iters!r}")
     if max_iters < 1:
         raise InputError("max_iters must be at least 1")
     spec, constants = program.spec, program.constants
     plus, zero = spec._plus, spec._zero
-    interp = dict.fromkeys(atom_universe(program), zero)
-    rules = _rules(program.clauses)
+    interp = dict.fromkeys(universe, zero)
+    rules = [_Rule(clause) for clause in program.clauses if clause.body_atoms]
     readers: Dict[Atom, list] = {}
     index = _AtomIndex()
     built: Iterable[Clause] = [
@@ -529,8 +609,19 @@ def eval_goal(program: Program, goal: Optional[Iterable[Atom]] = None,
 
 # --- program text parsing ---------------------------------------------------
 
-_IDENT = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
-_VALUE = re.compile(r"^(inf|true|false|\d+(\.\d+)?|\d+/\d+)$")
+_TERM = r"[A-Za-z_][A-Za-z0-9_]*"
+_IDENT = re.compile(_TERM)
+_VALUE = re.compile(r"inf|true|false|\d+(\.\d+)?|\d+/\d+")
+# One well-formed atom and the blanks around it: the predicate, then the
+# terms (None without parentheses) with the blanks around them stripped.
+_ATOM = re.compile(rf"\s*([a-z][A-Za-z0-9_]*)\s*"
+                   rf"(?:\(\s*({_TERM}(?:\s*,\s*{_TERM})*)\s*\))?\s*")
+_COMMA = re.compile(r"\s*,\s*")
+# What the scan rejects is diagnosed against these: an atom read loosely,
+# with anything between the predicate's parenthesis and the last one, and
+# a parenthesised group with no parenthesis inside it.
+_LOOSE_ATOM = re.compile(r"([a-z][A-Za-z0-9_]*)\s*(?:\((.*)\))?", re.DOTALL)
+_GROUP = re.compile(r"\([^()]*\)")
 
 
 def _strip_comment(line: str) -> str:
@@ -538,47 +629,83 @@ def _strip_comment(line: str) -> str:
     return line if cut < 0 else line[:cut]
 
 
-def _split_top(text: str, line_no: Optional[int]) -> list:
-    parts = []
-    depth = 0
-    current = []
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise ParseError("unbalanced parentheses", line_no)
-        if ch == "," and depth == 0:
-            parts.append("".join(current).strip())
-            current = []
-        else:
-            current.append(ch)
-    if depth != 0:
-        raise ParseError("unbalanced parentheses", line_no)
-    parts.append("".join(current).strip())
-    return parts
+def _matched_atom(match: re.Match) -> Atom:
+    predicate, terms = match.groups()
+    return Atom(predicate, () if terms is None else tuple(_COMMA.split(terms)))
 
 
 def parse_atom(text: str, line_no: Optional[int] = None) -> Atom:
     """Parse ``pred`` or ``pred(t1,...,tn)`` with constant/variable terms."""
-    text = text.strip()
-    match = re.match(r"^([a-z][A-Za-z0-9_]*)\s*(\((.*)\))?$", text, re.DOTALL)
-    if not match:
-        raise ParseError(f"malformed atom {text!r}", line_no)
-    predicate, _, arg_text = match.groups()
-    if arg_text is None:
-        return Atom(predicate)
-    args = []
-    for term in _split_top(arg_text, line_no):
-        if "(" in term or ")" in term:
-            raise FunctionSymbolError(
-                f"term {term!r} uses a function symbol; only constants and "
-                f"variables are supported", line_no)
-        if not _IDENT.match(term):
-            raise ParseError(f"malformed term {term!r}", line_no)
-        args.append(term)
-    return Atom(predicate, tuple(args))
+    match = _ATOM.fullmatch(text)
+    if match is None:
+        _fault([text.strip()], line_no)
+    return _matched_atom(match)
+
+
+def _atoms(text: str, line_no: Optional[int]) -> Tuple[Atom, ...]:
+    """Parse comma-separated atoms, one ``_ATOM`` match each."""
+    atoms, pos, end = [], 0, len(text)
+    while True:
+        match = _ATOM.match(text, pos)
+        if match is None:
+            break
+        atoms.append(_matched_atom(match))
+        pos = match.end()
+        if pos == end:
+            return tuple(atoms)
+        if text[pos] != ",":
+            break
+        pos += 1
+    _fault(_top_level(text), line_no)
+
+
+def _top_level(text: str) -> Optional[list]:
+    """``text`` split at the commas outside parentheses, each part stripped,
+    or None if its parentheses do not balance.
+
+    Groups are blanked innermost first, one regex pass per depth, and
+    what no pass could blank is unbalanced.
+    """
+    blanked, count = text, 1
+    while count:
+        blanked, count = _GROUP.subn(lambda group: "_" * len(group[0]),
+                                     blanked)
+    if "(" in blanked or ")" in blanked:
+        return None
+    parts, start = [], 0
+    for piece in blanked.split(","):
+        parts.append(text[start:start + len(piece)].strip())
+        start += len(piece) + 1
+    return parts
+
+
+def _fault(parts: Optional[list], line_no: Optional[int]) -> NoReturn:
+    """Raise the error of the first of ``parts`` (stripped atom texts) that
+    is not an atom, or the unbalanced parentheses that ``None`` stands for.
+    An atom's text that balances, but whose predicate's parenthesis closes
+    before its end (``p(a) q(b)``), is malformed."""
+    if parts is None:
+        raise ParseError("unbalanced parentheses", line_no)
+    for part in parts:
+        match = _LOOSE_ATOM.fullmatch(part)
+        if match is None:
+            raise ParseError(f"malformed atom {part!r}", line_no)
+        if match[2] is None:
+            continue
+        terms = _top_level(match[2])
+        if terms is None:
+            if _top_level(part) is None:
+                raise ParseError("unbalanced parentheses", line_no)
+            raise ParseError(f"malformed atom {part!r}", line_no)
+        for term in terms:
+            if "(" in term:
+                raise FunctionSymbolError(
+                    f"term {term!r} uses a function symbol; only constants "
+                    f"and variables are supported", line_no)
+            if not _IDENT.fullmatch(term):
+                raise ParseError(f"malformed term {term!r}", line_no)
+    # Not reached: _ATOM accepts every text that passes the checks above.
+    raise ParseError(f"malformed atom {', '.join(parts)!r}", line_no)
 
 
 def _parse_value(raw: str, spec: SemiringSpec) -> SemiringValue:
@@ -588,18 +715,16 @@ def _parse_value(raw: str, spec: SemiringSpec) -> SemiringValue:
 
 
 def _parse_clause(text: str, spec: SemiringSpec, line_no: int) -> Clause:
-    if ":-" in text:
-        head_text, body_text = text.split(":-", 1)
-        head = parse_atom(head_text, line_no)
-        body_text = body_text.strip()
-        if not body_text:
-            raise ParseError("empty body after ':-'", line_no)
-        parts = _split_top(body_text, line_no)
-        if len(parts) == 1 and _VALUE.match(parts[0]):
-            return Clause(head=head, body_value=_parse_value(parts[0], spec))
-        atoms = tuple(parse_atom(p, line_no) for p in parts)
-        return Clause(head=head, body_atoms=atoms)
-    return Clause(head=parse_atom(text, line_no))
+    head_text, arrow, body_text = text.partition(":-")
+    head = parse_atom(head_text, line_no)
+    if not arrow:
+        return Clause(head=head)
+    body_text = body_text.strip()
+    if not body_text:
+        raise ParseError("empty body after ':-'", line_no)
+    if _VALUE.fullmatch(body_text):
+        return Clause(head=head, body_value=_parse_value(body_text, spec))
+    return Clause(head=head, body_atoms=_atoms(body_text, line_no))
 
 
 def parse_goal(text: str) -> Tuple[Atom, ...]:
@@ -609,8 +734,7 @@ def parse_goal(text: str) -> Tuple[Atom, ...]:
         stripped = stripped[2:].strip()
     if not stripped:
         raise ParseError("empty goal")
-    return _ground_goal(tuple(parse_atom(p)
-                              for p in _split_top(stripped, None)))
+    return _ground_goal(_atoms(stripped, None))
 
 
 def parse_program(text: str) -> Program:
@@ -661,7 +785,7 @@ def parse_program(text: str) -> Program:
     if "#constants" not in first_line:
         raise ParseError("program is missing a #constants directive")
 
-    clauses = []
+    clauses, declared = [], set(constants)
     for clause_text, line_no in pending:
         try:
             clause = _parse_clause(clause_text, spec, line_no)
@@ -671,7 +795,7 @@ def parse_program(text: str) -> Program:
             raise ParseError(str(exc), line_no) from exc
         for atom in clause.atoms():
             for term in atom.args:
-                if not is_variable(term) and term not in constants:
+                if term not in declared and not is_variable(term):
                     raise ParseError(
                         f"constant {term!r} is not declared in #constants",
                         line_no)

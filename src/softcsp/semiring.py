@@ -149,8 +149,10 @@ class SemiringSpec:
         try:
             return self._coerce(raw)
         except (ValueError, ZeroDivisionError, TypeError) as exc:
+            reason = ("zero denominator" if isinstance(exc, ZeroDivisionError)
+                      else exc)
             raise InstanceMismatchError(
-                f"{raw!r} is not a value of the {self.key!r} carrier: {exc}"
+                f"{raw!r} is not a value of the {self.key!r} carrier: {reason}"
             ) from None
 
     def to_json(self, value: SemiringValue) -> Any:

@@ -4,14 +4,17 @@ Everything here is written directly against the problem statements, not
 against the library's data structures or algorithms, so agreement between
 an oracle and the library is evidence rather than tautology.  The two
 exceptions are ``oracle_lfp``, the naive Kleene iteration of the library's
-consequence operator, which the SCLP tests check on its own, and
+consequence operator, which the SCLP tests check on its own,
 ``dense_solve``, the dense SCSP fold over the library's operators, which
-pins the exact table (row order included) that ``solve`` must return.
-The benchmark's oracle imports this module without the library, so
-``dense_solve`` imports it when called.
+pins the exact table (row order included) that ``solve`` must return, and
+the reference parser of program clauses and goals, a character-by-character
+splitter that pins the library parser's results and error messages.  The
+benchmark's oracle imports this module without the library, so
+``dense_solve`` and the reference parser import it when called.
 """
 
 import itertools
+import re
 
 
 # --- dominance ---------------------------------------------------------------
@@ -187,3 +190,94 @@ def oracle_lfp(program, max_iters, tp_step, bottom):
             return "fixpoint", current, step
         previous = current
     return "cap", previous, tp_step(program, previous)
+
+
+# --- program text ------------------------------------------------------------
+
+def oracle_split_top(text, line_no):
+    """``text`` split at the commas outside parentheses, walking it one
+    character at a time."""
+    from softcsp.errors import ParseError
+
+    parts, depth, current = [], 0, []
+    for ch in text:
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+            if depth < 0:
+                raise ParseError("unbalanced parentheses", line_no)
+        if ch == "," and depth == 0:
+            parts.append("".join(current).strip())
+            current = []
+        else:
+            current.append(ch)
+    if depth != 0:
+        raise ParseError("unbalanced parentheses", line_no)
+    parts.append("".join(current).strip())
+    return parts
+
+
+def oracle_parse_atom(text, line_no=None):
+    """``pred`` or ``pred(t1,...,tn)`` as a (predicate, terms) tuple."""
+    from softcsp.errors import FunctionSymbolError, ParseError
+
+    text = text.strip()
+    match = re.match(r"^([a-z][A-Za-z0-9_]*)\s*(\((.*)\))?$", text, re.DOTALL)
+    if not match:
+        raise ParseError(f"malformed atom {text!r}", line_no)
+    predicate, _, arg_text = match.groups()
+    if arg_text is None:
+        return predicate, ()
+    args = []
+    for term in oracle_split_top(arg_text, line_no):
+        if "(" in term or ")" in term:
+            raise FunctionSymbolError(
+                f"term {term!r} uses a function symbol; only constants and "
+                f"variables are supported", line_no)
+        if not re.match(r"^[A-Za-z_][A-Za-z0-9_]*$", term):
+            raise ParseError(f"malformed term {term!r}", line_no)
+        args.append(term)
+    return predicate, tuple(args)
+
+
+def oracle_parse_clause(text, spec, line_no):
+    """A clause's text (no final period) as (head, body atoms, body value)."""
+    from softcsp.errors import ParseError
+
+    if ":-" not in text:
+        return oracle_parse_atom(text, line_no), (), None
+    head_text, body_text = text.split(":-", 1)
+    head = oracle_parse_atom(head_text, line_no)
+    body_text = body_text.strip()
+    if not body_text:
+        raise ParseError("empty body after ':-'", line_no)
+    parts = oracle_split_top(body_text, line_no)
+    if len(parts) == 1 and re.match(
+            r"^(inf|true|false|\d+(\.\d+)?|\d+/\d+)$", parts[0]):
+        raw = parts[0]
+        if raw in ("inf", "true", "false") or "/" in raw or "." in raw:
+            return head, (), spec.value(raw)
+        return head, (), spec.value(int(raw))
+    return head, tuple(oracle_parse_atom(p, line_no) for p in parts), None
+
+
+def oracle_parse_goal(text):
+    """A goal's ground atoms, as (predicate, terms) tuples."""
+    from softcsp.errors import ParseError
+
+    stripped = text.strip().rstrip(".")
+    if stripped.startswith(":-"):
+        stripped = stripped[2:].strip()
+    if not stripped:
+        raise ParseError("empty goal")
+    atoms = tuple(oracle_parse_atom(part)
+                  for part in oracle_split_top(stripped, None))
+    for predicate, terms in atoms:
+        for term in terms:
+            if term[0].isupper() or term[0] == "_":
+                name = (f"{predicate}({','.join(terms)})" if terms
+                        else predicate)
+                raise ParseError(f"goal atom {name} is not ground "
+                                 f"({term} is a variable)")
+    return atoms

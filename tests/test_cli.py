@@ -491,6 +491,29 @@ def _network(*edges):
      "{path}: edges[0] is missing ['energy']"),
     (["sclp", "--program", PROGRAM, "--goal", "s(X)"], None,
      "goal atom s(X) is not ground (X is a variable)"),
+    # Balanced text that is not a list of atoms is a malformed atom; text
+    # whose parentheses do not balance is reported as such.
+    (reading("sclp", FILE), SCLP_HEAD + "p(a) q(a).\n",
+     "line 3: malformed atom 'p(a) q(a)'"),
+    (reading("sclp", FILE), SCLP_HEAD + "p(a) :- q(a)r(b).\n",
+     "line 3: malformed atom 'q(a)r(b)'"),
+    (reading("sclp", FILE), SCLP_HEAD + "p(a) :- q(a)(b).\n",
+     "line 3: malformed atom 'q(a)(b)'"),
+    (["sclp", "--program", PROGRAM, "--goal", "p(a) q(b)"], None,
+     "malformed atom 'p(a) q(b)'"),
+    (reading("sclp", FILE), SCLP_HEAD + "p(a) :- s((.\n",
+     "line 3: unbalanced parentheses"),
+    (reading("sclp", FILE), SCLP_HEAD + "s(a)).\n",
+     "line 3: unbalanced parentheses"),
+    (reading("sclp", FILE), SCLP_HEAD + "p(a) :- q(a.\n",
+     "line 3: unbalanced parentheses"),
+    (["sclp", "--program", PROGRAM, "--goal", "s(("], None,
+     "unbalanced parentheses"),
+    (reading("sclp", FILE), SCLP_HEAD + "p(f(a)).\n",
+     "line 3: term 'f(a)' uses a function symbol; only constants and "
+     "variables are supported"),
+    (reading("sclp", FILE), "#semiring fcsp\n#constants a.\np(a) :- 1/0.\n",
+     "line 3: '1/0' is not a value of the 'fcsp' carrier: zero denominator"),
 ])
 def test_input_error_names_the_fault(tmp_path, argv, text, message):
     path = tmp_path / "input"

@@ -31,7 +31,14 @@ from softcsp.sclp import atom_universe, bottom, default_max_iters
 from softcsp.scsp import SCSPProblem, solve
 
 from conftest import FIXTURES, random_constraint
-from oracles import oracle_lfp, scsp_as_sclp
+from oracles import (
+    oracle_lfp,
+    oracle_parse_atom,
+    oracle_parse_clause,
+    oracle_parse_goal,
+    oracle_split_top,
+    scsp_as_sclp,
+)
 
 WCSP = lookup("wcsp")
 CSP = lookup("csp")
@@ -154,6 +161,128 @@ class TestParsing:
         program = parse_program(
             "% a comment\n#semiring wcsp\n#constants a.\n\np(a) :- 1. % fact\n")
         assert len(program.clauses) == 1
+
+
+# --- gate: the parser against the character-by-character reference ---------
+
+# Balanced text whose predicate's parenthesis closes before the atom ends.
+# The reference reports it as unbalanced (the terms it reads, 'a) q(a',
+# do not balance); the parser names the atom.
+MISREPORTED = [
+    ("clause", "p(a) q(a)", "malformed atom 'p(a) q(a)'"),
+    ("clause", "p(a) :- q(a)r(b)", "malformed atom 'q(a)r(b)'"),
+    ("clause", "p(a) :- q(a)(b)", "malformed atom 'q(a)(b)'"),
+    ("goal", "p(a) q(b)", "malformed atom 'p(a) q(b)'"),
+]
+
+
+def _blank(rng):
+    return rng.choice(("", "", "", " ", "  ", "\t", "\xa0"))
+
+
+def _atom_text(rng):
+    predicate = rng.choice(("p", "q", "edge", "path_2", "r9"))
+    if rng.random() < 0.25:
+        return predicate
+    terms = [_blank(rng) + rng.choice(("a", "b", "c0", "X", "Y", "_z"))
+             + _blank(rng) for _ in range(rng.randint(1, 3))]
+    return f"{predicate}{_blank(rng)}({','.join(terms)})"
+
+
+def _atoms_text(rng):
+    return ",".join(_blank(rng) + _atom_text(rng) + _blank(rng)
+                    for _ in range(rng.randint(1, 3)))
+
+
+def _clause_text(rng):
+    head = _blank(rng) + _atom_text(rng) + _blank(rng)
+    kind = rng.random()
+    if kind < 0.2:
+        return head
+    if kind < 0.5:
+        return head + ":-" + _blank(rng) + rng.choice(
+            ("", "0", "3", "inf", "true", "false", "1/2", "1/0", "0.5", "7/3"))
+    return head + ":-" + _atoms_text(rng)
+
+
+def _mutate(rng, text):
+    """``text`` with one to three random edits."""
+    for _ in range(rng.randint(1, 3)):
+        at = rng.randint(0, len(text))
+        edit = rng.randrange(7)
+        if edit == 0:
+            text = text[:at] + rng.choice("(), ") + text[at:]
+        elif edit == 1:
+            spots = [i for i, ch in enumerate(text) if ch in "(), "]
+            if spots:
+                i = rng.choice(spots)
+                text = text[:i] + text[i + 1:]
+        elif edit == 2:
+            spots = [i for i, ch in enumerate(text) if ch.islower()]
+            if spots:
+                i = rng.choice(spots)
+                text = text[:i] + text[i].upper() + text[i + 1:]
+        else:
+            insert = [rng.choice("0123456789"),
+                      rng.choice(("f(a)", "g(X,b)", "h()", "k(f(Y))")),
+                      rng.choice(("5", "inf", "1/0", "0.5", "true")),
+                      rng.choice((";", ".", ":-", "-", "="))][edit - 3]
+            text = text[:at] + insert + text[at:]
+    return text
+
+
+def _parsed(parse, *args):
+    try:
+        return "ok", parse(*args)
+    except InputError as err:
+        return type(err), str(err), getattr(err, "line", None)
+
+
+def test_parser_matches_the_reference():
+    # Each text goes to the parser and to the reference, which walks it
+    # one character at a time: the same atoms and clauses, or the same
+    # error type, message and line.  The one allowed difference is the
+    # misreport MISREPORTED shows.
+    rng = random.Random("parser-gate")
+    parsers = {
+        "clause": (lambda text, spec: sclp._parse_clause(text, spec, 3),
+                   lambda text, spec: oracle_parse_clause(text, spec, 3)),
+        "goal": (lambda text, spec: parse_goal(text),
+                 lambda text, spec: oracle_parse_goal(text)),
+        "atom": (lambda text, spec: sclp.parse_atom(text, 3),
+                 lambda text, spec: oracle_parse_atom(text, 3)),
+    }
+    makers = {"clause": _clause_text, "goal": _atoms_text, "atom": _atom_text}
+    cases = [(kind, text) for kind, text, _ in MISREPORTED]
+    for trial in range(6000):
+        kind = ("clause", "clause", "goal", "atom")[trial % 4]
+        text = makers[kind](rng)
+        cases.append((kind, text if trial % 3 == 0 else _mutate(rng, text)))
+    seen, misreported = set(), {}
+    for kind, text in cases:
+        spec = lookup(("wcsp", "fcsp", "csp")[len(text) % 3])
+        parse, reference = parsers[kind]
+        got, want = _parsed(parse, text, spec), _parsed(reference, text, spec)
+        seen.add("ok" if got[0] == "ok" else got[0].__name__ if
+                 got[0] is not ParseError else
+                 " ".join(got[1].removeprefix("line 3: ").split()[:2]))
+        if got == want:
+            continue
+        line = 3 if kind != "goal" else None
+        prefix = "line 3: " if line else ""
+        assert want == (ParseError, prefix + "unbalanced parentheses", line), \
+            (kind, text)
+        assert got[0] is ParseError and got[2] == line, (kind, text)
+        named = got[1][len(prefix):]
+        assert named.startswith("malformed atom '"), (kind, text)
+        oracle_split_top(named[len("malformed atom '"):-1], None)  # balances
+        misreported[kind, text] = named
+    for kind, text, message in MISREPORTED:
+        assert misreported[kind, text] == message
+    assert len(misreported) > 20
+    assert seen == {"ok", "malformed atom", "malformed term",
+                    "unbalanced parentheses", "empty body", "goal atom",
+                    "FunctionSymbolError", "InstanceMismatchError"}
 
 
 class TestGrounding:

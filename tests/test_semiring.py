@@ -119,11 +119,16 @@ class TestCostPair:
     ("fcsp", "3/2"),
     ("wcsp", -1),
     ("costpair", (-1, 0)),
+    ("fcsp", "1/0"),
 ])
 def test_reader_rejects_values_outside_the_carrier(key, raw):
     with pytest.raises(InstanceMismatchError,
-                       match=f"is not a value of the '{key}' carrier"):
+                       match=f"is not a value of the '{key}' carrier") as info:
         lookup(key).value(raw)
+    if raw == "1/0":
+        # Named, not shown as the Fraction that could not be built.
+        assert str(info.value) == \
+            "'1/0' is not a value of the 'fcsp' carrier: zero denominator"
 
 
 class TestCatalog:
