@@ -28,7 +28,11 @@ time still needed exceeds that.  Both cuts are exact, because edge costs
 are non-negative and finite: a cut path has no completion within the
 limits, so the trips found and their order are unchanged.
 
-Two input syntaxes are supported: a line-oriented fact format ::
+Two input syntaxes are supported.  A network read from either is checked
+once, by its reader, which hands the checked edges to
+:class:`RoadNetwork` past the constructor's checks; a network built in
+code is checked by the constructor.  The syntaxes are a line-oriented
+fact format ::
 
     edge(p,q,[2,4]).
     node(isolated).      % optional; when present, declares the node set
@@ -43,7 +47,10 @@ from __future__ import annotations
 
 import heapq
 import re
+from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import itemgetter
 from pathlib import Path
 from types import MappingProxyType
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
@@ -83,9 +90,7 @@ class RoadNetwork:
                 raise InputError(f"node name must be a non-empty string, "
                                  f"got {node!r}")
         known = set(nodes)
-        edges = MappingProxyType(dict(self.edges))
-        out: Dict[str, List[Tuple[str, CostPair]]] = {}
-        into: Dict[str, List[Tuple[str, int, int]]] = {}
+        edges = dict(self.edges)
         for (src, dst), cost in edges.items():
             if src not in known or dst not in known:
                 unknown = src if src not in known else dst
@@ -97,15 +102,33 @@ class RoadNetwork:
                 raise InputError(f"edge {src}->{dst}: cost must be a "
                                  f"CostPair of finite components, got "
                                  f"{cost!r}")
-            out.setdefault(src, []).append((dst, cost))
-            into.setdefault(dst, []).append((src, cost.time, cost.energy))
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "_adjacency", {
+        self._index(nodes, edges)
+
+    @classmethod
+    def _from_checked(cls, nodes: Tuple[str, ...],
+                      edges: Dict[Tuple[str, str], CostPair]) -> "RoadNetwork":
+        """The network over ``nodes`` and ``edges``, which a reader has
+        checked as ``__post_init__`` would and hands over."""
+        net = object.__new__(cls)
+        net._index(nodes, edges)
+        return net
+
+    def _index(self, nodes: Tuple[str, ...],
+               edges: Dict[Tuple[str, str], CostPair]) -> None:
+        out: Dict[str, List[Tuple[str, CostPair]]] = defaultdict(list)
+        into: Dict[str, List[Tuple[str, int, int]]] = defaultdict(list)
+        for (src, dst), cost in edges.items():
+            out[src].append((dst, cost))
+            into[dst].append((src, *cost))
+        for pairs in out.values():
             # Destinations are unique per source, so costs are never compared.
-            src: tuple(sorted(pairs)) for src, pairs in out.items()})
-        object.__setattr__(self, "_reverse", {
-            dst: tuple(triples) for dst, triples in into.items()})
+            pairs.sort()
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "edges", MappingProxyType(edges))
+        object.__setattr__(self, "_adjacency",
+                           dict(zip(out, map(tuple, out.values()))))
+        object.__setattr__(self, "_reverse",
+                           dict(zip(into, map(tuple, into.values()))))
 
     def neighbours(self, node: str) -> Adjacency:
         """Outgoing ``(dst, cost)`` pairs, sorted by destination."""
@@ -177,18 +200,18 @@ def parse_network(text: str) -> RoadNetwork:
         if fault is not None:
             raise ParseError(fault, line_no)
         edges[src, dst] = cost
-    return RoadNetwork(nodes=tuple(sorted(known)), edges=edges)
+    return RoadNetwork._from_checked(tuple(sorted(known)), edges)
 
 
 _EDGE_KEYS = ("from", "to", "time", "energy")
+_EDGE_ROW = itemgetter(*_EDGE_KEYS)
 
 
 def network_from_json(data) -> RoadNetwork:
-    """Read the JSON network format, looking at each edge entry once.
+    """Read the JSON network format, checking every edge entry once.
 
-    Every entry's keys and types are checked before any duplicate edge or
-    unknown node is reported, so the first such fault is held back until
-    the last entry has been read.
+    The entries are read and checked in bulk; a document that fails is
+    read again, entry by entry, by :func:`_explain`, which names the fault.
     """
     nodes, raw_edges = fields(data, "network file", ("nodes", "edges"))
     if (not isinstance(nodes, list)
@@ -197,6 +220,47 @@ def network_from_json(data) -> RoadNetwork:
     if not isinstance(raw_edges, list):
         raise FormatError('"edges" must be a list')
     known = set(nodes)
+    edges = _bulk_edges(raw_edges, known)
+    if edges is None:
+        edges = _explain(raw_edges, known)
+    return RoadNetwork._from_checked(tuple(sorted(known)), edges)
+
+
+def _bulk_edges(raw_edges: list, known: set
+                ) -> Optional[Dict[Tuple[str, str], CostPair]]:
+    """The edges of ``raw_edges``, or None if any entry is faulty.
+
+    Endpoints must be known nodes (so strings), costs non-negative ints,
+    and each (from, to) pair must appear once: the rules
+    :func:`_explain` applies entry by entry.
+    """
+    if not raw_edges:
+        return {}
+    try:
+        srcs, dsts, times, energies = zip(*map(_EDGE_ROW, raw_edges))
+        if not (known.issuperset(srcs) and known.issuperset(dsts)):
+            return None
+    except (KeyError, TypeError):
+        # An entry that is no object or lacks a key, or an unhashable end.
+        return None
+    costs = times + energies
+    if {type(cost) for cost in costs} != {int} or min(costs) < 0:
+        return None
+    # Every component is a non-negative int, so each pair is built as a
+    # tuple, without CostPair's own check.
+    edges = dict(zip(zip(srcs, dsts), map(tuple.__new__, repeat(CostPair),
+                                          zip(times, energies))))
+    return edges if len(edges) == len(raw_edges) else None
+
+
+def _explain(raw_edges: list, known: set) -> Dict[Tuple[str, str], CostPair]:
+    """Read ``raw_edges`` one entry at a time: the edges, or the error of
+    the first fault.
+
+    Every entry's keys and types are checked before any duplicate edge or
+    unknown node is reported, so the first such fault is held back until
+    the last entry has been read.
+    """
     edges: Dict[Tuple[str, str], CostPair] = {}
     fault = None
     for index, entry in enumerate(raw_edges):
@@ -225,7 +289,7 @@ def network_from_json(data) -> RoadNetwork:
         edges[src, dst] = CostPair(time, energy)
     if fault is not None:
         raise FormatError(fault)
-    return RoadNetwork(nodes=tuple(sorted(known)), edges=edges)
+    return edges
 
 
 def load_network(path: str | Path) -> RoadNetwork:

@@ -131,6 +131,11 @@ class Clause(_ClauseFields):
             raise ValueError("a clause body is either atoms or a value, not both")
         return tuple.__new__(cls, (head, body_atoms, body_value))
 
+    @classmethod
+    def _make(cls, iterable) -> "Clause":
+        # NamedTuple's _make, which _replace calls, skips __new__.
+        return cls(*iterable)
+
     def atoms(self) -> Iterable[Atom]:
         yield self.head
         yield from self.body_atoms

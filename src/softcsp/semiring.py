@@ -32,9 +32,10 @@ bugs surface there; inside, tables and programs compute on bare payloads.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Dict
+from typing import Any, Callable, Dict, NamedTuple
 
 from .errors import InstanceMismatchError, UnknownInstanceError
 
@@ -55,25 +56,39 @@ def format_extended_natural(v: Any) -> str:
     return "inf" if v == INF else str(v)
 
 
-@dataclass(frozen=True)
-class CostPair:
-    """A (time, energy) cost vector over naturals extended with infinity.
-
-    Componentwise addition saturates at infinity; ``<inf,inf>`` is the unit
-    of the pairwise minimum and ``<0,0>`` the unit of the pairwise sum.
-    """
-
+class _CostFields(NamedTuple):
     time: int | float
     energy: int | float
 
-    def __post_init__(self):
-        for component in (self.time, self.energy):
-            if not (component >= 0 if type(component) is int
-                    else isinstance(component, float) and component == INF):
-                raise ValueError(
-                    f"cost component {component!r} must be a non-negative "
-                    f"integer or infinity"
-                )
+
+class CostPair(_CostFields):
+    """A (time, energy) cost vector over naturals extended with infinity.
+
+    Componentwise addition saturates at infinity; ``<inf,inf>`` is the unit
+    of the pairwise minimum and ``<0,0>`` the unit of the pairwise sum.  A
+    cost pair is a tuple, so it equals the plain tuple ``(time, energy)``;
+    every way of building one (the constructor, ``_make``, ``_replace``)
+    checks its components.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, time: int | float, energy: int | float):
+        # Two non-negative ints, the common case, pass in one test.
+        if not (type(time) is int is type(energy) and time >= 0 <= energy):
+            for component in (time, energy):
+                if not (component >= 0 if type(component) is int
+                        else isinstance(component, float) and component == INF):
+                    raise ValueError(
+                        f"cost component {component!r} must be a "
+                        f"non-negative integer or infinity"
+                    )
+        return tuple.__new__(cls, (time, energy))
+
+    @classmethod
+    def _make(cls, iterable) -> "CostPair":
+        # NamedTuple's _make, which _replace calls, skips __new__.
+        return cls(*iterable)
 
     def add(self, other: "CostPair") -> "CostPair":
         return CostPair(self.time + other.time, self.energy + other.energy)
@@ -213,7 +228,19 @@ def _bool_coerce(raw):
     raise ValueError("expected true or false")
 
 
+# The canonical spellings of a fuzzy value, ``digits`` and ``digits/digits``.
+_FUZZY_TEXT = re.compile(r"([0-9]+)(?:/([0-9]+))?")
+
+
 def _fuzzy_coerce(raw):
+    if type(raw) is str:
+        # A canonical spelling within [0, 1] is read by integers alone;
+        # any other text, and every fault, takes Fraction(str) below.
+        match = _FUZZY_TEXT.fullmatch(raw)
+        if match is not None:
+            numerator, denominator = map(int, match.groups("1"))
+            if 0 < denominator and numerator <= denominator:
+                return Fraction(numerator, denominator)
     if isinstance(raw, bool):
         raise ValueError("booleans are not fuzzy values")
     if isinstance(raw, float):

@@ -2,15 +2,17 @@
 
 Everything here is written directly against the problem statements, not
 against the library's data structures or algorithms, so agreement between
-an oracle and the library is evidence rather than tautology.  The two
+an oracle and the library is evidence rather than tautology.  The
 exceptions are ``oracle_lfp``, the naive Kleene iteration of the library's
 consequence operator, which the SCLP tests check on its own,
 ``dense_solve``, the dense SCSP fold over the library's operators, which
-pins the exact table (row order included) that ``solve`` must return, and
+pins the exact table (row order included) that ``solve`` must return,
 the reference parser of program clauses and goals, a character-by-character
-splitter that pins the library parser's results and error messages.  The
+splitter that pins the library parser's results and error messages, and
+the reference network reader, which reads one edge entry at a time and
+builds through the library's checking ``RoadNetwork`` constructor.  The
 benchmark's oracle imports this module without the library, so
-``dense_solve`` and the reference parser import it when called.
+``dense_solve`` and the reference readers import it when called.
 """
 
 import itertools
@@ -62,6 +64,58 @@ def oracle_paths(edges, source, dest, limit):
 
     recurse(source, {source}, [source], 0, 0)
     return sorted(r for r in results if r[2] <= limit)
+
+
+def oracle_network_from_json(data):
+    """The JSON network format read one edge entry at a time.
+
+    Every entry's keys and types are checked before any duplicate edge or
+    unknown node is reported, so the first such fault is held back until
+    the last entry has been read.  The network is built by the checking
+    ``RoadNetwork`` constructor.
+    """
+    from softcsp.errors import FormatError, fields
+    from softcsp.roadnet import RoadNetwork
+    from softcsp.semiring import CostPair
+
+    nodes, raw_edges = fields(data, "network file", ("nodes", "edges"))
+    if (not isinstance(nodes, list)
+            or not all(isinstance(n, str) and n for n in nodes)):
+        raise FormatError('"nodes" must be a list of node names')
+    if not isinstance(raw_edges, list):
+        raise FormatError('"edges" must be a list')
+    known = set(nodes)
+    edges = {}
+    fault = None
+    for index, entry in enumerate(raw_edges):
+        try:
+            src, dst = entry["from"], entry["to"]
+            time, energy = entry["time"], entry["energy"]
+        except (KeyError, TypeError):
+            fields(entry, f"edges[{index}]", ("from", "to", "time", "energy"))
+            raise
+        if not isinstance(src, str):
+            raise FormatError(f"edges[{index}].from must be a node name, "
+                              f"got {src!r}")
+        if not isinstance(dst, str):
+            raise FormatError(f"edges[{index}].to must be a node name, "
+                              f"got {dst!r}")
+        if type(time) is not int or time < 0:
+            raise FormatError(f"edges[{index}]: time must be a non-negative "
+                              f"integer, got {time!r}")
+        if type(energy) is not int or energy < 0:
+            raise FormatError(f"edges[{index}]: energy must be a "
+                              f"non-negative integer, got {energy!r}")
+        if fault is None:
+            if (src, dst) in edges:
+                fault = f"edges[{index}]: duplicate edge {src}->{dst}"
+            elif src not in known or dst not in known:
+                unknown = src if src not in known else dst
+                fault = f"edges[{index}]: unknown node {unknown!r}"
+        edges[src, dst] = CostPair(time, energy)
+    if fault is not None:
+        raise FormatError(fault)
+    return RoadNetwork(nodes=tuple(sorted(known)), edges=edges)
 
 
 # --- constraint problems -----------------------------------------------------
@@ -172,6 +226,25 @@ def oracle_journeys(edges, appointments, stations, initial_soc,
 
     recurse(0, initial_soc, [], [], 0, 0)
     return sorted(results)
+
+
+# --- semiring values ---------------------------------------------------------
+
+def oracle_fuzzy_coerce(raw):
+    """A fuzzy value read by ``Fraction`` alone: a float through its
+    decimal text, anything else as ``Fraction`` reads it."""
+    from fractions import Fraction
+
+    if isinstance(raw, bool):
+        raise ValueError("booleans are not fuzzy values")
+    if isinstance(raw, float):
+        raw = str(raw)
+    if not isinstance(raw, (Fraction, int, str)):
+        raise ValueError("expected a rational")
+    value = Fraction(raw)
+    if not 0 <= value <= 1:
+        raise ValueError(f"{value} is outside [0, 1]")
+    return value
 
 
 # --- logic programs ----------------------------------------------------------

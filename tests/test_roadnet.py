@@ -23,7 +23,7 @@ from softcsp.roadnet import LeastCosts, RoadNetwork, _walk, trip_solutions
 from softcsp.semiring import INF
 
 from conftest import FIXTURES
-from oracles import oracle_filter, oracle_paths
+from oracles import oracle_filter, oracle_network_from_json, oracle_paths
 
 
 class TestFactFormat:
@@ -95,6 +95,109 @@ class TestJsonFormat:
         bad.write_text("{", encoding="utf-8")
         with pytest.raises(FormatError, match="net.json"):
             load_network(bad)
+
+
+# --- gate: the JSON reader against the entry-by-entry reference -----------
+
+def _network_document(rng):
+    """A valid network document: shuffled, possibly repeated node names,
+    and edges with zero costs, extra keys and any key order."""
+    names = [f"n{i}" for i in range(rng.randint(2, 7))]
+    nodes = names + [rng.choice(names) for _ in range(rng.randint(0, 2))]
+    rng.shuffle(nodes)
+    pairs = [(a, b) for a in names for b in names if a != b]
+    edges = []
+    count = 0 if rng.random() < 0.05 else rng.randint(1, len(pairs))
+    for src, dst in rng.sample(pairs, count):
+        entry = {"from": src, "to": dst, "time": rng.randint(0, 9),
+                 "energy": rng.randint(0, 9)}
+        if rng.random() < 0.1:
+            entry["note"] = "x"
+        if rng.random() < 0.3:
+            entry = dict(reversed(entry.items()))
+        edges.append(entry)
+    return {"nodes": nodes, "edges": edges}
+
+
+def _spoil(rng, doc):
+    """``doc`` with one to three random faults; a few edits may leave it
+    valid (an empty edge list is one)."""
+    nodes, edges = doc["nodes"], doc["edges"]
+    for _ in range(rng.randint(1, 3)):
+        edit = rng.choices(range(9), (3, 3, 3, 3, 3, 1, 1, 1, 1))[0]
+        listed = isinstance(edges, list)
+        entries = [e for e in edges if isinstance(e, dict)] if listed else []
+        if edit == 0 and entries:
+            entry = rng.choice(entries)
+            entry.pop(rng.choice(("from", "to", "time", "energy")), None)
+        elif edit == 1 and entries:
+            rng.choice(entries)[rng.choice(("time", "energy"))] = rng.choice(
+                (True, False, 1.5, 2.0, -1, -7, "1", None))
+        elif edit == 2 and listed:
+            edges.insert(rng.randint(0, len(edges)),
+                         rng.choice(("x", ["n0", "n1", 1, 1], 3, None)))
+        elif edit == 3 and entries:
+            twin = dict(rng.choice(entries), time=rng.randint(0, 9))
+            edges.insert(rng.randint(0, len(edges)), twin)
+        elif edit == 4 and entries:
+            rng.choice(entries)[rng.choice(("from", "to"))] = rng.choice(
+                ("zz", "N0", ["n0"], 1, None))
+        elif edit == 5 and isinstance(nodes, list) and nodes:
+            nodes[rng.randrange(len(nodes))] = rng.choice(("", 1, None, ["n0"]))
+        elif edit == 6:
+            if rng.random() < 0.5:
+                nodes = doc["nodes"] = rng.choice(("n0", {"n0": 1}, None))
+            else:
+                edges = doc["edges"] = rng.choice(({}, "n0->n1", None))
+        elif edit == 7:
+            edges = doc["edges"] = []
+        elif edit == 8:
+            if rng.random() < 0.5:
+                return list(doc.values())
+            del doc[rng.choice(("nodes", "edges"))]
+            return doc
+    return doc
+
+
+# The faults a network document can have, each named by a part of its
+# message; the first part that a message contains names its fault.
+FAULTS = ("network file must", "network file is missing", '"nodes" must',
+          '"edges" must', "must be an object", "is missing", ".from must",
+          ".to must", "time must", "energy must", "duplicate edge",
+          "unknown node")
+
+
+def _read(reader, doc):
+    try:
+        return "ok", reader(doc)
+    except InputError as err:
+        return type(err), str(err)
+
+
+def test_json_reader_matches_the_reference():
+    # Each document goes to the reader and to the reference, which reads
+    # one entry at a time: the same network (nodes, edges, adjacency and
+    # reverse adjacency), or the same error type and message.
+    rng = random.Random("network-gate")
+    seen = set()
+    for trial in range(3000):
+        doc = _network_document(rng)
+        if trial % 3:
+            doc = _spoil(rng, doc)
+        want = _read(oracle_network_from_json, doc)
+        got = _read(network_from_json, doc)
+        if want[0] != "ok":
+            assert got == want, doc
+            seen.add(next(k for k in FAULTS if k in want[1]))
+            continue
+        assert got[0] == "ok", (doc, got)
+        net, ref = got[1], want[1]
+        assert net.nodes == ref.nodes and net.edges == ref.edges, doc
+        assert all(type(cost) is CostPair for cost in net.edges.values())
+        assert all(net.neighbours(n) == ref.neighbours(n) for n in net.nodes)
+        assert net._reverse == ref._reverse, doc
+        seen.add("ok" if net.edges else "ok, no edges")
+    assert seen == {*FAULTS, "ok", "ok, no edges"}
 
 
 class TestRoadNetwork:

@@ -101,6 +101,15 @@ class TestAtomsAndClauses:
         with pytest.raises(ValueError, match="either atoms or a value, not both"):
             Clause(head=Atom("p"), body_atoms=(Atom("q"),),
                    body_value=WCSP.one)
+        # _make, and _replace through it, check as the constructor does.
+        p_a, value = Atom("p", ("a",)), WCSP.value(2)
+        fact = Clause(p_a, body_value=value)
+        assert fact._replace(body_value=WCSP.one) == Clause(p_a, (), WCSP.one)
+        assert Clause._make((p_a, (p_a,), None)) == Clause(p_a, (p_a,))
+        with pytest.raises(ValueError, match="either atoms or a value"):
+            fact._replace(body_atoms=(p_a,))
+        with pytest.raises(ValueError, match="either atoms or a value"):
+            Clause._make((p_a, (p_a,), value))
 
 
 class TestParsing:

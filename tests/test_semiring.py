@@ -22,6 +22,7 @@ from softcsp.sclp import Atom, Clause, Program, lfp, tp_step
 from softcsp.scsp import SCSPProblem
 
 from conftest import SEMIRING_KEYS, random_value, specs
+from oracles import oracle_fuzzy_coerce
 
 
 class TestWeighted:
@@ -99,6 +100,24 @@ class TestCostPair:
         with pytest.raises(ValueError):
             CostPair(1.5, 0)
 
+    def test_value_semantics(self):
+        # A cost pair is the tuple (time, energy), with no instance dict.
+        pair = CostPair(time=3, energy=4)
+        assert pair == (3, 4) and hash(pair) == hash((3, 4))
+        assert (pair.time, pair.energy) == tuple(pair) == (3, 4)
+        assert repr(pair) == "CostPair(time=3, energy=4)" and str(pair) == "<3,4>"
+        assert not hasattr(pair, "__dict__")
+        with pytest.raises(AttributeError):
+            pair.time = 5
+
+    def test_every_way_of_building_checks(self):
+        assert CostPair(1, 2)._replace(energy=INF) == CostPair(1, INF)
+        assert CostPair._make((5, 6)) == CostPair(5, 6)
+        with pytest.raises(ValueError, match="cost component -1"):
+            CostPair(1, 2)._replace(time=-1)
+        with pytest.raises(ValueError, match="cost component 1.5"):
+            CostPair._make((1.5, 0))
+
     @pytest.mark.parametrize("component", [0, 10**30, math.inf])
     def test_carrier_accepts(self, component):
         assert CostPair(component, component).time == component
@@ -129,6 +148,61 @@ def test_reader_rejects_values_outside_the_carrier(key, raw):
         # Named, not shown as the Fraction that could not be built.
         assert str(info.value) == \
             "'1/0' is not a value of the 'fcsp' carrier: zero denominator"
+
+
+def _fuzzy_spelling(rng):
+    """A random spelling of a fuzzy value: mostly the canonical
+    ``digits`` and ``digits/digits``, otherwise with blanks, signs,
+    decimals, underscores, exponents, non-ASCII digits or huge numbers."""
+    def digits():
+        return str(rng.choice((0, 1, 2, 3, 7, 10, 12, 100, 10**20)))
+
+    kind = rng.randrange(12)
+    if kind < 4:
+        return digits() + ("/" + digits() if kind else "")
+    if kind == 4:
+        return rng.choice((" ", "\t", "\n", "")) + digits() + "/" + digits() \
+            + rng.choice((" ", "\n", ""))
+    if kind == 5:
+        return rng.choice(("+", "-", "−")) + digits() + rng.choice(("", "/3"))
+    if kind == 6:
+        return f"{rng.randint(0, 2)}.{rng.randint(0, 999)}"
+    if kind == 7:
+        return rng.choice(("1_0/20", "1_/2", "1__0/20", "_1/2", "0_5/1_0"))
+    if kind == 8:
+        return rng.choice(("1e-1", "5E-1", "0.5e1", "1e0", "3e", "e1"))
+    if kind == 9:
+        return rng.choice(("1/0", "0/0", "3/-10", "3 / 10", "/2", "1/",
+                           "", "inf", "nan", "½", "٣/١٠", "1/2/3"))
+    if kind == 10:
+        return rng.choice(("1" * 5000 + "/2", "1/" + "1" * 5000,
+                           "9" * 30 + "/1" + "0" * 30))
+    return rng.choice((True, False, 0, 1, 2, -1, 0.5, 1.5, Fraction(1, 3),
+                       None, [1, 2]))
+
+
+def test_fuzzy_reader_matches_fraction():
+    # The reader's integer route for canonical spellings gives the value
+    # Fraction(str) gives, and every other spelling the same payload or
+    # the same error as Fraction(str).
+    fcsp = lookup("fcsp")
+    reference = dataclasses.replace(fcsp, _coerce=oracle_fuzzy_coerce)
+    rng = random.Random("fuzzy-reader")
+    outcomes = {"ok": 0, "error": 0}
+    for _ in range(3000):
+        raw = _fuzzy_spelling(rng)
+        try:
+            want = reference.value(raw)
+        except InstanceMismatchError as err:
+            with pytest.raises(InstanceMismatchError) as caught:
+                fcsp.value(raw)
+            assert str(caught.value) == str(err), raw
+            outcomes["error"] += 1
+            continue
+        got = fcsp.value(raw)
+        assert got == want and type(got.payload) is Fraction, raw
+        outcomes["ok"] += 1
+    assert min(outcomes.values()) > 1000
 
 
 class TestCatalog:
