@@ -12,8 +12,10 @@ echo and a ``results`` array.
 from __future__ import annotations
 
 import argparse
-import json
+import re
 import sys
+from itertools import product
+from json.encoder import encode_basestring_ascii as _quote
 from typing import List, Optional
 
 from . import journey as journey_mod
@@ -34,11 +36,15 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}")
 
 
+# ASCII digits only: int() would also read "1_0", " 10" and other scripts'
+# digits.
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
 def _nonneg(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
+    if _INTEGER.fullmatch(text) is None:
         raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
+    value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError("value must be non-negative")
     return value
@@ -92,9 +98,56 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_INF = float("inf")
+
+
+def _float(value: float) -> str:
+    if value != value:
+        return "NaN"
+    if value == _INF:
+        return "Infinity"
+    if value == -_INF:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+_SCALARS = {
+    int: int.__repr__,
+    bool: lambda value: "true" if value else "false",
+    type(None): lambda value: "null",
+    float: _float,
+}
+
+
+def _render(value, pad: str) -> str:
+    """``value`` as ``json.dumps(value, indent=2, sort_keys=True)`` writes
+    it, nested at indent ``pad``; dict keys must be strings."""
+    kind = type(value)
+    if kind is str:
+        return _quote(value)
+    scalar = _SCALARS.get(kind)
+    if scalar is not None:
+        return scalar(value)
+    inner = pad + "  "
+    if kind is dict:
+        if not value:
+            return "{}"
+        items = [_quote(key) + ": " + _render(value[key], inner)
+                 for key in sorted(value)]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        items = [_render(item, inner) for item in value]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
 def _emit(document: dict, out) -> None:
-    # One write: json.dump would stream hundreds of small chunks into out.
-    out.write(json.dumps(document, indent=2, sort_keys=True) + "\n")
+    # json.dumps with an indent runs the pure-Python encoder, which is
+    # slower and leaves a reference cycle per call; this writes the same
+    # bytes in one write.
+    out.write(_render(document, "") + "\n")
 
 
 def _run_trip(args, out) -> int:
@@ -164,22 +217,25 @@ def _run_scsp(args, out) -> int:
     problem = scsp.load_problem(args.problem)
     solution = scsp.solve(problem)
     best = scsp.best_level(solution)
-    spec = problem.spec
+    spec, support = problem.spec, solution.support
+    # The rows are bare payloads in product order over the domain, so each
+    # assignment pairs with its row without a table lookup or a tag check.
+    rows = zip(product(solution.domain, repeat=len(support)), solution.rows)
     if args.as_json:
         _emit({
             "inputs": {"problem": args.problem,
                        "semiring": spec.key,
                        "interface": sorted(problem.interface)},
-            "results": [{"assign": dict(zip(solution.support, key)),
-                         "value": spec.to_json(value)}
-                        for key, value in solution.table.items()],
+            "results": [{"assign": dict(zip(support, key)),
+                         "value": spec._to_json(value)}
+                        for key, value in rows],
             "blevel": spec.to_json(best),
         }, out)
     else:
-        for key, value in solution.table.items():
-            assign = " ".join(f"{n}={v}" for n, v in zip(solution.support, key))
+        for key, value in rows:
+            assign = " ".join(f"{n}={v}" for n, v in zip(support, key))
             prefix = f"{assign} " if assign else ""
-            out.write(f"{prefix}value={format_value(value)}\n")
+            out.write(f"{prefix}value={spec._render(value)}\n")
         out.write(f"blevel = {format_value(best)}\n")
     return 0
 
@@ -191,11 +247,11 @@ def _run_sclp(args, out) -> int:
         goal = sclp.parse_goal(args.goal)
         value = sclp.eval_goal(program, goal, max_iters=args.max_iters)
         if args.as_json:
+            atoms = [str(a) for a in goal]
             _emit({
                 "inputs": {"program": args.program, "semiring": spec.key,
-                           "goal": [str(a) for a in goal]},
-                "results": [{"goal": [str(a) for a in goal],
-                             "value": spec.to_json(value)}],
+                           "goal": atoms},
+                "results": [{"goal": atoms, "value": spec.to_json(value)}],
             }, out)
         else:
             out.write(f"{format_value(value)}\n")
@@ -216,6 +272,10 @@ def _run_sclp(args, out) -> int:
 
 # Built once per process: building it costs more than a small query.
 _PARSER = build_parser()
+# The subcommand parsers by name, as the top parser's subparsers action
+# holds them.
+_COMMANDS = next(action.choices for action in _PARSER._actions
+                 if isinstance(action, argparse._SubParsersAction))
 
 _HANDLERS = {
     "trip": _run_trip,
@@ -225,12 +285,31 @@ _HANDLERS = {
 }
 
 
+def _parse(argv: List[str]) -> argparse.Namespace:
+    """``_PARSER.parse_args(argv)``, with one parse instead of two when
+    ``argv`` starts with a subcommand.
+
+    The top parser would hand everything after the subcommand to its
+    parser and report what that leaves over as its own error; this does
+    the same directly.  An argv holding ``--`` takes the top parser,
+    whose handling of it differs between Python versions.
+    """
+    sub = _COMMANDS.get(argv[0]) if argv else None
+    if sub is None or "--" in argv:
+        return _PARSER.parse_args(argv)
+    args, extras = sub.parse_known_args(argv[1:])
+    if extras:
+        _PARSER.error(f"unrecognized arguments: {' '.join(extras)}")
+    args.command = argv[0]
+    return args
+
+
 def run(argv: Optional[List[str]] = None, out=None, err=None) -> int:
     """Parse arguments, dispatch, and return the exit status."""
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     try:
-        args = _PARSER.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
     except _UsageError as exc:
         print(exc, file=err)
         return 1

@@ -288,8 +288,12 @@ def _journeys(net: RoadNetwork, appointments, stations, initial_soc: int,
         front = _frontier([(c[0], c[1]) for c in candidates], mode)
         return [c for c in candidates if (c[0], c[1]) in front]
 
+    completions = complete(0, initial_soc)
+    # complete refers to itself; unbinding it frees the cached closures
+    # and their caches without waiting for the cyclic collector.
+    del complete
     journeys = []
-    for time, energy, final_soc, chain in complete(0, initial_soc):
+    for time, energy, final_soc, chain in completions:
         legs, leg_charges = [], []
         while chain is not None:
             trip, charge, chain = chain

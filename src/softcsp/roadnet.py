@@ -405,6 +405,9 @@ def _walk(net: RoadNetwork, source: str, dest: str, energy_limit: int,
             path.pop()
 
     walk(source, 0, 0)
+    # walk refers to itself; unbinding it frees the closure, and the
+    # network it holds, without waiting for the cyclic collector.
+    del walk
     return results
 
 

@@ -1,8 +1,11 @@
+import gc
 import io
 import json
 import os
+import random
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -355,8 +358,9 @@ class TestDispatch:
         assert status == 1 and err != ""
 
     def test_unknown_flag(self):
-        status, _, err = invoke("trip", "--bogus")
-        assert status == 1 and err != ""
+        assert invoke("trip", "--network", NETWORK, "--from", "p", "--to", "t",
+                      "--limit", "10", "--bogus") \
+            == (1, "", "softcsp: unrecognized arguments: --bogus\n")
 
     def test_parser_is_reused_across_calls(self):
         query = ["trip", "--network", NETWORK, "--from", "p", "--to", "t",
@@ -514,6 +518,16 @@ def _network(*edges):
      "variables are supported"),
     (reading("sclp", FILE), "#semiring fcsp\n#constants a.\np(a) :- 1/0.\n",
      "line 3: '1/0' is not a value of the 'fcsp' carrier: zero denominator"),
+    # Only ASCII digits are an integer, though int() reads the first three.
+    (["trip", "--network", NETWORK, "--from", "p", "--to", "t",
+      "--limit", "\u0661\u0660"], None,
+     "argument --limit: '\u0661\u0660' is not an integer"),
+    (["trip", "--network", NETWORK, "--from", "p", "--to", "t",
+      "--limit", "1_0"], None, "argument --limit: '1_0' is not an integer"),
+    (["trip", "--network", NETWORK, "--from", "p", "--to", "t",
+      "--limit", " 10"], None, "argument --limit: ' 10' is not an integer"),
+    (["trip", "--network", NETWORK, "--from", "p", "--to", "t",
+      "--limit", "-3"], None, "argument --limit: value must be non-negative"),
 ])
 def test_input_error_names_the_fault(tmp_path, argv, text, message):
     path = tmp_path / "input"
@@ -535,3 +549,190 @@ def test_exit_code_contract(monkeypatch, error, status, message):
     monkeypatch.setitem(cli._HANDLERS, "scsp", handler)
     assert invoke("scsp", "--problem", PROBLEM) == \
         (status, "", f"softcsp scsp: {message}\n")
+
+
+# --- the --json renderer ----------------------------------------------------
+
+_TEXT = 'aZ0 "\\/\b\f\n\r\t\x00\x1f\x7f\xe9€ \U0001f600\ud800'
+_FLOATS = [0.0, -0.0, 0.1, -2.5, 1e16, 1e300, 5e-324, float("nan"),
+           float("inf"), float("-inf")]
+_INTS = [0, -1, 7, 2**63, -(2**100), 10**40]
+
+
+def _random_scalar(rng):
+    return rng.choice([
+        lambda: "".join(rng.choices(_TEXT, k=rng.randint(0, 6))),
+        lambda: rng.choice(_INTS + [rng.randint(-10**6, 10**6)]),
+        lambda: rng.choice(_FLOATS + [rng.uniform(-1e6, 1e6)]),
+        lambda: rng.choice([True, False, None]),
+    ])()
+
+
+def _random_document(rng, depth=0):
+    roll = rng.random()
+    if depth == 4 or roll < 0.4:
+        return _random_scalar(rng)
+    if roll < 0.7:
+        return {"".join(rng.choices(_TEXT, k=rng.randint(0, 4))):
+                _random_document(rng, depth + 1)
+                for _ in range(rng.randint(0, 4))}
+    items = [_random_document(rng, depth + 1) for _ in range(rng.randint(0, 4))]
+    return tuple(items) if rng.random() < 0.3 else items
+
+
+def _rendered(document):
+    out = io.StringIO()
+    cli._emit(document, out)
+    return out.getvalue()
+
+
+def _problem_for(semiring, values):
+    return _problem(semiring=semiring, domain=["a", 1, None, 2.5],
+                    interface=["x"], constraints=[{"support": ["x"], "rows": [
+                        {"assign": [v], "value": value}
+                        for v, value in zip(["a", 1, None, 2.5], values)]}])
+
+
+def test_renderer_matches_json_dumps_on_random_documents():
+    rng = random.Random(20261020)
+    for _ in range(3000):
+        document = _random_document(rng)
+        assert _rendered(document) == \
+            json.dumps(document, indent=2, sort_keys=True) + "\n"
+
+
+def test_renderer_matches_json_dumps_on_every_document(monkeypatch,
+                                                        tmp_path):
+    # The documents each subcommand builds, with the types it builds them
+    # from: every semiring's values, tuples, and domains of mixed scalars.
+    problems = {
+        "csp": [True, False, True, True],
+        "fcsp": ["1/3", 1, 0, "1/2"],
+        "wcsp": ["inf", 0, 3, 12],
+        "costpair": [[1, "inf"], ["inf", "inf"], [0, 2], [4, 4]],
+    }
+    argvs = [reading("trip", NETWORK) + ["--json"],
+             reading("trip", NETWORK) + ["--all", "--json"],
+             reading("journey", APPOINTMENTS) + ["--json"],
+             reading("journey", APPOINTMENTS) + ["--capacity", "12", "--json"],
+             ["scsp", "--problem", PROBLEM, "--json"],
+             ["sclp", "--program", PROGRAM, "--json"],
+             ["sclp", "--program", PROGRAM, "--goal", "s(a),t(a)", "--json"]]
+    for semiring, values in problems.items():
+        path = tmp_path / f"{semiring}.json"
+        path.write_text(_problem_for(semiring, values), encoding="utf-8")
+        argvs.append(["scsp", "--problem", str(path), "--json"])
+    documents = []
+    emit = cli._emit
+    monkeypatch.setattr(cli, "_emit", lambda document, out: (
+        documents.append(document), emit(document, out)))
+    for argv in argvs:
+        status, raw, err = invoke(*argv)
+        assert (status, err) == (0, ""), argv
+        assert raw == json.dumps(documents[-1], indent=2, sort_keys=True) + "\n"
+    assert len(documents) == len(argvs)
+
+
+def test_queries_leave_no_cyclic_garbage():
+    # A closure that refers to itself, or the json module's encoder, would
+    # leave each query's network, caches and results to the collector.
+    argvs = {"trip": reading("trip", NETWORK),
+             "journey": reading("journey", APPOINTMENTS),
+             "scsp": reading("scsp", PROBLEM),
+             "sclp": reading("sclp", PROGRAM),
+             "sclp --goal": reading("sclp", PROGRAM) + ["--goal", "s(a)"]}
+    for argv in argvs.values():
+        invoke(*argv, "--json")
+    garbage = {}
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for name, argv in argvs.items():
+            for _ in range(10):
+                assert invoke(*argv, "--json")[0] == 0
+            garbage[name] = gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+    assert garbage == dict.fromkeys(argvs, 0)
+
+
+# --- argument dispatch ------------------------------------------------------
+
+_FLAGS = {
+    "trip": [["--network", NETWORK], ["--from", "p"], ["--to", "t"],
+             ["--limit", "10"], ["--dominance", "weak"], ["--all"],
+             ["--json"]],
+    "journey": [["--network", NETWORK], ["--appointments", APPOINTMENTS],
+                ["--stations", STATIONS], ["--soc", "10"], ["--rate", "2"],
+                ["--capacity", "30"], ["--threshold", "1"],
+                ["--dominance", "strict"], ["--json"]],
+    "scsp": [["--problem", PROBLEM], ["--json"]],
+    "sclp": [["--program", PROGRAM], ["--goal", "s(a)"], ["--max-iters", "5"],
+             ["--json"]],
+}
+_BAD_INTS = ["x", "-3", "1_0", "١٠", "", " 1", "+1", "1.0", "0x1"]
+_BAD_CHOICES = ["Strict", "wea", "", "none", "strict "]
+
+
+def _fuzz_argv(rng):
+    """A valid argv of a random subcommand, mutated a few times."""
+    command = rng.choice(list(_FLAGS))
+    groups = [list(group) for group in _FLAGS[command]]
+    for _ in range(rng.randint(0, 3)):
+        at = rng.randrange(len(groups) + 1)
+        pick = rng.choice(groups) if groups else ["--json"]
+        mutation = rng.randrange(10)
+        if mutation == 0 and groups:  # dropped
+            groups.remove(pick)
+        elif mutation == 1:  # repeated, maybe with another value
+            groups.insert(at, pick[:1] + [rng.choice(["0", "q", "weak"])]
+                          if len(pick) == 2 else list(pick))
+        elif mutation == 2 and len(pick[0]) > 2:  # abbreviated, "--" included
+            pick[0] = pick[0][:rng.randint(2, len(pick[0]))]
+        elif mutation == 3:  # an extra positional
+            groups.insert(at, [rng.choice(["extra", "trip", "-1", ""])])
+        elif mutation == 4:
+            groups.insert(at, ["--"])
+        elif mutation == 5:  # a bad int, or a value that looks like a flag
+            groups.insert(at, [rng.choice(["--limit", "--soc", "--rate",
+                                           "--max-iters"]),
+                               rng.choice(_BAD_INTS + ["--json"])])
+        elif mutation == 6:
+            groups.insert(at, ["--dominance", rng.choice(_BAD_CHOICES)])
+        elif mutation == 7 and len(pick) == 2:  # --flag=value
+            pick[:] = [f"{pick[0]}={pick[1]}"]
+        elif mutation == 8:  # an unknown flag
+            groups.insert(at, [rng.choice(["--bogus", "-x", "--json=1"])])
+        else:
+            rng.shuffle(groups)
+    if rng.random() < 0.05:
+        command = rng.choice(["tri", "TRIP", "--json", "-x", ""])
+    return [command] + [arg for group in groups for arg in group]
+
+
+def _parse_outcome(parse, argv):
+    """What parsing ``argv`` gives: a namespace, or an error's text."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            args = parse(argv)
+    except cli._UsageError as exc:
+        return "usage error", str(exc)
+    except SystemExit as exc:
+        return "exit", exc.code, out.getvalue(), err.getvalue()
+    return "parsed", vars(args), out.getvalue(), err.getvalue()
+
+
+def test_dispatch_parses_as_the_top_parser_does():
+    rng = random.Random(24)
+    kinds = []
+    for _ in range(1500):
+        argv = _fuzz_argv(rng)
+        expected = _parse_outcome(cli._PARSER.parse_args, argv)
+        assert _parse_outcome(cli._parse, argv) == expected, argv
+        kinds.append(expected[0])
+    # The corpus reaches both sides of the parse and the top parser's own
+    # leftover-arguments error.
+    assert kinds.count("parsed") > 300 and kinds.count("usage error") > 300
