@@ -11,20 +11,22 @@ vehicle always leaves when the appointment ends and must arrive before the
 next one starts.
 
 :func:`enumerate_journeys` and :func:`best_journeys` share one dynamic
-program.  Each leg departs at its appointment's end whatever came before,
-and the charging rule reads only the current level, so the rest of a
-journey depends only on the state (appointment index, state of charge).
-The completions of each state are computed once: the union, over the
-state's legs, of the leg's cost added to each completion of the state it
-leads to.  ``enumerate_journeys`` keeps them all; ``best_journeys`` drops
-the dominated costs at every state.  Dropping them early is exact in both
-dominance modes, because adding one fixed leg cost preserves dominance and
-equal costs never knock each other out.  A leg's trips are searched once
-per (leg, usable charge), capped by the energy and by the time to the next
-appointment, and steered by the least costs to the leg's destination; the
-same least energy decides whether any path fits, late ones included, and
-so whether to charge.  The independent reference is the brute force
-``oracle_journeys`` of the test suite's ``oracles`` module.
+program, run forward over the legs.  Each leg departs at its appointment's
+end whatever came before, and the charging rule reads only the current
+level, so what can follow a partial journey depends only on its state of
+charge.  Each layer holds the partial journeys that reach an appointment,
+by state of charge, and every leg out of a state extends them all.
+``enumerate_journeys`` keeps them all; ``best_journeys`` drops, per state,
+the partials that another partial of the same state dominates, and once
+more over the finished journeys.  Dropping early is exact in both
+dominance modes, because adding the same continuation to two costs
+preserves dominance and equal costs never knock each other out.  A leg's
+trips are searched once per (leg, usable charge), capped by the energy and
+by the time to the next appointment, and steered by the least costs to the
+leg's destination; the same least energy decides whether any path fits,
+late ones included, and so whether to charge.  The independent reference
+is the brute force ``oracle_journeys`` of the test suite's ``oracles``
+module.
 
 A finished journey is built from its legs, its per-leg charging events
 (``None`` where the leg did not charge) and its final charge, and the
@@ -34,7 +36,6 @@ charge trace is replayed as a self-check before the journey is emitted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -231,77 +232,68 @@ def _journey_witness(solution: JourneySolution) -> tuple:
             solution.charging_events)
 
 
+def _undominated(partials: list, mode: Optional[str]) -> list:
+    """The partials whose first two fields, (time, energy), no other
+    partial's dominate under ``mode``; all of them without a ``mode``."""
+    if mode is None:
+        return partials
+    front = _frontier([(p[0], p[1]) for p in partials], mode)
+    return [p for p in partials if (p[0], p[1]) in front]
+
+
 def _journeys(net: RoadNetwork, appointments, stations, initial_soc: int,
               policy: ChargingPolicy,
               mode: Optional[str]) -> List[JourneySolution]:
-    """The journeys of the module docstring's dynamic program, in witness
-    order: every one without a ``mode``, the non-dominated ones with it."""
+    """The journeys of the module docstring's forward program, in witness
+    order: every one without a ``mode``, the non-dominated ones with it.
+    A layer maps each state of charge on arrival to the partial journeys
+    that reach it, as (time, energy, legs, per-leg charges)."""
     _validate_inputs(net, appointments, stations, initial_soc, policy)
     if mode is not None:
         _check_mode(mode)
     appointments = list(appointments)
     usable = _usable_stations(stations)
-    last = len(appointments) - 1
-
-    @cache
-    def least(dest: str) -> LeastCosts:
-        return LeastCosts(net, dest)
-
+    least = {dest: LeastCosts(net, dest)
+             for dest in {there.location for there in appointments[1:]}}
     # Every trip, not only the non-dominated ones (best_paths): a dominated
     # leg can force the charge that opens a non-dominated journey.
-    @cache
-    def trips(source: str, dest: str, gap: int,
-              usable_charge: int) -> List[TripSolution]:
-        return enumerate_paths(net, source, dest, usable_charge, gap,
-                               least(dest))
-
-    # A completion is (time, energy, final_soc, chain), where chain links
-    # (trip, charge, rest of the chain) and is None past the last leg.
-    @cache
-    def complete(index: int, soc: int) -> list:
-        if index == last:
-            return [(0, 0, soc, None)]
-        here, there = appointments[index], appointments[index + 1]
-        # Charge only when no path at all fits, however late it arrives.
-        usable_charge = soc - policy.threshold
-        need = least(there.location).energy(usable_charge).get(here.location)
-        if (here.location != there.location
-                and (need is None or need > usable_charge)):
-            level = new_soc(soc, here.duration, policy)
-            charges = [(here.location, name)
-                       for name in usable.get(here.location, ())]
-        else:
-            level, charges = soc, [None]
-        candidates = []
-        if charges:
-            for trip in trips(here.location, there.location,
-                              there.start - here.end,
-                              level - policy.threshold):
-                leg_time, leg_energy = trip.cost.time, trip.cost.energy
-                rest = complete(index + 1, level - leg_energy)
+    trips: Dict[Tuple[str, str, int, int], List[TripSolution]] = {}
+    layer = {initial_soc: [(0, 0, (), ())]}
+    for here, there in zip(appointments, appointments[1:]):
+        to_there = least[there.location]
+        reached: Dict[int, list] = {}
+        for soc, partials in layer.items():
+            # Charge only when no path at all fits, however late it arrives.
+            usable_charge = soc - policy.threshold
+            need = to_there.energy(usable_charge).get(here.location)
+            if need is None or need > usable_charge:
+                level = new_soc(soc, here.duration, policy)
+                charges = [(here.location, name)
+                           for name in usable.get(here.location, ())]
+                if not charges:
+                    continue
+            else:
+                level, charges = soc, [None]
+            search = (here.location, there.location,
+                      level - policy.threshold, there.start - here.end)
+            if search not in trips:
+                trips[search] = enumerate_paths(net, *search, to_there)
+            for trip in trips[search]:
+                leg_time, leg_energy = trip.cost
+                following = reached.setdefault(level - leg_energy, [])
                 for charge in charges:
-                    candidates += [(leg_time + time, leg_energy + energy,
-                                    final, (trip, charge, chain))
-                                   for time, energy, final, chain in rest]
-        if mode is None:
-            return candidates
-        front = _frontier([(c[0], c[1]) for c in candidates], mode)
-        return [c for c in candidates if (c[0], c[1]) in front]
-
-    completions = complete(0, initial_soc)
-    # complete refers to itself; unbinding it frees the cached closures
-    # and their caches without waiting for the cyclic collector.
-    del complete
-    journeys = []
-    for time, energy, final_soc, chain in completions:
-        legs, leg_charges = [], []
-        while chain is not None:
-            trip, charge, chain = chain
-            legs.append(trip)
-            leg_charges.append(charge)
-        journeys.append(_solution(tuple(legs), tuple(leg_charges),
-                                  CostPair(time, energy), final_soc,
-                                  initial_soc, policy, appointments))
+                    following += [(time + leg_time, energy + leg_energy,
+                                   (*legs, trip), (*leg_charges, charge))
+                                  for time, energy, legs, leg_charges
+                                  in partials]
+        layer = {soc: _undominated(partials, mode)
+                 for soc, partials in reached.items()}
+    finished = _undominated([(*partial, soc)
+                             for soc, partials in layer.items()
+                             for partial in partials], mode)
+    journeys = [_solution(legs, leg_charges, CostPair(time, energy),
+                          final_soc, initial_soc, policy, appointments)
+                for time, energy, legs, leg_charges, final_soc in finished]
     journeys.sort(key=_journey_witness)
     return journeys
 
@@ -316,7 +308,8 @@ def enumerate_journeys(net: RoadNetwork, appointments: List[Appointment],
     that arrives on time, or (b) -- only when no path at all fits the
     usable charge -- a charging event at one of the local stations with
     free spots, followed by any path within the recharged level.  Ordered
-    lexicographically by leg node sequences, then by station names.
+    lexicographically by leg node sequences, then by station names.  The
+    forward program keeps every partial journey of each state.
     """
     return _journeys(net, appointments, stations, initial_soc, policy, None)
 
@@ -330,7 +323,9 @@ def best_journeys(net: RoadNetwork, appointments: List[Appointment],
 
     The same items, in the same order, as ``frontier_filter`` over
     :func:`enumerate_journeys`: node and station names are strings, so the
-    witness order is the frontier's order.
+    witness order is the frontier's order.  The forward program drops a
+    partial journey that another of its state dominates: both have the
+    same continuations, and each continuation keeps the dominance.
     """
     return _journeys(net, appointments, stations, initial_soc, policy, mode)
 

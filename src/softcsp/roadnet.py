@@ -345,12 +345,15 @@ def _walk(net: RoadNetwork, source: str, dest: str, energy_limit: int,
           least: Optional[LeastCosts] = None) -> List[TripSolution]:
     """Depth-first walk over the simple capped paths source -> dest.
 
-    Trips come out in lexicographic order of their node sequence.  A
-    partial path is cut when it cannot reach ``dest`` within the energy
-    cap, or within ``time_limit`` when one is given, even by the least
-    costs of ``least`` (made here when not given).  With a dominance
-    ``mode``, a partial path is also cut when a partial path already
-    recorded at its endpoint, or a trip already found, dominates it.
+    The walk keeps an explicit stack of frames, one per node of the path:
+    the node's neighbour iterator, and the path's time and energy up to
+    the node.  So a path may be as long as the network.  Trips come out in
+    lexicographic order of their node sequence.  A partial path is cut
+    when it cannot reach ``dest`` within the energy cap, or within
+    ``time_limit`` when one is given, even by the least costs of ``least``
+    (made here when not given).  With a dominance ``mode``, a partial path
+    is also cut when a partial path already recorded at its endpoint, or a
+    trip already found, dominates it.
     """
     for node in (source, dest):
         if node not in net.nodes:
@@ -376,9 +379,10 @@ def _walk(net: RoadNetwork, source: str, dest: str, energy_limit: int,
     results: List[TripSolution] = []
     path = [source]
     visited = {source}
-
-    def walk(node: str, time: int, energy: int) -> None:
-        for neighbour, cost in net.neighbours(node):
+    stack = [(iter(net.neighbours(source)), 0, 0)]
+    while stack:
+        neighbours, time, energy = stack[-1]
+        for neighbour, cost in neighbours:
             if neighbour in visited:
                 continue
             next_energy = energy + cost.energy
@@ -393,21 +397,19 @@ def _walk(net: RoadNetwork, source: str, dest: str, energy_limit: int,
             if dominated is not None and dominated(neighbour, next_time,
                                                    next_energy):
                 continue
-            path.append(neighbour)
             if neighbour == dest:
-                results.append(TripSolution(path=tuple(path),
+                results.append(TripSolution(path=(*path, neighbour),
                                             cost=CostPair(next_time,
                                                           next_energy)))
-            else:
-                visited.add(neighbour)
-                walk(neighbour, next_time, next_energy)
-                visited.remove(neighbour)
-            path.pop()
-
-    walk(source, 0, 0)
-    # walk refers to itself; unbinding it frees the closure, and the
-    # network it holds, without waiting for the cyclic collector.
-    del walk
+                continue
+            path.append(neighbour)
+            visited.add(neighbour)
+            stack.append((iter(net.neighbours(neighbour)), next_time,
+                          next_energy))
+            break
+        else:
+            stack.pop()
+            visited.remove(path.pop())
     return results
 
 

@@ -65,3 +65,26 @@ def random_constraint(rng: random.Random, spec, domain, names, max_support=2):
 
 def specs():
     return [lookup(key) for key in SEMIRING_KEYS]
+
+
+# --- queries deeper than Python's recursion limit ---------------------------
+
+def corridor_data(length=1200):
+    """The JSON network n0 -> n1 -> ... -> n{length-1}; each edge costs
+    time 1 and energy 1."""
+    nodes = [f"n{i}" for i in range(length)]
+    return {"nodes": nodes,
+            "edges": [{"from": a, "to": b, "time": 1, "energy": 1}
+                      for a, b in zip(nodes, nodes[1:])]}
+
+
+def shuttle_data(count=1100):
+    """A JSON network of nodes a and b joined both ways by edges of time 1
+    and energy 0, and ``count`` JSON appointments alternating between them,
+    one every 10 time units, each lasting 1."""
+    network = {"nodes": ["a", "b"],
+               "edges": [{"from": "a", "to": "b", "time": 1, "energy": 0},
+                         {"from": "b", "to": "a", "time": 1, "energy": 0}]}
+    appointments = [{"location": "ab"[k % 2], "start": 10 * k, "duration": 1}
+                    for k in range(count)]
+    return network, appointments

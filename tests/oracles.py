@@ -10,9 +10,12 @@ pins the exact table (row order included) that ``solve`` must return,
 the reference parser of program clauses and goals, a character-by-character
 splitter that pins the library parser's results and error messages, and
 the reference network reader, which reads one edge entry at a time and
-builds through the library's checking ``RoadNetwork`` constructor.  The
-benchmark's oracle imports this module without the library, so
-``dense_solve`` and the reference readers import it when called.
+builds through the library's checking ``RoadNetwork`` constructor, and
+``reference_walk``, the trip walk written as plain recursion over the
+library's steering and pruning, which pins the walk's trips and its
+expansions.  The benchmark's oracle imports this module without the
+library, so ``dense_solve`` and the reference readers and walk import it
+when called.
 """
 
 import itertools
@@ -116,6 +119,60 @@ def oracle_network_from_json(data):
     if fault is not None:
         raise FormatError(fault)
     return RoadNetwork(nodes=tuple(sorted(known)), edges=edges)
+
+
+def reference_walk(net, source, dest, energy_limit, mode=None,
+                   time_limit=None, least=None):
+    """The library's trip walk as one recursive call per path node.
+
+    The same cuts, in the same order, as ``roadnet._walk`` on valid
+    inputs, so the two return the same trips and call
+    ``RoadNetwork.neighbours`` for the same nodes.  Python's recursion
+    limit caps the path length it can walk.
+    """
+    from softcsp.frontier import _DOMINATES_COMPONENTS
+    from softcsp.roadnet import LeastCosts, TripSolution, _pruner
+    from softcsp.semiring import CostPair
+
+    if least is None:
+        least = LeastCosts(net, dest)
+    dominated = (None if mode is None
+                 else _pruner(_DOMINATES_COMPONENTS[mode], dest))
+    least_energy = least.energy(energy_limit)
+    least_time = None if time_limit is None else least.time(time_limit)
+    results = []
+    path = [source]
+    visited = {source}
+
+    def walk(node, time, energy):
+        for neighbour, cost in net.neighbours(node):
+            if neighbour in visited:
+                continue
+            next_energy = energy + cost.energy
+            still = least_energy.get(neighbour)
+            if still is None or next_energy + still > energy_limit:
+                continue
+            next_time = time + cost.time
+            if least_time is not None:
+                still = least_time.get(neighbour)
+                if still is None or next_time + still > time_limit:
+                    continue
+            if dominated is not None and dominated(neighbour, next_time,
+                                                   next_energy):
+                continue
+            path.append(neighbour)
+            if neighbour == dest:
+                results.append(TripSolution(path=tuple(path),
+                                            cost=CostPair(next_time,
+                                                          next_energy)))
+            else:
+                visited.add(neighbour)
+                walk(neighbour, next_time, next_energy)
+                visited.remove(neighbour)
+            path.pop()
+
+    walk(source, 0, 0)
+    return results
 
 
 # --- constraint problems -----------------------------------------------------

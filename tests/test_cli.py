@@ -14,7 +14,7 @@ import softcsp
 from softcsp import cli
 from softcsp.cli import run
 
-from conftest import FIXTURES
+from conftest import FIXTURES, corridor_data, shuttle_data
 
 NETWORK = str(FIXTURES / "network.json")
 APPOINTMENTS = str(FIXTURES / "appointments.json")
@@ -143,6 +143,16 @@ class TestTrip:
                                 "--to", "t", "--limit", "-1")
         assert status == 1 and "non-negative" in err
 
+    def test_corridor_longer_than_the_recursion_limit(self, tmp_path):
+        corridor = tmp_path / "corridor.json"
+        corridor.write_text(json.dumps(corridor_data(1200)), encoding="utf-8")
+        status, out, err = invoke("trip", "--network", str(corridor),
+                                  "--from", "n0", "--to", "n1199",
+                                  "--limit", "5000")
+        assert (status, err) == (0, "")
+        assert out == (",".join(f"n{i}" for i in range(1200))
+                       + " time=1199 energy=1199\n")
+
 
 class TestJourney:
     def test_canonical_query_text(self):
@@ -211,6 +221,21 @@ class TestJourney:
                                 "--appointments", str(bad),
                                 "--stations", STATIONS, "--soc", "10")
         assert status == 1 and "appointments" in err
+
+    def test_more_appointments_than_the_recursion_limit(self, tmp_path):
+        network, appointments = shuttle_data(1100)
+        paths = {}
+        for name, data in (("network", network),
+                           ("appointments", appointments), ("stations", [])):
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(json.dumps(data), encoding="utf-8")
+        status, out, err = invoke(
+            "journey", "--network", str(paths["network"]),
+            "--appointments", str(paths["appointments"]),
+            "--stations", str(paths["stations"]), "--soc", "0")
+        assert (status, err) == (0, "")
+        assert out == (";".join(("a,b", "b,a")[k % 2] for k in range(1099))
+                       + " time=1099 energy=0 charge=- soc=0\n")
 
 
 class TestScsp:

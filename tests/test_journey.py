@@ -1,6 +1,7 @@
 import dataclasses
 import random
 import re
+import sys
 from collections import Counter
 
 import pytest
@@ -27,6 +28,7 @@ from softcsp.journey import (
 from softcsp import journey
 from softcsp.roadnet import network_from_json
 
+from conftest import shuttle_data
 from oracles import oracle_filter, oracle_journeys, oracle_paths
 from test_roadnet import random_network
 
@@ -574,3 +576,34 @@ def test_each_leg_and_charge_is_searched_once(monkeypatch):
         assert max(Counter(searches).values()) == 1
         assert [summarize(s) for s in found] == reference_journeys(
             net, appointments, stations, 5, DEFAULT_POLICY, mode)
+
+
+def test_consecutive_appointments_at_one_node_never_charge(monkeypatch):
+    # A leg is a trip, and a trip has at least one edge, so two consecutive
+    # appointments at one node give no journey.  The charging rule never
+    # fires there: the least energy from a node to itself is 0, so a
+    # vehicle at the threshold searches the leg at its own level and does
+    # not charge at the station it stands by.
+    net = small_network(("a", "b", 1, 1), ("b", "a", 1, 1))
+    appointments = [Appointment("a", 0, 3), Appointment("a", 10, 0)]
+    stations = [ChargingStation("s", 1, "a")]
+    assert oracle_of(net, appointments, stations, 0) == []
+    for solver in (enumerate_journeys, best_journeys):
+        searches = counting_searches(monkeypatch)
+        assert solver(net, appointments, stations, 0) == []
+        assert searches == [("a", "a", 0, 7)]
+
+
+def test_more_appointments_than_the_recursion_limit():
+    network, appointments = shuttle_data(1100)
+    net = network_from_json(network)
+    appointments = appointments_from_json(appointments)
+    assert len(appointments) > sys.getrecursionlimit()
+    legs = tuple((("a", "b"), ("b", "a"))[k % 2] for k in range(1099))
+    expected = [(legs, (), (1099, 0), 0)]
+    assert [summarize(s) for s in
+            enumerate_journeys(net, appointments, [], 0)] == expected
+    for mode in (STRICT, WEAK):
+        assert [summarize(s) for s in
+                best_journeys(net, appointments, [], 0, mode=mode)] \
+            == expected

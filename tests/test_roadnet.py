@@ -1,5 +1,6 @@
 import random
 import re
+import sys
 
 import pytest
 
@@ -19,11 +20,13 @@ from softcsp.errors import (
     UnknownNodeError,
 )
 from softcsp.frontier import STRICT, WEAK, frontier_filter
-from softcsp.roadnet import LeastCosts, RoadNetwork, _walk, trip_solutions
+from softcsp.roadnet import (LeastCosts, RoadNetwork, TripSolution, _walk,
+                             trip_solutions)
 from softcsp.semiring import INF
 
-from conftest import FIXTURES
-from oracles import oracle_filter, oracle_network_from_json, oracle_paths
+from conftest import FIXTURES, corridor_data
+from oracles import (oracle_filter, oracle_network_from_json, oracle_paths,
+                     reference_walk)
 
 
 class TestFactFormat:
@@ -476,6 +479,58 @@ def test_walk_work_is_pinned(monkeypatch):
         work[mode] = (calls, trips)
     assert work == {STRICT: (1675, 292), WEAK: (1346, 197)}
 
+
+def test_walk_matches_the_recursive_reference(monkeypatch):
+    # The walk on an explicit stack against the recursive walk it replaced:
+    # the same trips, item for item, from the same expansions, in order,
+    # with and without a dominance mode, a time limit and a LeastCosts
+    # shared across queries.
+    expanded = []
+    neighbours = RoadNetwork.neighbours
+
+    def recorded(net, node):
+        expanded.append(node)
+        return neighbours(net, node)
+
+    monkeypatch.setattr(RoadNetwork, "neighbours", recorded)
+    rng = random.Random("stack-walk")
+    trips = expansions = 0
+    for index in range(120):
+        span = rng.choice((1, 4, 10**6))
+        net, _, nodes = random_network(rng, min_nodes=3, max_nodes=8,
+                                       cyclic=index % 3 != 0,
+                                       edge_probability=rng.choice((0.4, 0.7)),
+                                       time_span=span, energy_span=span)
+        source, dest = rng.sample(nodes, 2)
+        if index % 10 == 0:
+            source = dest
+        limit = rng.randint(span, 6 * span + 6)
+        shared = LeastCosts(net, dest)
+        for time_limit in (None, rng.randint(0, 6 * span + 6)):
+            for mode in (None, STRICT, WEAK):
+                for least in (None, shared):
+                    runs = []
+                    for walk in (_walk, reference_walk):
+                        expanded.clear()
+                        found = walk(net, source, dest, limit, mode,
+                                     time_limit, least)
+                        runs.append((found, list(expanded)))
+                    assert runs[0] == runs[1]
+                    trips += len(found)
+                    expansions += len(expanded)
+    assert trips > 1000 and expansions > 5000
+
+
+def test_corridor_longer_than_the_recursion_limit():
+    net = network_from_json(corridor_data(1200))
+    path = tuple(f"n{i}" for i in range(1200))
+    assert len(path) > sys.getrecursionlimit()
+    assert enumerate_paths(net, "n0", "n1199", 5000) \
+        == [TripSolution(path=path, cost=CostPair(1199, 1199))]
+    for mode in (STRICT, WEAK):
+        assert [(item.witness, item.cost) for item in
+                best_paths(net, "n0", "n1199", 5000, mode)] \
+            == [(path, CostPair(1199, 1199))]
 
 def test_best_paths_checks_its_inputs(network):
     with pytest.raises(UnknownNodeError):
