@@ -152,12 +152,9 @@ def _emit(document: dict, out) -> None:
 
 def _run_trip(args, out) -> int:
     net = roadnet.load_network(args.network)
-    if args.all:
-        trips = roadnet.enumerate_paths(net, args.source, args.dest, args.limit)
-    else:
-        trips = roadnet.trip_solutions(
-            roadnet.best_paths(net, args.source, args.dest, args.limit,
-                               args.dominance))
+    query = (net, args.source, args.dest, args.limit)
+    trips = (roadnet.enumerate_paths(*query) if args.all
+             else roadnet.best_paths(*query, args.dominance))
     if args.as_json:
         _emit({
             "inputs": {"network": args.network, "from": args.source,

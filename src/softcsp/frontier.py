@@ -1,14 +1,13 @@
 """Pareto frontiers of (time, energy) costs.
 
-The optimizers' result sets live in a semiring of cost *sets*: union keeps
-alternatives side by side, pairwise addition composes them, and after every
-operation the set is reduced to its non-dominated elements (the compact
-representative of a down-closed cost set).  Two dominance notions are
-supported:
+Cost *sets* form a semiring: union keeps alternatives side by side,
+pairwise addition composes them, and after every operation the set is
+reduced to its non-dominated elements (the compact representative of a
+down-closed cost set).  The trip and journey optimizers do not use it,
+only :func:`_frontier`.  Two dominance notions are supported:
 
 * ``strict`` -- u beats v only when u is smaller in *both* coordinates.
-  This is the default: it is what the route and journey optimizers compute,
-  and it keeps alternatives that tie on one criterion.
+  This is the default, and it keeps alternatives that tie on one criterion.
 * ``weak`` -- u beats v when u is no worse in both coordinates and better
   in at least one.  The textbook Pareto filter; always a subset of the
   strict frontier for the same input.

@@ -3,8 +3,9 @@
 A network is a directed graph whose edges carry finite (time, energy)
 costs.  Trips are *simple* paths (no repeated node) between two nodes
 whose total energy stays within a cap -- the cap models the charge
-available for the trip.  :func:`enumerate_paths` lists all of them;
-:func:`best_paths` returns only the non-dominated ones.
+available for the trip.  :func:`enumerate_paths` lists all of them and
+:func:`best_paths` only the non-dominated ones, each as a list of
+:class:`TripSolution` in lexicographic order of the node sequence.
 
 ``best_paths`` walks the same depth-first search but keeps, per node, the
 costs of the partial paths that reached it (Martins 1984, Hansen 1980).
@@ -12,12 +13,14 @@ A partial path is cut when a cost recorded at its endpoint, or a trip
 already found, dominates its own.  The cut is exact because costs are
 non-negative: completing the dominating prefix with the cut prefix's
 suffix and removing any cycle gives a simple path within the cap whose
-cost dominates every completion of the cut prefix.  The walk carries a
-partial path's cost as two plain ints, and the labels are ``(time,
-energy)`` int pairs compared by :mod:`frontier`'s component rules; a
-:class:`CostPair` is built only for a trip that reaches the destination.
-Networks keep a per-node adjacency index built once at construction, so
-expanding a node costs no edge scan.
+cost dominates every completion of the cut prefix.  A trip found later
+may still dominate one found before; one sweep over the trips' costs
+(:func:`frontier._frontier`) drops those.  The walk carries a partial
+path's cost as two plain ints, and the labels are ``(time, energy)`` int
+pairs compared by :mod:`frontier`'s component rules; a :class:`CostPair`
+is built only for a trip that reaches the destination.  Networks keep a
+per-node adjacency index built once at construction, so expanding a node
+costs no edge scan.
 
 Every walk is also steered toward its goal.  :class:`LeastCosts` runs a
 reverse Dijkstra from the destination over the network's reverse
@@ -57,8 +60,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from .errors import (FormatError, InputError, ParseError, UnknownNodeError,
                      fields, load_json)
-from .frontier import (_DOMINATES_COMPONENTS, STRICT, CostFrontier,
-                       _check_mode, frontier_filter)
+from .frontier import _DOMINATES_COMPONENTS, STRICT, _check_mode, _frontier
 from .semiring import CostPair
 
 Adjacency = Tuple[Tuple[str, CostPair], ...]
@@ -460,15 +462,17 @@ def enumerate_paths(net: RoadNetwork, source: str, dest: str,
 
 
 def best_paths(net: RoadNetwork, source: str, dest: str, energy_limit: int,
-               mode: str = STRICT) -> CostFrontier:
-    """The non-dominated trips; witnesses are the node sequences.
+               mode: str = STRICT) -> List[TripSolution]:
+    """The trips of the pruned walk whose cost survives a frontier sweep.
 
-    The same items, in the same order, as ``frontier_filter`` over
-    :func:`enumerate_paths`, found by the pruned walk.
+    The same trips, in the same order, as ``frontier_filter`` over
+    :func:`enumerate_paths`: lexicographic order of the node sequence.
     """
     trips = _walk(net, source, dest, energy_limit, mode)
-    return frontier_filter([(t.path, t.cost) for t in trips], mode)
+    kept = _frontier([trip.cost for trip in trips], mode)
+    return [trip for trip in trips if trip.cost in kept]
 
 
-def trip_solutions(front: CostFrontier) -> List[TripSolution]:
+def trip_solutions(front) -> List[TripSolution]:
+    # Unused by the solvers; perfbench/tracer.py wraps it by name.
     return [TripSolution(path=item.witness, cost=item.cost) for item in front]

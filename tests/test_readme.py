@@ -5,9 +5,14 @@ dropped) and the lines shown under it, up to the next command or the end
 of its code block.  The shown lines must equal the output; a ``...`` line
 stands for the elided middle, so the lines before it must start the output
 and the lines after it end it.  Every example must exit 0.
+
+Each ``python`` code block is run too, from the repository root.  The
+comment lines that close a block show what it prints, one line each.
 """
 
+import contextlib
 import io
+import re
 import shlex
 from pathlib import Path
 
@@ -36,7 +41,14 @@ def readme_examples(text):
     return examples
 
 
-EXAMPLES = readme_examples((ROOT / "README.md").read_text(encoding="utf-8"))
+def python_blocks(text):
+    """The source of each ``python`` code block of ``text``."""
+    return re.findall(r"^```python\n(.*?)^```$", text, re.M | re.S)
+
+
+README = (ROOT / "README.md").read_text(encoding="utf-8")
+EXAMPLES = readme_examples(README)
+PYTHON_BLOCKS = python_blocks(README)
 
 
 def test_readme_has_examples():
@@ -58,3 +70,21 @@ def test_readme_example(monkeypatch, argv, shown):
         assert output[len(output) - len(tail):] == tail
     elif shown:
         assert output == shown
+
+
+def test_readme_has_a_python_block():
+    assert PYTHON_BLOCKS
+
+
+@pytest.mark.parametrize("source", PYTHON_BLOCKS,
+                         ids=[f"block{i}" for i in range(len(PYTHON_BLOCKS))])
+def test_readme_python_block(monkeypatch, source):
+    monkeypatch.chdir(ROOT)
+    lines = source.splitlines()
+    shown = []
+    while lines and lines[-1].startswith("# "):
+        shown.insert(0, lines.pop()[2:])
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(source, "README.md", "exec"), {})
+    assert out.getvalue().splitlines() == shown

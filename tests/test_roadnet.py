@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 import sys
@@ -267,21 +268,18 @@ class TestEnumeration:
 
 class TestBestPaths:
     def test_canonical_query(self, network):
-        front = best_paths(network, "p", "t", 10, STRICT)
-        assert {(i.witness, i.cost) for i in front} == {
-            (("p", "t"), CostPair(3, 9)),
+        trips = best_paths(network, "p", "t", 10, STRICT)
+        assert [(t.path, t.cost) for t in trips] == [
             (("p", "q", "t"), CostPair(4, 8)),
-        }
-        assert [t.path for t in trip_solutions(front)] == [
-            ("p", "q", "t"), ("p", "t")]
+            (("p", "t"), CostPair(3, 9)),
+        ]
 
     def test_zero_limit(self, network):
         assert len(best_paths(network, "p", "t", 0, STRICT)) == 0
 
     def test_from_interior_node(self, network):
-        front = best_paths(network, "r", "t", 4, STRICT)
-        assert {(i.witness, i.cost) for i in front} == {
-            (("r", "s", "t"), CostPair(4, 4))}
+        assert best_paths(network, "r", "t", 4, STRICT) == [
+            TripSolution(path=("r", "s", "t"), cost=CostPair(4, 4))]
 
 
 def random_network(rng, max_nodes=7, cyclic=True, edge_probability=0.4,
@@ -330,8 +328,8 @@ class TestProperties:
             mode = rng.choice((STRICT, WEAK))
             everything = {(t.path, t.cost)
                           for t in enumerate_paths(network, source, dest, limit)}
-            front = best_paths(network, source, dest, limit, mode)
-            assert {(i.witness, i.cost) for i in front} <= everything
+            best = best_paths(network, source, dest, limit, mode)
+            assert {(t.path, t.cost) for t in best} <= everything
 
 
 @pytest.mark.parametrize("cyclic", [False, True], ids=["dag", "cyclic"])
@@ -347,8 +345,8 @@ def test_against_recursive_oracle(cyclic):
         assert got == expected
         costs = [(t, e) for _, t, e in expected]
         for mode in (STRICT, WEAK):
-            front = best_paths(net, source, dest, limit, mode)
-            assert {(c.time, c.energy) for c in front.costs()} \
+            best = best_paths(net, source, dest, limit, mode)
+            assert {(t.cost.time, t.cost.energy) for t in best} \
                 == oracle_filter(costs, mode)
     # The time limit keeps exactly the trips within it; one LeastCosts
     # serves every search toward its destination.
@@ -424,11 +422,46 @@ def test_pruned_search_matches_enumerate_then_filter():
         trips = enumerate_paths(net, source, dest, limit)
         trips_seen += len(trips)
         for mode in (STRICT, WEAK):
-            expected = frontier_filter([(t.path, t.cost) for t in trips], mode)
+            expected = trip_solutions(
+                frontier_filter([(t.path, t.cost) for t in trips], mode))
             assert best_paths(net, source, dest, limit, mode) == expected
             kept += len(expected)
     # The battery must exercise real frontiers, and real pruning.
     assert kept > 800 and trips_seen > 3 * kept
+
+
+# Every cost an ordered pair of a, b, c may have in the exhaustive gate.
+TINY_COSTS = (None, (0, 0), (0, 1), (1, 0), (1, 1))
+TINY_PAIRS = tuple(itertools.permutations("abc", 2))
+
+
+@pytest.mark.parametrize("source, dest", [("a", "c"), ("b", "a"), ("c", "b")])
+def test_every_three_node_network(source, dest):
+    # The bounded-exhaustive gate: every network on a, b and c whose
+    # ordered pairs are each absent or cost (t, e) in {0, 1}^2 (5**6
+    # networks), energy limits 0-2 and both modes.  Across the three
+    # queries the third node sorts between, after and before the ends.
+    trips_seen, kept = 0, {STRICT: 0, WEAK: 0}
+    for costs in itertools.product(TINY_COSTS, repeat=len(TINY_PAIRS)):
+        edges = {pair: cost for pair, cost in zip(TINY_PAIRS, costs)
+                 if cost is not None}
+        net = RoadNetwork(nodes=("a", "b", "c"),
+                          edges={pair: CostPair(*cost)
+                                 for pair, cost in edges.items()})
+        within_two = oracle_paths(edges, source, dest, 2)
+        for limit in range(3):
+            expected = [trip for trip in within_two if trip[2] <= limit]
+            assert [(t.path, *t.cost) for t in
+                    enumerate_paths(net, source, dest, limit)] == expected
+            trips_seen += len(expected)
+            for mode in (STRICT, WEAK):
+                front = oracle_filter([trip[1:] for trip in expected], mode)
+                best = [trip for trip in expected if trip[1:] in front]
+                assert [(t.path, *t.cost) for t in
+                        best_paths(net, source, dest, limit, mode)] == best
+                kept[mode] += len(best)
+    # Each mode drops trips, and weak dominance drops more.
+    assert trips_seen > kept[STRICT] > kept[WEAK] > 0
 
 
 def grid_network(rng, size):
@@ -528,9 +561,8 @@ def test_corridor_longer_than_the_recursion_limit():
     assert enumerate_paths(net, "n0", "n1199", 5000) \
         == [TripSolution(path=path, cost=CostPair(1199, 1199))]
     for mode in (STRICT, WEAK):
-        assert [(item.witness, item.cost) for item in
-                best_paths(net, "n0", "n1199", 5000, mode)] \
-            == [(path, CostPair(1199, 1199))]
+        assert best_paths(net, "n0", "n1199", 5000, mode) \
+            == [TripSolution(path=path, cost=CostPair(1199, 1199))]
 
 def test_best_paths_checks_its_inputs(network):
     with pytest.raises(UnknownNodeError):
