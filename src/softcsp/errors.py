@@ -105,8 +105,14 @@ def load_json(path, build):
     """``build`` applied to an input file's JSON; errors name the path."""
     text = read_input(path)
     try:
-        return build(json.loads(text))
-    except (json.JSONDecodeError, RecursionError, InputError) as exc:
+        # A ValueError here is a JSONDecodeError, or an integer longer
+        # than the interpreter's limit on integer digits.
+        data = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise FormatError(f"{path}: {exc}") from exc
+    try:
+        return build(data)
+    except (RecursionError, InputError) as exc:
         raise FormatError(f"{path}: {exc}") from exc
 
 

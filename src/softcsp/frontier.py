@@ -4,7 +4,7 @@ Cost *sets* form a semiring: union keeps alternatives side by side,
 pairwise addition composes them, and after every operation the set is
 reduced to its non-dominated elements (the compact representative of a
 down-closed cost set).  The trip and journey optimizers do not use it,
-only :func:`_frontier`.  Two dominance notions are supported:
+only :func:`_undominated`.  Two dominance notions are supported:
 
 * ``strict`` -- u beats v only when u is smaller in *both* coordinates.
   This is the default, and it keeps alternatives that tie on one criterion.
@@ -16,17 +16,18 @@ Elements may carry a witness (e.g. the node sequence of a route).
 Dominance compares costs only; witnesses merely ride along and fix a
 deterministic output order.
 
-:func:`_frontier` finds the non-dominated ``(time, energy)`` pairs by one
-sort and one sweep (Kung, Luccio and Preparata 1975).  Sorted by time,
-then energy, every pair that could dominate a pair comes before it, so a
-pair survives when its energy is below the least energy seen so far
-(weak), or at most the least energy at strictly earlier times (strict).
+:func:`_undominated` keeps the items of non-dominated ``(time, energy)``
+cost by one sort and one sweep (Kung, Luccio and Preparata 1975).  Sorted
+by time, then energy, every pair that could dominate a pair comes before
+it, so a pair survives when its energy is below the least energy seen so
+far (weak), or at most the least energy at strictly earlier times (strict).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, Optional, Set, Tuple
+from operator import attrgetter
+from typing import Any, Callable, Collection, Iterable, Optional, Tuple
 
 from .errors import ModeMismatchError
 from .semiring import CostPair
@@ -65,14 +66,18 @@ def _check_mode(mode: str) -> None:
         raise ModeMismatchError(f"unknown dominance mode {mode!r}")
 
 
-def _frontier(costs: Iterable[Tuple[Any, Any]], mode: str) -> Set[tuple]:
-    """The pairs of ``costs`` that no pair of it dominates under ``mode``."""
+def _undominated(items: Collection, cost: Callable[[Any], tuple],
+                 mode: Optional[str]) -> list:
+    """The items, in input order, whose ``(time, energy)`` ``cost(item)``
+    no other item's dominates under ``mode``; all of them without one."""
+    if mode is None:
+        return list(items)
     strict = mode == STRICT
     kept = set()
     # None, not infinity, marks "nothing seen yet": an infinite energy is
     # not below an infinite least energy.
     least = before = last_time = None
-    for pair in sorted(set(costs)):
+    for pair in sorted(set(map(cost, items))):
         time, energy = pair
         if time != last_time:
             before, last_time = least, time
@@ -81,7 +86,7 @@ def _frontier(costs: Iterable[Tuple[Any, Any]], mode: str) -> Set[tuple]:
             kept.add(pair)
         elif strict and (before is None or energy <= before):
             kept.add(pair)
-    return kept
+    return [item for item in items if cost(item) in kept]
 
 
 @dataclass(frozen=True)
@@ -138,9 +143,7 @@ def frontier_filter(items: Iterable[Tuple[Any, CostPair]],
     """
     _check_mode(mode)
     unique = {FrontierItem(cost=cost, witness=witness) for witness, cost in items}
-    front = _frontier([(i.cost.time, i.cost.energy) for i in unique], mode)
-    kept = [item for item in unique
-            if (item.cost.time, item.cost.energy) in front]
+    kept = _undominated(unique, attrgetter("cost"), mode)
     kept.sort(key=_item_key)
     return CostFrontier(items=tuple(kept), mode=mode)
 

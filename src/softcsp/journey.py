@@ -36,11 +36,12 @@ charge trace is replayed as a self-check before the journey is emitted.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from .errors import FormatError, InputError, fields, load_json
-from .frontier import STRICT, CostFrontier, _check_mode, _frontier
+from .frontier import STRICT, CostFrontier, _check_mode, _undominated
 from .roadnet import LeastCosts, RoadNetwork, TripSolution, enumerate_paths
 from .semiring import CostPair
 
@@ -232,15 +233,6 @@ def _journey_witness(solution: JourneySolution) -> tuple:
             solution.charging_events)
 
 
-def _undominated(partials: list, mode: Optional[str]) -> list:
-    """The partials whose first two fields, (time, energy), no other
-    partial's dominate under ``mode``; all of them without a ``mode``."""
-    if mode is None:
-        return partials
-    front = _frontier([(p[0], p[1]) for p in partials], mode)
-    return [p for p in partials if (p[0], p[1]) in front]
-
-
 def _journeys(net: RoadNetwork, appointments, stations, initial_soc: int,
               policy: ChargingPolicy,
               mode: Optional[str]) -> List[JourneySolution]:
@@ -259,6 +251,7 @@ def _journeys(net: RoadNetwork, appointments, stations, initial_soc: int,
     # leg can force the charge that opens a non-dominated journey.
     trips: Dict[Tuple[str, str, int, int], List[TripSolution]] = {}
     layer = {initial_soc: [(0, 0, (), ())]}
+    time_energy = itemgetter(0, 1)
     for here, there in zip(appointments, appointments[1:]):
         to_there = least[there.location]
         reached: Dict[int, list] = {}
@@ -286,11 +279,11 @@ def _journeys(net: RoadNetwork, appointments, stations, initial_soc: int,
                                    (*legs, trip), (*leg_charges, charge))
                                   for time, energy, legs, leg_charges
                                   in partials]
-        layer = {soc: _undominated(partials, mode)
+        layer = {soc: _undominated(partials, time_energy, mode)
                  for soc, partials in reached.items()}
     finished = _undominated([(*partial, soc)
                              for soc, partials in layer.items()
-                             for partial in partials], mode)
+                             for partial in partials], time_energy, mode)
     journeys = [_solution(legs, leg_charges, CostPair(time, energy),
                           final_soc, initial_soc, policy, appointments)
                 for time, energy, legs, leg_charges, final_soc in finished]

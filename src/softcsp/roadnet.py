@@ -15,7 +15,7 @@ non-negative: completing the dominating prefix with the cut prefix's
 suffix and removing any cycle gives a simple path within the cap whose
 cost dominates every completion of the cut prefix.  A trip found later
 may still dominate one found before; one sweep over the trips' costs
-(:func:`frontier._frontier`) drops those.  The walk carries a partial
+(:func:`frontier._undominated`) drops those.  The walk carries a partial
 path's cost as two plain ints, and the labels are ``(time, energy)`` int
 pairs compared by :mod:`frontier`'s component rules; a :class:`CostPair`
 is built only for a trip that reaches the destination.  Networks keep a
@@ -53,14 +53,14 @@ import re
 from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import repeat
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from types import MappingProxyType
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from .errors import (FormatError, InputError, ParseError, UnknownNodeError,
                      fields, load_json)
-from .frontier import _DOMINATES_COMPONENTS, STRICT, _check_mode, _frontier
+from .frontier import _DOMINATES_COMPONENTS, STRICT, _check_mode, _undominated
 from .semiring import CostPair
 
 Adjacency = Tuple[Tuple[str, CostPair], ...]
@@ -185,8 +185,12 @@ def parse_network(text: str) -> RoadNetwork:
             edge_match = _EDGE_FACT.match(statement)
             if edge_match:
                 src, dst, time, energy = edge_match.groups()
-                edge_list.append((line_no, src, dst,
-                                  CostPair(int(time), int(energy))))
+                try:
+                    cost = CostPair(int(time), int(energy))
+                except ValueError as exc:  # more digits than int() reads
+                    raise ParseError(f"edge {src}->{dst}: {exc}",
+                                     line_no) from exc
+                edge_list.append((line_no, src, dst, cost))
                 continue
             node_match = _NODE_FACT.match(statement)
             if node_match:
@@ -468,9 +472,8 @@ def best_paths(net: RoadNetwork, source: str, dest: str, energy_limit: int,
     The same trips, in the same order, as ``frontier_filter`` over
     :func:`enumerate_paths`: lexicographic order of the node sequence.
     """
-    trips = _walk(net, source, dest, energy_limit, mode)
-    kept = _frontier([trip.cost for trip in trips], mode)
-    return [trip for trip in trips if trip.cost in kept]
+    return _undominated(_walk(net, source, dest, energy_limit, mode),
+                        attrgetter("cost"), mode)
 
 
 def trip_solutions(front) -> List[TripSolution]:

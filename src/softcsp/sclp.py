@@ -69,8 +69,9 @@ import itertools
 import re
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import (Any, Callable, Dict, FrozenSet, Iterable, NamedTuple,
-                    NoReturn, Optional, Tuple)
+from types import MappingProxyType
+from typing import (Any, Callable, Dict, FrozenSet, Iterable, Mapping,
+                    NamedTuple, NoReturn, Optional, Tuple)
 
 from .errors import (
     EmptyUniverseError,
@@ -486,10 +487,10 @@ class LfpResult:
 
     ``iterations`` is the k for which k applications of the consequence
     operator to the bottom interpretation produce the fixpoint (the k+1-th
-    application confirms it).
+    application confirms it).  ``interpretation`` is a read-only view.
     """
 
-    interpretation: Interpretation = field(repr=False)
+    interpretation: Mapping[Atom, SemiringValue] = field(repr=False)
     iterations: int
 
 
@@ -565,8 +566,9 @@ def lfp(program: Program, max_iters: Optional[int] = None) -> LfpResult:
         if step == max_iters:
             break
         if not changed:
-            return LfpResult(interpretation=_boxed(spec, interp),
-                             iterations=step)
+            return LfpResult(
+                interpretation=MappingProxyType(_boxed(spec, interp)),
+                iterations=step)
         # Values only climb, so an atom turns non-zero once, and each
         # instance is built in the round its last body atom does.
         fresh = _AtomIndex()

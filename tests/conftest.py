@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -88,3 +89,14 @@ def shuttle_data(count=1100):
     appointments = [{"location": "ab"[k % 2], "start": 10 * k, "duration": 1}
                     for k in range(count)]
     return network, appointments
+
+
+# --- integers longer than int() reads from text -----------------------------
+
+def oversized_integer() -> str:
+    """The decimal text of an integer one digit longer than Python's limit
+    on reading integers from text; skips where there is no such limit."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this Python reads integers of any length")
+    return "7" * (limit + 1)

@@ -14,7 +14,7 @@ import softcsp
 from softcsp import cli
 from softcsp.cli import run
 
-from conftest import FIXTURES, corridor_data, shuttle_data
+from conftest import FIXTURES, corridor_data, oversized_integer, shuttle_data
 
 NETWORK = str(FIXTURES / "network.json")
 APPOINTMENTS = str(FIXTURES / "appointments.json")
@@ -561,6 +561,27 @@ def test_input_error_names_the_fault(tmp_path, argv, text, message):
     argv = [str(path) if arg == FILE else arg for arg in argv]
     assert invoke(*argv) == \
         (1, "", f"softcsp {argv[0]}: {message.format(path=path)}\n")
+
+
+@pytest.mark.parametrize("command, template", [
+    ("trip", _network(_edge(time="DIGITS"))),
+    ("journey", json.dumps([{"location": "p", "start": 0, "duration": 1},
+                            {"location": "t", "start": "DIGITS",
+                             "duration": 0}])),
+    ("scsp", _problem(constraints=[{"support": ["x"], "rows": [
+        {"assign": ["a"], "value": "DIGITS"}]}])),
+])
+def test_oversized_integer_is_an_input_error(tmp_path, command, template):
+    # json.loads raises a plain ValueError for an integer longer than the
+    # interpreter reads from text; it is a fault of the file, not the
+    # program.  Its own text differs between Python versions.
+    path = tmp_path / "input"
+    path.write_text(template.replace('"DIGITS"', oversized_integer()),
+                    encoding="utf-8")
+    status, out, err = invoke(*reading(command, str(path)))
+    assert (status, out) == (1, "")
+    assert err.startswith(f"softcsp {command}: {path}: ")
+    assert "internal error" not in err
 
 
 @pytest.mark.parametrize("error, status, message", [

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 import re
 import sys
@@ -26,7 +27,7 @@ from softcsp.journey import (
     stations_from_json,
 )
 from softcsp import journey
-from softcsp.roadnet import network_from_json
+from softcsp.roadnet import RoadNetwork, network_from_json
 
 from conftest import shuttle_data
 from oracles import oracle_filter, oracle_journeys, oracle_paths
@@ -440,6 +441,51 @@ def test_best_journeys_match_filtered_oracle(mode):
         charged += sum(1 for j in got if j[1])
         late += not got and shape.get("tight", False)
     assert charged > 0 and kept > charged and late > 0
+
+
+# The bounded-exhaustive gate's scope: each of these ordered pairs of a, b
+# and c is absent or costs (t, e) in SMALL_COSTS (5**4 networks).
+SMALL_PAIRS = (("a", "b"), ("a", "c"), ("c", "b"), ("b", "a"))
+SMALL_COSTS = (None, (0, 1), (1, 0), (1, 2), (2, 1))
+SMALL_SCHEDULES = (
+    [Appointment("a", 0, 1), Appointment("b", 3, 1), Appointment("a", 6, 0)],
+    [Appointment("a", 0, 0), Appointment("b", 2, 2), Appointment("a", 5, 0)],
+)
+SMALL_STATIONS = ([], [ChargingStation("s", 1, "a")],
+                  [ChargingStation("s", 1, "b")])
+SMALL_POLICIES = (ChargingPolicy(rate=1), ChargingPolicy(rate=2, capacity=3))
+
+
+def test_every_small_journey():
+    # The bounded-exhaustive gate: every network of the scope, both
+    # schedules, no station or one at either end of the first leg, both
+    # policies, initial charges 0-3 and both modes, 60 000 queries, each
+    # compared item for item with the oracles.
+    queries = found = charged = 0
+    kept = {STRICT: 0, WEAK: 0}
+    for costs in itertools.product(SMALL_COSTS, repeat=len(SMALL_PAIRS)):
+        net = RoadNetwork(nodes=("a", "b", "c"),
+                          edges={pair: CostPair(*cost)
+                                 for pair, cost in zip(SMALL_PAIRS, costs)
+                                 if cost is not None})
+        for appointments, stations, policy in itertools.product(
+                SMALL_SCHEDULES, SMALL_STATIONS, SMALL_POLICIES):
+            for soc in range(4):
+                every = oracle_of(net, appointments, stations, soc, policy)
+                found += len(every)
+                # reference_journeys, with one oracle run for both modes.
+                for mode in (STRICT, WEAK):
+                    front = oracle_filter([j[2] for j in every], mode)
+                    expected = [j for j in every if j[2] in front]
+                    assert [summarize(s) for s in best_journeys(
+                        net, appointments, stations, soc, policy, mode)] \
+                        == expected
+                    queries += 1
+                    kept[mode] += len(expected)
+                    charged += sum(1 for j in expected if j[1])
+    # Both modes drop journeys, weak dominance more; charging is forced.
+    assert queries == 60_000
+    assert found > kept[STRICT] > kept[WEAK] > 0 and charged > 0
 
 
 def small_network(*edges):

@@ -25,7 +25,7 @@ from softcsp.roadnet import (LeastCosts, RoadNetwork, TripSolution, _walk,
                              trip_solutions)
 from softcsp.semiring import INF
 
-from conftest import FIXTURES, corridor_data
+from conftest import FIXTURES, corridor_data, oversized_integer
 from oracles import (oracle_filter, oracle_network_from_json, oracle_paths,
                      reference_walk)
 
@@ -58,6 +58,12 @@ class TestFactFormat:
     def test_missing_period(self):
         with pytest.raises(ParseError):
             parse_network("edge(p,q,[2,4])\n")
+
+    def test_oversized_integer_names_the_line(self):
+        digits = oversized_integer()
+        # The ValueError's own text differs between Python versions.
+        with pytest.raises(ParseError, match=r"^line 2: edge q->p: "):
+            parse_network(f"edge(p,q,[1,1]).\nedge(q,p,[1,{digits}]).\n")
 
 
 class TestJsonFormat:

@@ -408,6 +408,14 @@ class TestFixpoint:
         assert result.interpretation == {}
         assert result.iterations == 0
 
+    def test_interpretation_is_read_only(self, costs_program):
+        interpretation = lfp(costs_program).interpretation
+        atom_ = next(iter(interpretation))
+        with pytest.raises(TypeError):
+            interpretation[atom_] = interpretation[atom_]
+        with pytest.raises(TypeError):
+            del interpretation[atom_]
+
     def test_iteration_cap(self, costs_program):
         grounded = ground(costs_program)
         with pytest.raises(NonConvergenceError) as err:
