@@ -28,7 +28,7 @@ import itertools
 import operator
 from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, FrozenSet, Iterable, Tuple
+from typing import Any, Callable, Dict, FrozenSet, Iterable, Optional, Tuple
 
 from .errors import (
     DegenerateFusionError,
@@ -272,16 +272,25 @@ def make_constraint(spec: SemiringSpec, domain: Iterable[Any],
 
 
 def _rows(c: SoftConstraint, support: Tuple[Name, ...], domain: Tuple[Any, ...],
-          rename: Callable[[Name], Name] = lambda n: n) -> tuple:
+          rename: Optional[Callable[[Name], Name]] = None) -> tuple:
     # c's payloads in product order over ``support`` and ``domain``, each name
-    # n read at rename(n): a stride walk over c.rows and the places in c.domain.
-    if domain == c.domain and tuple(map(rename, c.support)) == support:
+    # n read at rename(n), or at n if rename is None.  Each name's stride in
+    # c.rows is worked out once; a name c lacks has stride 0.  A row's offset
+    # is the sum over the names of stride times the value's place in c.domain.
+    names = c.support if rename is None else tuple(map(rename, c.support))
+    if domain == c.domain and names == support:
         return c.rows
+    size, stride, strides = len(domain), 1, {}
+    for name in reversed(names):
+        strides[name] = strides.get(name, 0) + stride
+        stride *= size
+    places = None if domain == c.domain else [*map(c.domain.index, domain)]
     at = [0]
-    for name in support:
-        stride = sum(len(domain) ** k for k, n in enumerate(reversed(c.support))
-                     if rename(n) == name)
-        offsets = [stride * c.domain.index(v) for v in domain]
+    for s in map(strides.get, support, itertools.repeat(0)):
+        if places is None:
+            offsets = range(0, s * size, s) if s else (0,) * size
+        else:
+            offsets = [s * place for place in places]
         at = [i + offset for i in at for offset in offsets]
     # itemgetter returns a bare value, not a tuple, for a single index.
     if len(at) > 1:

@@ -26,17 +26,24 @@ The JSON problem format::
     }
 
 ``"inf"`` encodes the weighted infinity.  Tables must be total.
+
+:func:`problem_from_json` reads each row once: a row's assignment is
+looked up among the offsets of its table's product order, and each
+distinct value is coerced once per problem.  Only a document with a
+fault is read again, row by row, to name the row and the fault.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
+import operator
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, FrozenSet, Tuple
+from typing import Any, Callable, Dict, FrozenSet, Optional, Tuple
 
-from .constraints import (Name, SoftConstraint, check_domain, combine, hide,
-                          make_constraint, unit_constraint)
+from .constraints import (Name, SoftConstraint, _rows, check_domain, combine,
+                          hide, make_constraint, unit_constraint)
 from .errors import FormatError, InputError, InstanceMismatchError, fields, load_json
 from .semiring import SemiringSpec, SemiringValue, lookup
 
@@ -120,12 +127,85 @@ def problem_from_json(data: Any) -> SCSPProblem:
     if not isinstance(domain, list) or not domain:
         raise FormatError('"domain" must be a non-empty list')
     _check_scalars(domain, lambda: "domain")
-    check_domain(domain)
+    dom = check_domain(domain)
     if not isinstance(interface, list) or not all(isinstance(n, str) for n in interface):
         raise FormatError('"interface" must be a list of names')
     if not isinstance(raw_constraints, list):
         raise FormatError('"constraints" must be a list')
 
+    constraints = _bulk_constraints(spec, dom, raw_constraints)
+    if constraints is None:
+        constraints = _explain(spec, domain, raw_constraints)
+    return SCSPProblem(spec=spec, domain=dom, constraints=constraints,
+                       interface=interface)
+
+
+# A row's assignment and value; a JSON scalar is one of these types.
+_ROW = operator.itemgetter("assign", "value")
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
+def _bulk_constraints(spec: SemiringSpec, domain: Tuple[Any, ...],
+                      raw_constraints: list) -> Optional[list]:
+    """The constraints of ``raw_constraints``, or None if any is faulty.
+
+    Each row's assignment is looked up, as a tuple, in a map from every
+    assignment to its offset in the canonical product order, made once
+    per order of the names in a support.  A table is total and free of
+    duplicates exactly when its |D|^k rows have |D|^k distinct offsets.
+    Each distinct value is coerced once per problem, keyed by its type
+    too, so ``1``, ``1.0`` and ``true`` stay apart.  The rules are those
+    :func:`_explain` applies row by row.
+    """
+    offsets: Dict[Tuple[int, ...], Dict[tuple, int]] = {}
+    payloads: Dict[Tuple[type, Any], Any] = {}
+    constraints = []
+    try:
+        for entry in raw_constraints:
+            if type(entry) is not dict:
+                return None
+            support, rows = entry["support"], entry["rows"]
+            if (type(support) is not list or type(rows) is not list
+                    or {*map(type, support)} - {str}
+                    or len(set(support)) != len(support)
+                    or {*map(type, rows)} - {dict}):
+                return None
+            count = len(domain) ** len(support)
+            if len(rows) != count:
+                return None
+            canonical = tuple(sorted(support))
+            ranks = tuple(map(canonical.index, support))
+            offset = offsets.get(ranks)
+            if offset is None:
+                # A table whose payloads are their own offsets, read in
+                # the given order of its names.
+                numbered = SoftConstraint(spec, domain, canonical, range(count))
+                offset = offsets[ranks] = dict(zip(
+                    itertools.product(domain, repeat=len(support)),
+                    _rows(numbered, tuple(support), domain)))
+            assigns, values = zip(*map(_ROW, rows))
+            if ({*map(type, assigns)} - {list} or not _SCALARS.issuperset(
+                    map(type, itertools.chain.from_iterable(assigns)))):
+                return None
+            at = [*map(offset.__getitem__, map(tuple, assigns))]
+            keys = [*zip(map(type, values), values)]
+            for key in {*keys}.difference(payloads):
+                payloads[key] = spec._payload(key[1])
+            table = [*map(payloads.__getitem__, keys)]
+            if at != [*range(count)]:
+                # A duplicate leaves some offset out: a KeyError here.
+                table = map(dict(zip(at, table)).__getitem__, range(count))
+            constraints.append(SoftConstraint(spec, domain, canonical, table))
+    except (KeyError, TypeError, InputError):
+        # A row that lacks a key or assigns outside the domain, or a value
+        # that is unhashable or outside the carrier.
+        return None
+    return constraints
+
+
+def _explain(spec: SemiringSpec, domain: list, raw_constraints: list) -> list:
+    """Read ``raw_constraints`` one row at a time: the constraints, or the
+    error of the first fault."""
     constraints = []
     for index, entry in enumerate(raw_constraints):
         where = f"constraints[{index}]"
@@ -151,9 +231,7 @@ def problem_from_json(data: Any) -> SCSPProblem:
             constraints.append(make_constraint(spec, domain, support, table))
         except InputError as exc:
             raise FormatError(f"{where}: {exc}") from exc
-
-    return SCSPProblem(spec=spec, domain=domain, constraints=constraints,
-                       interface=interface)
+    return constraints
 
 
 def load_problem(path: str | Path) -> SCSPProblem:

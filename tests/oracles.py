@@ -9,13 +9,13 @@ consequence operator, which the SCLP tests check on its own,
 pins the exact table (row order included) that ``solve`` must return,
 the reference parser of program clauses and goals, a character-by-character
 splitter that pins the library parser's results and error messages, and
-the reference network reader, which reads one edge entry at a time and
-builds through the library's checking ``RoadNetwork`` constructor, and
-``reference_walk``, the trip walk written as plain recursion over the
-library's steering and pruning, which pins the walk's trips and its
-expansions.  The benchmark's oracle imports this module without the
-library, so ``dense_solve`` and the reference readers and walk import it
-when called.
+the reference network and problem readers, which read one edge entry or
+table row at a time and build through the library's checking
+constructors, and ``reference_walk``, the trip walk written as plain
+recursion over the library's steering and pruning, which pins the walk's
+trips and its expansions.  The benchmark's oracle imports this module
+without the library, so ``dense_solve`` and the reference readers and
+walk import it when called.
 """
 
 import itertools
@@ -195,6 +195,102 @@ def oracle_scsp(spec, domain, constraints, interface, sr_times, sr_plus):
         key = tuple(eta[n] for n in iface)
         rows[key] = total if key not in rows else sr_plus(spec, rows[key], total)
     return iface, rows
+
+
+def oracle_problem_from_json(data):
+    """The JSON problem format read one row at a time.
+
+    Each constraint's rows are checked and collected by raw assignment,
+    then placed one at a time by stride, each value coerced on its own;
+    the first fault raises.  The problem is built by the checking
+    ``SCSPProblem`` and ``SoftConstraint`` constructors.
+    """
+    from softcsp.constraints import SoftConstraint, check_domain
+    from softcsp.errors import (FormatError, IncompleteTableError, InputError,
+                                InstanceMismatchError, fields)
+    from softcsp.scsp import SCSPProblem
+    from softcsp.semiring import SemiringValue, lookup
+
+    def scalars(values, where):
+        for index, value in enumerate(values):
+            if not isinstance(value, (str, int, float, type(None))):
+                raise FormatError(f"{where}[{index}] must be a JSON scalar, "
+                                  f"got {value!r}")
+
+    def build(spec, domain, given, table):
+        # The table placed in product order over the sorted support.
+        dom = check_domain(domain)
+        if len(set(given)) != len(given):
+            raise InputError(f"duplicate names in support {list(given)!r}")
+        canonical = sorted(given)
+        size = len(dom) ** len(given)
+        place = {v: i for i, v in enumerate(dom)}
+        rows = {}
+        for key, raw in table.items():
+            if len(key) != len(given) or not all(v in place for v in key):
+                raise IncompleteTableError(
+                    f"row {key!r} does not match support {list(given)!r} "
+                    f"over domain {list(dom)!r}")
+            by_name = dict(zip(given, key))
+            at = 0
+            for name in canonical:
+                at = at * len(dom) + place[by_name[name]]
+            if at in rows:
+                raise IncompleteTableError(f"duplicate row {key!r}")
+            try:
+                rows[at] = spec._payload(raw)
+            except InstanceMismatchError as exc:
+                if isinstance(raw, SemiringValue):
+                    raise
+                raise InstanceMismatchError(f"row {key!r}: {exc}") from None
+        if len(rows) != size:
+            filled = {tuple(place[v] for v in key) for key in table}
+            missing = next(combo for combo in itertools.product(
+                range(len(dom)), repeat=len(given)) if combo not in filled)
+            raise IncompleteTableError(
+                f"table has {len(table)} rows, expected {size} "
+                f"(|D|^{len(given)}); first missing "
+                f"{tuple(dom[i] for i in missing)!r}")
+        return SoftConstraint(spec, dom, tuple(canonical),
+                              [rows[at] for at in range(size)])
+
+    semiring, domain, interface, raw_constraints = fields(
+        data, "problem file", ("semiring", "domain", "interface", "constraints"))
+    spec = lookup(semiring)
+    if not isinstance(domain, list) or not domain:
+        raise FormatError('"domain" must be a non-empty list')
+    scalars(domain, "domain")
+    check_domain(domain)
+    if (not isinstance(interface, list)
+            or not all(isinstance(n, str) for n in interface)):
+        raise FormatError('"interface" must be a list of names')
+    if not isinstance(raw_constraints, list):
+        raise FormatError('"constraints" must be a list')
+    constraints = []
+    for index, entry in enumerate(raw_constraints):
+        where = f"constraints[{index}]"
+        support, rows = fields(entry, where, ("support", "rows"))
+        if (not isinstance(support, list)
+                or not all(isinstance(n, str) for n in support)):
+            raise FormatError(f"{where}.support must be a list of names")
+        if not isinstance(rows, list):
+            raise FormatError(f"{where}.rows must be a list")
+        table = {}
+        for row_index, row in enumerate(rows):
+            at = f"{where}.rows[{row_index}]"
+            assign, value = fields(row, at, ("assign", "value"))
+            if not isinstance(assign, list):
+                raise FormatError(f"{at}.assign must be a list")
+            scalars(assign, f"{at}.assign")
+            if tuple(assign) in table:
+                raise FormatError(f"{at}: duplicate assignment {assign!r}")
+            table[tuple(assign)] = value
+        try:
+            constraints.append(build(spec, domain, support, table))
+        except InputError as exc:
+            raise FormatError(f"{where}: {exc}") from exc
+    return SCSPProblem(spec=spec, domain=domain, constraints=constraints,
+                       interface=interface)
 
 
 def dense_solve(problem):

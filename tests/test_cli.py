@@ -782,3 +782,94 @@ def test_dispatch_parses_as_the_top_parser_does():
     # The corpus reaches both sides of the parse and the top parser's own
     # leftover-arguments error.
     assert kinds.count("parsed") > 300 and kinds.count("usage error") > 300
+
+
+# --- a seeded mutation fuzz of every subcommand's input files ----------------
+
+# Stand-ins for a JSON value: near misses of the fixtures' own values too.
+_FUZZ_VALUES = [None, True, 0, -1, 1, 2.5, 10**30, float("inf"), "", "p", "q",
+                "t", "zz", "inf", "red", "x", "1/2", [], ["p"], {}, {"p": 1}]
+_SCLP_CHARS = "()[],.:-%#_ aXYz019\n'\"\\"
+
+
+def _mutate_document(rng, data):
+    """``data`` with one value inside it replaced, dropped or repeated."""
+    spots = []
+
+    def collect(node):
+        keys = (list(node) if isinstance(node, dict)
+                else range(len(node)) if isinstance(node, list) else ())
+        for key in keys:
+            spots.append((node, key))
+            collect(node[key])
+
+    collect(data)
+    if not spots:
+        return rng.choice(_FUZZ_VALUES)
+    node, key = rng.choice(spots)
+    roll = rng.randrange(4)
+    if roll == 0:
+        node[key] = rng.choice(_FUZZ_VALUES)
+    elif roll == 1:
+        del node[key]
+    elif roll == 2 and isinstance(node, list):
+        node.insert(key, json.loads(json.dumps(node[key])))
+    elif isinstance(node, dict):  # a key renamed
+        node[rng.choice(["from", "to", "value", "assign", "nodes", "zz"])] = \
+            node.pop(key)
+    else:
+        node[key] = rng.choice(_FUZZ_VALUES)
+    return data
+
+
+def _mutate_text(rng, text):
+    chars = list(text)
+    for _ in range(rng.randint(1, 4)):
+        at = rng.randrange(len(chars) + 1)
+        roll = rng.randrange(3)
+        if roll == 0 and at < len(chars):
+            del chars[at]
+        elif roll == 1 and at < len(chars):
+            chars[at] = rng.choice(_SCLP_CHARS)
+        else:
+            chars.insert(at, rng.choice(_SCLP_CHARS))
+    return "".join(chars)
+
+
+def test_mutated_inputs_never_fail_internally(tmp_path):
+    # Each call reads the fixtures with one file mutated: a clean answer
+    # or a user-facing error, exit 0 or 1, and never an internal error.
+    rng = random.Random("input-fuzz")
+    files = {"network": NETWORK, "appointments": APPOINTMENTS,
+             "stations": STATIONS, "problem": PROBLEM, "program": PROGRAM}
+    commands = {
+        "trip": (["network"], "trip --from p --to t --limit 10"),
+        "journey": (["network", "appointments", "stations"],
+                    "journey --soc 10"),
+        "scsp": (["problem"], "scsp"),
+        "sclp": (["program"], "sclp"),
+    }
+    statuses = []
+    for trial in range(400):
+        command = list(commands)[trial % 4]
+        inputs, flags = commands[command]
+        target = rng.choice(inputs)
+        text = Path(files[target]).read_text(encoding="utf-8")
+        if target == "program":
+            text = _mutate_text(rng, text)
+        else:
+            text = json.dumps(_mutate_document(rng, json.loads(text)))
+        path = tmp_path / f"{trial}-{target}"
+        path.write_text(text, encoding="utf-8")
+        argv = flags.split()
+        for name in inputs:
+            argv += [f"--{name}", str(path) if name == target else files[name]]
+        if rng.random() < 0.5:
+            argv.append("--json")
+        status, out, err = invoke(*argv)
+        assert status in (0, 1), (argv, text, err)
+        assert "internal error" not in err, (argv, text, err)
+        if status == 1:
+            assert err.startswith(f"softcsp {command}: "), (argv, text, err)
+        statuses.append(status)
+    assert statuses.count(0) > 30 and statuses.count(1) > 200

@@ -1,6 +1,8 @@
 import itertools
 import json
 import random
+from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 
@@ -27,7 +29,7 @@ from softcsp.constraints import make_constraint
 from softcsp.errors import FormatError, InputError, InstanceMismatchError
 
 from conftest import FIXTURES, random_constraint, random_value, specs
-from oracles import dense_solve, oracle_scsp
+from oracles import dense_solve, oracle_problem_from_json, oracle_scsp
 from test_constraints import COLORS, WCSP, coloring_constraints
 
 
@@ -151,6 +153,140 @@ class TestProblemFile:
         path.write_text(json.dumps(data), encoding="utf-8")
         problem = load_problem(path)
         assert solve(problem).evaluate({"x": "a"}).payload == INF
+
+
+# --- the problem reader against the per-row reference ------------------------
+
+# Values valid under each semiring, and the look-alikes and spellings that
+# one or both reject.
+_VALID = {"wcsp": (0, 1, 2, 7, "inf"),
+          "fcsp": (0, 1, "1", "0", "1/2", "3/10", 1.0, 0.5, -0.0)}
+_ODD_VALUES = (1, 1.0, True, "1", -0.0, "inf", float("nan"), "3/2", None,
+               [1, 2], {"v": 1})
+_DOMAINS = (["a"], ["a", "b"], ["a", "b", "c"], [0, 1], [1, "x", None],
+            [0.5, "a"])
+
+
+def _problem_document(rng):
+    semiring = rng.choice(("wcsp", "fcsp"))
+    domain = list(rng.choice(_DOMAINS))
+    names = ["x", "y", "z"]
+    constraints = []
+    for _ in range(rng.randint(0, 3)):
+        support = rng.sample(names, rng.choice((0, 1, 1, 2, 2, 2, 3)))
+        rows = [{"assign": list(assign), "value": rng.choice(_VALID[semiring])}
+                for assign in itertools.product(domain, repeat=len(support))]
+        if rng.random() < 0.5:
+            rng.shuffle(rows)
+        constraints.append({"support": support, "rows": rows})
+    return {"semiring": semiring, "domain": domain,
+            "interface": rng.sample(names, rng.randint(0, 3)),
+            "constraints": constraints}
+
+
+def _spoil_problem(rng, doc):
+    """``doc`` with one to three faults, or rarities, put in its tables."""
+    for _ in range(rng.randint(1, 3)):
+        entries = doc["constraints"]
+        if not entries:
+            entries.append({"support": ["x"], "rows": []})
+        entry = rng.choice(entries)
+        if not (isinstance(entry, dict)
+                and isinstance(entry.get("rows"), list)):
+            continue  # spoiled already
+        rows = entry["rows"]
+        if not rows:
+            rows.append({"assign": [doc["domain"][0]], "value": 1})
+        at = rng.randrange(len(rows))
+        row = rows[at]
+        assign = row.get("assign") if isinstance(row, dict) else None
+        edit = rng.randrange(13)
+        if edit == 0:
+            # A mapping that is not a JSON object is no row either.
+            rows[at] = rng.choice(([], "row", None, 1, MappingProxyType(
+                row if isinstance(row, dict) else {})))
+        elif edit == 1 and isinstance(row, dict):
+            row.pop(rng.choice(("assign", "value")), None)
+        elif edit == 2 and isinstance(row, dict):
+            row["assign"] = rng.choice(("a", None, {"x": "a"}, 1, ("a",)))
+        elif edit == 3 and isinstance(assign, list):
+            if row["assign"] and rng.random() < 0.5:
+                row["assign"] = row["assign"][:-1]
+            else:
+                row["assign"] = row["assign"] + [doc["domain"][0]]
+        elif edit == 4 and isinstance(assign, list) and assign:
+            row["assign"] = list(row["assign"])
+            row["assign"][rng.randrange(len(row["assign"]))] = rng.choice(
+                (["a"], {"a": 1}, "zz", 5, True, 1.0, Fraction(1)))
+        elif edit == 5 and isinstance(row, dict) and "assign" in row:
+            # A duplicate, spelled with 1.0 or true where the domain has 1.
+            twin = dict(row, value=rng.choice(_VALID[doc["semiring"]]))
+            if isinstance(twin["assign"], list):
+                twin["assign"] = [rng.choice((True, 1.0)) if v == 1 else v
+                                  for v in twin["assign"]]
+            rows.insert(rng.randint(0, len(rows)), twin)
+        elif edit == 6 and isinstance(entry.get("support"), list) \
+                and entry["support"]:
+            support = entry["support"] = entry["support"] + entry["support"][:1]
+            if rng.random() < 0.5:  # with a row for each assignment
+                entry["rows"] = [
+                    {"assign": list(assign), "value": 1} for assign in
+                    itertools.product(doc["domain"], repeat=len(support))]
+        elif edit == 7:
+            rows.pop(at)
+        elif edit in (8, 9) and isinstance(row, dict):
+            row["value"] = rng.choice(_ODD_VALUES)
+        elif edit == 10:
+            key = rng.choice(("support", "rows", None))
+            if key is None:
+                entries[entries.index(entry)] = rng.choice(
+                    ([], "c", None, MappingProxyType(entry)))
+            elif rng.random() < 0.5:
+                del entry[key]
+            else:
+                entry[key] = rng.choice(("x", None, {"x": 1}, ["x", 1]))
+        elif edit == 11:
+            rng.shuffle(rows)
+        elif edit == 12 and isinstance(entry.get("support"), list):
+            # Names that are no strings, yet one per place.
+            entry["support"] = list(range(len(entry["support"])))
+    return doc
+
+
+# The faults of a problem's tables, each named by a part of its message.
+TABLE_FAULTS = ("must be an object", "is missing", ".support must be",
+                ".rows must be", ".assign must be a list",
+                "must be a JSON scalar",
+                "duplicate assignment", "duplicate names in support",
+                "does not match support", "is not a value of the", "table has")
+
+
+def _read_problem(reader, doc):
+    try:
+        problem = reader(doc)
+    except InputError as err:
+        return type(err), str(err)
+    return "ok", (problem.spec.key, problem.domain, problem.interface,
+                  [(c.support, c.rows, [type(v) for v in c.rows])
+                   for c in problem.constraints])
+
+
+def test_json_reader_matches_the_reference():
+    # Each document goes to the reader and to the reference, which reads
+    # one row at a time and coerces each value on its own: the same
+    # problem (its constraints' supports, rows and payload types), or the
+    # same error type and message.
+    rng = random.Random("problem-gate")
+    seen = set()
+    for trial in range(3000):
+        doc = _problem_document(rng)
+        if trial % 3:
+            doc = _spoil_problem(rng, doc)
+        want = _read_problem(oracle_problem_from_json, doc)
+        assert _read_problem(problem_from_json, doc) == want, doc
+        seen.add(want[0] if want[0] == "ok"
+                 else next(k for k in TABLE_FAULTS if k in want[1]))
+    assert seen == {*TABLE_FAULTS, "ok"}
 
 
 def _random_problem(rng, spec):
@@ -303,3 +439,50 @@ def test_elimination_keeps_tables_narrow(monkeypatch):
         widest.clear()
         solve(problem)
         assert widest and max(widest) <= 3
+
+
+# --- every small problem -----------------------------------------------------
+
+def test_every_small_problem():
+    # Bounded-exhaustive: names x and y over the domain (a, b), wcsp values
+    # 0, 1 and inf, every table on every subset of the support shapes {x},
+    # {y} and {x, y}, and every interface: 8200 constraint sets, 32 800
+    # problems.  The constraints on {x} list the domain as (b, a), so the
+    # stride walk also reads through a domain in another order.  solve and
+    # best_level must agree with oracle_scsp, which enumerates assignments
+    # without the library's tables; its rows, in product order over the
+    # problem domain, pin solve's row order.  dense_solve, which shares
+    # the library's operators, is checked on one interface per constraint
+    # set, each in turn.
+    domain = ("a", "b")
+    values = (0, 1, INF)
+
+    def shape(support, order):
+        # Every table on ``support``: its raw form, and built over ``order``.
+        keys = list(itertools.product(domain, repeat=len(support)))
+        for row in itertools.product(values, repeat=len(keys)):
+            table = dict(zip(keys, map(WCSP.value, row)))
+            yield (support, table), make_constraint(WCSP, order, support, table)
+
+    shapes = [[None, *shape(("x",), ("b", "a"))],
+              [None, *shape(("y",), domain)],
+              [None, *shape(("x", "y"), domain)]]
+    interfaces = [(), ("x",), ("y",), ("x", "y")]
+    for index, chosen in enumerate(itertools.product(*shapes)):
+        chosen = [pair for pair in chosen if pair is not None]
+        raw = [pair[0] for pair in chosen]
+        constraints = [pair[1] for pair in chosen]
+        for interface in interfaces:
+            problem = SCSPProblem(spec=WCSP, domain=domain,
+                                  constraints=constraints, interface=interface)
+            iface, rows = oracle_scsp(WCSP, domain, raw, interface,
+                                      sr_times, sr_plus)
+            solution = solve(problem)
+            assert solution.support == tuple(iface)
+            want = [rows[key].payload
+                    for key in itertools.product(domain, repeat=len(iface))]
+            assert [(type(v), v) for v in solution.rows] \
+                == [(type(v), v) for v in want], (raw, interface)
+            assert best_level(solution).payload == min(want)
+            if interface == interfaces[index % len(interfaces)]:
+                assert solution.rows == dense_solve(problem).rows
