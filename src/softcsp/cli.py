@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from itertools import product
 from json.encoder import encode_basestring_ascii as _quote
 from typing import List, Optional
 
@@ -215,9 +214,9 @@ def _run_scsp(args, out) -> int:
     solution = scsp.solve(problem)
     best = scsp.best_level(solution)
     spec, support = problem.spec, solution.support
-    # The rows are bare payloads in product order over the domain, so each
-    # assignment pairs with its row without a table lookup or a tag check.
-    rows = zip(product(solution.domain, repeat=len(support)), solution.rows)
+    # The table's keys and the bare payloads are both in product order, so
+    # each assignment pairs with its row without a lookup or a tag check.
+    rows = zip(solution.table, solution.rows)
     if args.as_json:
         _emit({
             "inputs": {"problem": args.problem,

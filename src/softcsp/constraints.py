@@ -28,7 +28,8 @@ import itertools
 import operator
 from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, FrozenSet, Iterable, Optional, Tuple
+from typing import (Any, Callable, Collection, Dict, FrozenSet, Iterable,
+                    Optional, Tuple)
 
 from .errors import (
     DegenerateFusionError,
@@ -235,40 +236,77 @@ def make_constraint(spec: SemiringSpec, domain: Iterable[Any],
     the caller; rows are re-indexed to the canonical sorted support order.
     Missing or extra rows raise :class:`IncompleteTableError`; values are
     coerced into ``spec``'s carrier, and the tags of tagged values checked.
+    The table is read once; only a faulty one is read again, row by row,
+    to name its first faulty row (see :func:`_table`).
     """
-    dom = check_domain(domain)
-    given = tuple(support)
+    return _table(spec, check_domain(domain), support, table.keys(),
+                  table.values(), {}, {})
+
+
+def _table(spec: SemiringSpec, dom: Tuple[Any, ...], given: Iterable[Name],
+           keys: Iterable, values: Collection, offsets: dict,
+           payloads: dict) -> SoftConstraint:
+    """The constraint over the names ``given`` whose row ``keys[i]``, a
+    value per name in the given order, holds ``values[i]``.
+
+    Each key is looked up in a map from every assignment to its offset in
+    the canonical product order, kept in ``offsets`` per order of the
+    names: |D|^k rows are a total table exactly when their offsets are
+    distinct.  Each distinct value is coerced once, kept in ``payloads``
+    under its type and value, so ``1``, ``1.0`` and ``true`` stay apart.
+    Both caches may serve every table over one ``spec`` and ``dom``.
+    A table that read cannot place (a faulty one, or one whose values
+    cannot be hashed) is read again row by row: its first row that does
+    not match the support, repeats a row or holds a value outside the
+    carrier raises, then a wrong row count, found before anything of
+    size |D|^k is built.
+    """
+    given = tuple(given)
     if len(set(given)) != len(given):
         raise InputError(f"duplicate names in support {list(given)!r}")
-    canonical = tuple(sorted(given))
-    strides = [len(dom) ** (len(given) - 1 - canonical.index(n)) for n in given]
-    rows = [None] * len(dom) ** len(given)  # None is in no carrier
-    place = {v: i for i, v in enumerate(dom)}
-    for raw_key, raw_value in table.items():
-        key = tuple(raw_key)
-        if len(key) != len(given) or not all(map(place.__contains__, key)):
-            raise IncompleteTableError(
-                f"row {key!r} does not match support {list(given)!r} over "
-                f"domain {list(dom)!r}"
-            )
-        at = sum(map(operator.mul, strides, map(place.__getitem__, key)))
-        if rows[at] is not None:
+    canonical, keys = tuple(sorted(given)), [*map(tuple, keys)]
+    count = len(dom) ** len(given)
+    if len(keys) == count:
+        ranks = tuple(map(canonical.index, given))
+        if ranks not in offsets:
+            # A table whose payloads are their own offsets, read in the
+            # given order of its names.
+            numbered = SoftConstraint(spec, dom, canonical, range(count))
+            offsets[ranks] = dict(zip(itertools.product(dom, repeat=len(given)),
+                                      _rows(numbered, given, dom)))
+        try:
+            at = [*map(offsets[ranks].__getitem__, keys)]
+            typed = [*zip(map(type, values), values)]
+            for key in {*typed}.difference(payloads):
+                payloads[key] = spec._payload(key[1])
+            rows = map(payloads.__getitem__, typed)
+            if at != [*range(count)]:
+                # A duplicate leaves some offset out: a KeyError here.
+                rows = map(dict(zip(at, rows)).__getitem__, range(count))
+            return SoftConstraint(spec, dom, canonical, rows)
+        except (KeyError, TypeError, InputError):
+            pass  # named below
+    known, filled = frozenset(dom), {}
+    for key, value in zip(keys, values):
+        if len(key) != len(given) or not all(map(known.__contains__, key)):
+            raise IncompleteTableError(f"row {key!r} does not match support "
+                                       f"{list(given)!r} over domain {list(dom)!r}")
+        if key in filled:
             raise IncompleteTableError(f"duplicate row {key!r}")
         try:
-            rows[at] = spec._payload(raw_value)
+            filled[key] = spec._payload(value)
         except InstanceMismatchError as exc:
-            if isinstance(raw_value, SemiringValue):
+            if isinstance(value, SemiringValue):
                 raise  # a tag mismatch, not a value outside the carrier
             raise InstanceMismatchError(f"row {key!r}: {exc}") from None
-
-    if len(table) != len(rows):  # each row filled one place or raised
-        listed = _rows(SoftConstraint(spec, dom, canonical, rows), given, dom)
-        missing = [*itertools.product(dom, repeat=len(given))][listed.index(None)]
-        raise IncompleteTableError(
-            f"table has {len(table)} rows, expected {len(rows)} "
-            f"(|D|^{len(given)}); first missing {missing!r}"
-        )
-    return SoftConstraint(spec, dom, canonical, rows)
+    listed = itertools.product(dom, repeat=len(given))
+    if len(keys) != count:
+        missing = next(key for key in listed if key not in filled)
+        raise IncompleteTableError(f"table has {len(keys)} rows, expected {count} "
+                                   f"(|D|^{len(given)}); first missing {missing!r}")
+    # The rows over the given order of the names, re-read in sorted order.
+    listed = SoftConstraint(spec, dom, given, map(filled.__getitem__, listed))
+    return SoftConstraint(spec, dom, canonical, _rows(listed, canonical, dom))
 
 
 def _rows(c: SoftConstraint, support: Tuple[Name, ...], domain: Tuple[Any, ...],

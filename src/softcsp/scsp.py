@@ -27,10 +27,11 @@ The JSON problem format::
 
 ``"inf"`` encodes the weighted infinity.  Tables must be total.
 
-:func:`problem_from_json` reads each row once: a row's assignment is
-looked up among the offsets of its table's product order, and each
-distinct value is coerced once per problem.  Only a document with a
-fault is read again, row by row, to name the row and the fault.
+:func:`problem_from_json` reads each table once, through the one table
+builder of :mod:`softcsp.constraints`: a row's assignment is looked up
+among the offsets of its table's product order, and each distinct value
+is coerced once per problem.  Only a faulty table is read again, row by
+row, to name the row and the fault.
 """
 
 from __future__ import annotations
@@ -40,10 +41,10 @@ import itertools
 import operator
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, FrozenSet, Optional, Tuple
+from typing import Any, FrozenSet, Tuple
 
-from .constraints import (Name, SoftConstraint, _rows, check_domain, combine,
-                          hide, make_constraint, unit_constraint)
+from .constraints import (Name, SoftConstraint, _table, check_domain, combine,
+                          hide, unit_constraint)
 from .errors import FormatError, InputError, InstanceMismatchError, fields, load_json
 from .semiring import SemiringSpec, SemiringValue, lookup
 
@@ -111,11 +112,10 @@ def blevel(problem: SCSPProblem) -> SemiringValue:
     return best_level(solve(problem))
 
 
-def _check_scalars(values: list, where: Callable[[], str]) -> None:
-    # where() names the list; it is formatted only for a fault.
+def _check_scalars(values: list, where: str) -> None:
     for index, value in enumerate(values):
         if not isinstance(value, (str, int, float, type(None))):
-            raise FormatError(f"{where()}[{index}] must be a JSON scalar, "
+            raise FormatError(f"{where}[{index}] must be a JSON scalar, "
                               f"got {value!r}")
 
 
@@ -126,112 +126,66 @@ def problem_from_json(data: Any) -> SCSPProblem:
     spec = lookup(semiring)
     if not isinstance(domain, list) or not domain:
         raise FormatError('"domain" must be a non-empty list')
-    _check_scalars(domain, lambda: "domain")
+    _check_scalars(domain, "domain")
     dom = check_domain(domain)
     if not isinstance(interface, list) or not all(isinstance(n, str) for n in interface):
         raise FormatError('"interface" must be a list of names')
     if not isinstance(raw_constraints, list):
         raise FormatError('"constraints" must be a list')
 
-    constraints = _bulk_constraints(spec, dom, raw_constraints)
-    if constraints is None:
-        constraints = _explain(spec, domain, raw_constraints)
+    offsets, payloads = {}, {}  # shared by the tables (see _table)
+    constraints = [_constraint(spec, dom, entry, f"constraints[{index}]",
+                               offsets, payloads)
+                   for index, entry in enumerate(raw_constraints)]
     return SCSPProblem(spec=spec, domain=dom, constraints=constraints,
                        interface=interface)
 
 
+def _constraint(spec: SemiringSpec, dom: tuple, entry: Any, where: str,
+                offsets: dict, payloads: dict) -> SoftConstraint:
+    """The constraint of one entry of ``"constraints"``, its rows' JSON
+    shape checked in bulk.  A malformed row, or a repeated assignment,
+    raises before any fault of the table."""
+    support, rows = fields(entry, where, ("support", "rows"))
+    if not isinstance(support, list) or not all(isinstance(n, str) for n in support):
+        raise FormatError(f"{where}.support must be a list of names")
+    if not isinstance(rows, list):
+        raise FormatError(f"{where}.rows must be a list")
+    try:
+        assigns, values = [*map(_ASSIGN, rows)], [*map(_VALUE, rows)]
+        if not ({*map(type, rows)} - {dict} or {*map(type, assigns)} - {list}
+                or not _SCALARS.issuperset(map(type, itertools.chain(*assigns)))):
+            return _table(spec, dom, support, assigns, values, offsets, payloads)
+    except (KeyError, TypeError, InputError):
+        pass  # a row that is no JSON object, or a faulty table: named below
+    table = _explain_rows(rows, where)
+    try:
+        return _table(spec, dom, support, table, table.values(), offsets,
+                      payloads)
+    except InputError as exc:
+        raise FormatError(f"{where}: {exc}") from exc
+
+
 # A row's assignment and value; a JSON scalar is one of these types.
-_ROW = operator.itemgetter("assign", "value")
+_ASSIGN, _VALUE = operator.itemgetter("assign"), operator.itemgetter("value")
 _SCALARS = frozenset((str, int, float, bool, type(None)))
 
 
-def _bulk_constraints(spec: SemiringSpec, domain: Tuple[Any, ...],
-                      raw_constraints: list) -> Optional[list]:
-    """The constraints of ``raw_constraints``, or None if any is faulty.
-
-    Each row's assignment is looked up, as a tuple, in a map from every
-    assignment to its offset in the canonical product order, made once
-    per order of the names in a support.  A table is total and free of
-    duplicates exactly when its |D|^k rows have |D|^k distinct offsets.
-    Each distinct value is coerced once per problem, keyed by its type
-    too, so ``1``, ``1.0`` and ``true`` stay apart.  The rules are those
-    :func:`_explain` applies row by row.
-    """
-    offsets: Dict[Tuple[int, ...], Dict[tuple, int]] = {}
-    payloads: Dict[Tuple[type, Any], Any] = {}
-    constraints = []
-    try:
-        for entry in raw_constraints:
-            if type(entry) is not dict:
-                return None
-            support, rows = entry["support"], entry["rows"]
-            if (type(support) is not list or type(rows) is not list
-                    or {*map(type, support)} - {str}
-                    or len(set(support)) != len(support)
-                    or {*map(type, rows)} - {dict}):
-                return None
-            count = len(domain) ** len(support)
-            if len(rows) != count:
-                return None
-            canonical = tuple(sorted(support))
-            ranks = tuple(map(canonical.index, support))
-            offset = offsets.get(ranks)
-            if offset is None:
-                # A table whose payloads are their own offsets, read in
-                # the given order of its names.
-                numbered = SoftConstraint(spec, domain, canonical, range(count))
-                offset = offsets[ranks] = dict(zip(
-                    itertools.product(domain, repeat=len(support)),
-                    _rows(numbered, tuple(support), domain)))
-            assigns, values = zip(*map(_ROW, rows))
-            if ({*map(type, assigns)} - {list} or not _SCALARS.issuperset(
-                    map(type, itertools.chain.from_iterable(assigns)))):
-                return None
-            at = [*map(offset.__getitem__, map(tuple, assigns))]
-            keys = [*zip(map(type, values), values)]
-            for key in {*keys}.difference(payloads):
-                payloads[key] = spec._payload(key[1])
-            table = [*map(payloads.__getitem__, keys)]
-            if at != [*range(count)]:
-                # A duplicate leaves some offset out: a KeyError here.
-                table = map(dict(zip(at, table)).__getitem__, range(count))
-            constraints.append(SoftConstraint(spec, domain, canonical, table))
-    except (KeyError, TypeError, InputError):
-        # A row that lacks a key or assigns outside the domain, or a value
-        # that is unhashable or outside the carrier.
-        return None
-    return constraints
-
-
-def _explain(spec: SemiringSpec, domain: list, raw_constraints: list) -> list:
-    """Read ``raw_constraints`` one row at a time: the constraints, or the
-    error of the first fault."""
-    constraints = []
-    for index, entry in enumerate(raw_constraints):
-        where = f"constraints[{index}]"
-        support, rows = fields(entry, where, ("support", "rows"))
-        if not isinstance(support, list) or not all(isinstance(n, str) for n in support):
-            raise FormatError(f'{where}.support must be a list of names')
-        if not isinstance(rows, list):
-            raise FormatError(f"{where}.rows must be a list")
-        table = {}
-        for row_index, row in enumerate(rows):
-            if not isinstance(row, dict) or "assign" not in row or "value" not in row:
-                fields(row, f"{where}.rows[{row_index}]", ("assign", "value"))  # raises
-            assign = row["assign"]
-            if not isinstance(assign, list):
-                raise FormatError(f"{where}.rows[{row_index}].assign must be a list")
-            _check_scalars(assign, lambda: f"{where}.rows[{row_index}].assign")
-            key = tuple(assign)
-            if key in table:
-                raise FormatError(f"{where}.rows[{row_index}]: duplicate "
-                                  f"assignment {assign!r}")
-            table[key] = row["value"]
-        try:
-            constraints.append(make_constraint(spec, domain, support, table))
-        except InputError as exc:
-            raise FormatError(f"{where}: {exc}") from exc
-    return constraints
+def _explain_rows(rows: list, where: str) -> dict:
+    """``rows`` as a table from assignment tuples to values, read one row
+    at a time; the first row that is malformed or repeats an assignment
+    raises."""
+    table = {}
+    for index, row in enumerate(rows):
+        at = f"{where}.rows[{index}]"
+        assign, value = fields(row, at, ("assign", "value"))
+        if not isinstance(assign, list):
+            raise FormatError(f"{at}.assign must be a list")
+        _check_scalars(assign, f"{at}.assign")
+        if tuple(assign) in table:
+            raise FormatError(f"{at}: duplicate assignment {assign!r}")
+        table[tuple(assign)] = value
+    return table
 
 
 def load_problem(path: str | Path) -> SCSPProblem:

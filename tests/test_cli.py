@@ -553,6 +553,12 @@ def _network(*edges):
       "--limit", " 10"], None, "argument --limit: ' 10' is not an integer"),
     (["trip", "--network", NETWORK, "--from", "p", "--to", "t",
       "--limit", "-3"], None, "argument --limit: value must be non-negative"),
+    # 2**70 rows cannot be built, so the count is checked first.
+    (reading("scsp", FILE), _problem(domain=["a", "b"], constraints=[
+        {"support": [f"v{i:02d}" for i in range(70)],
+         "rows": [{"assign": ["a"] * 70, "value": 1}]}]),
+     f"{{path}}: constraints[0]: table has 1 rows, expected {2 ** 70} "
+     f"(|D|^70); first missing {('a',) * 69 + ('b',)!r}"),
 ])
 def test_input_error_names_the_fault(tmp_path, argv, text, message):
     path = tmp_path / "input"

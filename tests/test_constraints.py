@@ -122,6 +122,15 @@ class TestMakeConstraint:
         assert str(info.value) == ("table has 7 rows, expected 9 (|D|^2); "
                                    "first missing ('blue', 'green')")
 
+    def test_over_wide_support_is_counted_first(self):
+        # The count is wrong before anything of 2**70 rows is built.
+        names = [f"v{i:02d}" for i in range(70)]
+        with pytest.raises(IncompleteTableError) as info:
+            make_constraint(WCSP, ("a", "b"), names, {("b",) * 70: 1})
+        assert str(info.value) == (
+            f"table has 1 rows, expected {2 ** 70} (|D|^70); "
+            f"first missing {('a',) * 70!r}")
+
     def test_bad_row_key(self):
         with pytest.raises(IncompleteTableError):
             make_constraint(WCSP, COLORS, ("v",), {("purple",): 1})
