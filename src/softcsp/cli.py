@@ -19,7 +19,7 @@ from typing import List, Optional
 
 from . import journey as journey_mod
 from . import roadnet, scsp, sclp
-from .errors import NonConvergenceError, SoftcspError, read_input
+from .errors import NonConvergenceError, SoftcspError, load_text
 from .frontier import MODES, STRICT
 from .semiring import format_value
 
@@ -163,9 +163,8 @@ def _run_trip(args, out) -> int:
                          "energy": t.cost.energy} for t in trips],
         }, out)
     else:
-        for t in trips:
-            out.write(f"{','.join(t.path)} time={t.cost.time} "
-                      f"energy={t.cost.energy}\n")
+        out.write("".join(f"{','.join(t.path)} time={t.cost.time} "
+                          f"energy={t.cost.energy}\n" for t in trips))
     return 0
 
 
@@ -204,8 +203,7 @@ def _run_journey(args, out) -> int:
             } for s in best],
         }, out)
     else:
-        for s in best:
-            out.write(_journey_line(s) + "\n")
+        out.write("".join(_journey_line(s) + "\n" for s in best))
     return 0
 
 
@@ -228,16 +226,18 @@ def _run_scsp(args, out) -> int:
             "blevel": spec.to_json(best),
         }, out)
     else:
+        lines = []
         for key, value in rows:
             assign = " ".join(f"{n}={v}" for n, v in zip(support, key))
             prefix = f"{assign} " if assign else ""
-            out.write(f"{prefix}value={spec._render(value)}\n")
-        out.write(f"blevel = {format_value(best)}\n")
+            lines.append(f"{prefix}value={spec._render(value)}\n")
+        lines.append(f"blevel = {format_value(best)}\n")
+        out.write("".join(lines))
     return 0
 
 
 def _run_sclp(args, out) -> int:
-    program = sclp.parse_program(read_input(args.program))
+    program = load_text(args.program, sclp.parse_program)
     spec = program.spec
     if args.goal is not None:
         goal = sclp.parse_goal(args.goal)
@@ -261,8 +261,8 @@ def _run_sclp(args, out) -> int:
             "iterations": result.iterations,
         }, out)
     else:
-        for atom, value in result.interpretation.items():
-            out.write(f"{atom} = {format_value(value)}\n")
+        out.write("".join(f"{atom} = {format_value(value)}\n"
+                          for atom, value in result.interpretation.items()))
     return 0
 
 
@@ -300,6 +300,11 @@ def _parse(argv: List[str]) -> argparse.Namespace:
     return args
 
 
+# Part of the message of the ValueError that str() and int() raise for an
+# integer with more digits than the interpreter's limit.
+_DIGIT_LIMIT = "sys.set_int_max_str_digits()"
+
+
 def run(argv: Optional[List[str]] = None, out=None, err=None) -> int:
     """Parse arguments, dispatch, and return the exit status."""
     out = out if out is not None else sys.stdout
@@ -321,6 +326,13 @@ def run(argv: Optional[List[str]] = None, out=None, err=None) -> int:
         print(f"softcsp {args.command}: {exc}", file=err)
         return 1
     except Exception as exc:  # contract: internal failures exit 2
+        if isinstance(exc, ValueError) and _DIGIT_LIMIT in str(exc):
+            # A result integer too long to print is an input error, as an
+            # integer too long to read is.
+            print(f"softcsp {args.command}: a result has an integer longer "
+                  f"than the interpreter's limit of "
+                  f"{sys.get_int_max_str_digits()} digits", file=err)
+            return 1
         print(f"softcsp {args.command}: internal error: {exc!r}", file=err)
         return 2
 

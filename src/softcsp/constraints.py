@@ -125,7 +125,11 @@ class SoftConstraint:
     rows: Tuple[Any, ...]
 
     def __post_init__(self):
+        # Own tuples, so a caller's lists cannot change the constraint.
         object.__setattr__(self, "rows", tuple(self.rows))
+        if not (type(self.domain) is type(self.support) is tuple):
+            object.__setattr__(self, "domain", tuple(self.domain))
+            object.__setattr__(self, "support", tuple(self.support))
 
     table = property(lambda self: _Table(self))
 

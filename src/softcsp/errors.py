@@ -65,7 +65,7 @@ class FunctionSymbolError(ParseError):
 
 
 class FormatError(InputError):
-    """A structured (JSON) input file violates its schema."""
+    """An input file violates its format or schema."""
 
 
 class UnknownNodeError(InputError):
@@ -89,31 +89,35 @@ class NonConvergenceError(SoftcspError):
         super().__init__(message)
 
 
-def read_input(path) -> str:
-    """The UTF-8 text of an input file."""
+def load_text(path, build):
+    """``build`` applied to an input file's UTF-8 text; errors name the
+    path."""
     try:
         with open(path, encoding="utf-8") as handle:
-            return handle.read()
+            text = handle.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:
         raise InputError(f"cannot read {path}: not UTF-8 text "
                          f"(byte {exc.start}: {exc.reason})") from exc
+    try:
+        return build(text)
+    except (RecursionError, InputError) as exc:
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 def load_json(path, build):
     """``build`` applied to an input file's JSON; errors name the path."""
-    text = read_input(path)
+    return load_text(path, lambda text: build(_decode(text)))
+
+
+def _decode(text: str):
     try:
-        # A ValueError here is a JSONDecodeError, or an integer longer
-        # than the interpreter's limit on integer digits.
-        data = json.loads(text)
-    except (ValueError, RecursionError) as exc:
-        raise FormatError(f"{path}: {exc}") from exc
-    try:
-        return build(data)
-    except (RecursionError, InputError) as exc:
-        raise FormatError(f"{path}: {exc}") from exc
+        return json.loads(text)
+    except ValueError as exc:
+        # A JSONDecodeError, or an integer longer than the interpreter's
+        # limit on integer digits.
+        raise FormatError(str(exc)) from exc
 
 
 def fields(entry, where: str, keys):

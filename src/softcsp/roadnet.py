@@ -56,7 +56,7 @@ from itertools import repeat
 from operator import attrgetter, itemgetter
 from pathlib import Path
 from types import MappingProxyType
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, NoReturn, Optional, Tuple
 
 from .errors import (FormatError, InputError, ParseError, UnknownNodeError,
                      fields, load_json)
@@ -228,7 +228,7 @@ def network_from_json(data) -> RoadNetwork:
     known = set(nodes)
     edges = _bulk_edges(raw_edges, known)
     if edges is None:
-        edges = _explain(raw_edges, known)
+        _explain(raw_edges, known)  # raises, naming the fault
     return RoadNetwork._from_checked(tuple(sorted(known)), edges)
 
 
@@ -259,23 +259,19 @@ def _bulk_edges(raw_edges: list, known: set
     return edges if len(edges) == len(raw_edges) else None
 
 
-def _explain(raw_edges: list, known: set) -> Dict[Tuple[str, str], CostPair]:
-    """Read ``raw_edges`` one entry at a time: the edges, or the error of
-    the first fault.
+def _explain(raw_edges: list, known: set) -> NoReturn:
+    """Raise the error of the first fault in ``raw_edges``, which
+    :func:`_bulk_edges` has refused; the document is read again, one entry
+    at a time, only to name that fault.
 
     Every entry's keys and types are checked before any duplicate edge or
     unknown node is reported, so the first such fault is held back until
     the last entry has been read.
     """
-    edges: Dict[Tuple[str, str], CostPair] = {}
+    seen = set()  # the (from, to) pairs read so far
     fault = None
     for index, entry in enumerate(raw_edges):
-        try:
-            src, dst = entry["from"], entry["to"]
-            time, energy = entry["time"], entry["energy"]
-        except (KeyError, TypeError):
-            fields(entry, f"edges[{index}]", _EDGE_KEYS)  # names the fault
-            raise
+        src, dst, time, energy = fields(entry, f"edges[{index}]", _EDGE_KEYS)
         if not isinstance(src, str):
             raise FormatError(f"edges[{index}].from must be a node name, "
                               f"got {src!r}")
@@ -289,13 +285,13 @@ def _explain(raw_edges: list, known: set) -> Dict[Tuple[str, str], CostPair]:
             raise FormatError(f"edges[{index}]: energy must be a "
                               f"non-negative integer, got {energy!r}")
         if fault is None:
-            fault = _edge_fault(edges, known, src, dst)
+            fault = _edge_fault(seen, known, src, dst)
             if fault is not None:
                 fault = f"edges[{index}]: {fault}"
-        edges[src, dst] = CostPair(time, energy)
-    if fault is not None:
-        raise FormatError(fault)
-    return edges
+        seen.add((src, dst))
+    if fault is None:  # not reached: _bulk_edges refuses only a fault
+        raise RuntimeError("no fault found in the refused edges")
+    raise FormatError(fault)
 
 
 def load_network(path: str | Path) -> RoadNetwork:

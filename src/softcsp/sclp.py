@@ -624,6 +624,8 @@ _VALUE = re.compile(r"inf|true|false|\d+(\.\d+)?|\d+/\d+")
 _ATOM = re.compile(rf"\s*([a-z][A-Za-z0-9_]*)\s*"
                    rf"(?:\(\s*({_TERM}(?:\s*,\s*{_TERM})*)\s*\))?\s*")
 _COMMA = re.compile(r"\s*,\s*")
+# A directive's name: '#' and the whole word after it.
+_DIRECTIVE = re.compile(r"#\w*")
 # What the scan rejects is diagnosed against these: an atom read loosely,
 # with anything between the predicate's parenthesis and the last one, and
 # a parenthesised group with no parenthesis inside it.
@@ -718,7 +720,11 @@ def _fault(parts: Optional[list], line_no: Optional[int]) -> NoReturn:
 def _parse_value(raw: str, spec: SemiringSpec) -> SemiringValue:
     if raw in ("inf", "true", "false") or "/" in raw or "." in raw:
         return spec.value(raw)
-    return spec.value(int(raw))
+    try:
+        number = int(raw)
+    except ValueError as exc:  # more digits than int() reads
+        raise InputError(str(exc)) from exc
+    return spec.value(number)
 
 
 def _parse_clause(text: str, spec: SemiringSpec, line_no: int) -> Clause:
@@ -747,9 +753,9 @@ def parse_goal(text: str) -> Tuple[Atom, ...]:
 def parse_program(text: str) -> Program:
     """Parse program text into an (ungrounded) :class:`Program`.
 
-    Requires one ``#semiring`` and one ``#constants`` directive; the
-    latter declares the Herbrand universe and must cover every constant
-    used in the clauses.
+    Requires one ``#semiring`` and one ``#constants`` directive, each
+    named by the whole word after ``#``; the latter declares the Herbrand
+    universe and must cover every constant used in the clauses.
     """
     spec: Optional[SemiringSpec] = None
     constants: Tuple[str, ...] = ()
@@ -760,29 +766,27 @@ def parse_program(text: str) -> Program:
         line = _strip_comment(raw_line).strip()
         if not line:
             continue
-        for directive in ("#semiring", "#constants"):
-            if line.startswith(directive):
-                if directive in first_line:
-                    raise ParseError(f"{directive} given twice (first on "
-                                     f"line {first_line[directive]})", line_no)
-                first_line[directive] = line_no
-        if line.startswith("#semiring"):
-            key = line[len("#semiring"):].strip().rstrip(".").strip()
-            try:
-                spec = lookup(key)
-            except Exception as exc:
-                raise ParseError(str(exc), line_no) from None
-            continue
-        if line.startswith("#constants"):
-            body = line[len("#constants"):].strip().rstrip(".")
+        if line.startswith("#"):
+            directive = _DIRECTIVE.match(line)[0]
+            if directive not in ("#semiring", "#constants"):
+                raise ParseError(f"unknown directive {line.split()[0]!r}", line_no)
+            if directive in first_line:
+                raise ParseError(f"{directive} given twice (first on "
+                                 f"line {first_line[directive]})", line_no)
+            first_line[directive] = line_no
+            body = line[len(directive):].strip().rstrip(".").strip()
+            if directive == "#semiring":
+                try:
+                    spec = lookup(body)
+                except InputError as exc:
+                    raise ParseError(str(exc), line_no) from None
+                continue
             names = [n.strip() for n in body.split(",") if n.strip()]
             for name in names:
                 if not _is_constant(name):
                     raise ParseError(f"bad constant {name!r}", line_no)
             constants = tuple(names)
             continue
-        if line.startswith("#"):
-            raise ParseError(f"unknown directive {line.split()[0]!r}", line_no)
         if not line.endswith("."):
             raise ParseError("clause does not end with '.'", line_no)
         pending.append((line[:-1].strip(), line_no))
@@ -798,7 +802,7 @@ def parse_program(text: str) -> Program:
             clause = _parse_clause(clause_text, spec, line_no)
         except ParseError:
             raise
-        except Exception as exc:
+        except InputError as exc:  # a value outside the carrier, or too long
             raise ParseError(str(exc), line_no) from exc
         for atom in clause.atoms():
             for term in atom.args:

@@ -30,8 +30,9 @@ The JSON problem format::
 :func:`problem_from_json` reads each table once, through the one table
 builder of :mod:`softcsp.constraints`: a row's assignment is looked up
 among the offsets of its table's product order, and each distinct value
-is coerced once per problem.  Only a faulty table is read again, row by
-row, to name the row and the fault.
+is coerced once per problem.  A faulty table is read again only to name
+its fault: its rows, one at a time, for a malformed or repeated row, and
+if none is, the builder's own error is raised.
 """
 
 from __future__ import annotations
@@ -153,16 +154,16 @@ def _constraint(spec: SemiringSpec, dom: tuple, entry: Any, where: str,
         raise FormatError(f"{where}.rows must be a list")
     try:
         assigns, values = [*map(_ASSIGN, rows)], [*map(_VALUE, rows)]
-        if not ({*map(type, rows)} - {dict} or {*map(type, assigns)} - {list}
-                or not _SCALARS.issuperset(map(type, itertools.chain(*assigns)))):
-            return _table(spec, dom, support, assigns, values, offsets, payloads)
-    except (KeyError, TypeError, InputError):
-        pass  # a row that is no JSON object, or a faulty table: named below
-    table = _explain_rows(rows, where)
+        shaped = ({*map(type, rows)} <= {dict} and {*map(type, assigns)} <= {list}
+                  and _SCALARS.issuperset(map(type, itertools.chain(*assigns))))
+    except (KeyError, TypeError):
+        shaped = False  # a row that is no JSON object
+    if not shaped:
+        _explain_rows(rows, where)  # names the malformed row
     try:
-        return _table(spec, dom, support, table, table.values(), offsets,
-                      payloads)
+        return _table(spec, dom, support, assigns, values, offsets, payloads)
     except InputError as exc:
+        _explain_rows(rows, where)  # a row fault is named first
         raise FormatError(f"{where}: {exc}") from exc
 
 
@@ -171,21 +172,20 @@ _ASSIGN, _VALUE = operator.itemgetter("assign"), operator.itemgetter("value")
 _SCALARS = frozenset((str, int, float, bool, type(None)))
 
 
-def _explain_rows(rows: list, where: str) -> dict:
-    """``rows`` as a table from assignment tuples to values, read one row
-    at a time; the first row that is malformed or repeats an assignment
-    raises."""
-    table = {}
+def _explain_rows(rows: list, where: str) -> None:
+    """Raise the error of the first row of ``rows`` that is malformed or
+    repeats an assignment, if there is one; the rows are read again, one
+    at a time, only to name that fault."""
+    seen = set()
     for index, row in enumerate(rows):
         at = f"{where}.rows[{index}]"
-        assign, value = fields(row, at, ("assign", "value"))
+        assign, _ = fields(row, at, ("assign", "value"))
         if not isinstance(assign, list):
             raise FormatError(f"{at}.assign must be a list")
         _check_scalars(assign, f"{at}.assign")
-        if tuple(assign) in table:
+        if tuple(assign) in seen:
             raise FormatError(f"{at}: duplicate assignment {assign!r}")
-        table[tuple(assign)] = value
-    return table
+        seen.add(tuple(assign))
 
 
 def load_problem(path: str | Path) -> SCSPProblem:

@@ -100,3 +100,10 @@ def oversized_integer() -> str:
     if not limit:
         pytest.skip("this Python reads integers of any length")
     return "7" * (limit + 1)
+
+
+def longest_integer() -> str:
+    """The decimal text of the longest integer Python reads from text; the
+    sum of two of them is one digit too long to print.  Skips where there
+    is no such limit."""
+    return oversized_integer()[1:]

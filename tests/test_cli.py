@@ -11,10 +11,11 @@ from pathlib import Path
 import pytest
 
 import softcsp
-from softcsp import cli
+from softcsp import cli, sclp
 from softcsp.cli import run
 
-from conftest import FIXTURES, corridor_data, oversized_integer, shuttle_data
+from conftest import (FIXTURES, corridor_data, longest_integer,
+                      oversized_integer, shuttle_data)
 
 NETWORK = str(FIXTURES / "network.json")
 APPOINTMENTS = str(FIXTURES / "appointments.json")
@@ -214,6 +215,18 @@ class TestJourney:
                            int(energy.removeprefix("energy="))))
         assert from_json == from_text
 
+    def test_weak_mode_text(self):
+        status, out, err = invoke("journey", "--network", NETWORK,
+                                  "--appointments", APPOINTMENTS,
+                                  "--stations", STATIONS, "--soc", "10",
+                                  "--dominance", "weak")
+        assert (status, err) == (0, "")
+        assert out.splitlines() == [
+            "p,q,r;r,q,t time=6 energy=10 charge=- soc=0",
+            "p,q,r;r,s,t time=7 energy=9 charge=- soc=1",
+            "p,r;r,q,t time=5 energy=12 charge=r:csr1 soc=0",
+        ]
+
     def test_bad_appointments_file(self, tmp_path):
         bad = tmp_path / "appts.json"
         bad.write_text(json.dumps([{"location": "p"}]), encoding="utf-8")
@@ -247,6 +260,16 @@ class TestScsp:
         assert "x=red y=blue value=4" in lines
         assert "x=red y=red value=inf" in lines
         assert len(lines) == 10
+
+    def test_solution_text(self):
+        status, out, err = invoke("scsp", "--problem", PROBLEM)
+        assert (status, err) == (0, "")
+        values = {("red", "red"): "inf", ("blue", "blue"): "inf",
+                  ("green", "green"): "inf"}
+        colors = ("red", "blue", "green")
+        assert out.splitlines() == [
+            f"x={x} y={y} value={values.get((x, y), 4)}"
+            for x in colors for y in colors] + ["blevel = 4"]
 
     def test_json_document(self):
         status, raw, _ = invoke("scsp", "--problem", PROBLEM, "--json")
@@ -303,6 +326,22 @@ class TestSclp:
         assert "t(a) = 2" in lines
         assert len(lines) == 21  # every atom of the universe
 
+    def test_fixpoint_dump_text(self):
+        status, out, err = invoke("sclp", "--program", PROGRAM)
+        assert (status, err) == (0, "")
+        finite = {"p(a,b)": 2, "p(a,c)": 3, "q(a)": 2, "r(a)": 3, "s(a)": 2,
+                  "t(a)": 2}
+        atoms = ([f"p({x},{y})" for x in "abc" for y in "abc"]
+                 + [f"{p}({x})" for p in "qrst" for x in "abc"])
+        assert out.splitlines() == [f"{a} = {finite.get(a, 'inf')}"
+                                    for a in atoms]
+
+    def test_goal_json_document(self):
+        status, raw, err = invoke("sclp", "--program", PROGRAM,
+                                  "--goal", "s(a)", "--json")
+        assert (status, err) == (0, "")
+        assert json.loads(raw)["results"] == [{"goal": ["s(a)"], "value": 2}]
+
     def test_json_document(self):
         status, raw, _ = invoke("sclp", "--program", PROGRAM, "--json")
         assert status == 0
@@ -315,6 +354,11 @@ class TestSclp:
         status, _, err = invoke("sclp", "--program", PROGRAM,
                                 "--goal", "s(a)", "--max-iters", "2")
         assert status == 2 and "fixpoint" in err
+
+    def test_iteration_cap_of_one(self):
+        assert invoke("sclp", "--program", PROGRAM, "--max-iters", "1") == (
+            2, "", "softcsp sclp: no fixpoint within 1 iterations; "
+                   "still changing: p(a,c), q(a)\n")
 
     def test_iteration_cap_names_changing_atoms(self):
         for goal in ([], ["--goal", "s(a)"]):
@@ -559,12 +603,31 @@ def _network(*edges):
          "rows": [{"assign": ["a"] * 70, "value": 1}]}]),
      f"{{path}}: constraints[0]: table has 1 rows, expected {2 ** 70} "
      f"(|D|^70); first missing {('a',) * 69 + ('b',)!r}"),
+    # A directive is a whole word: these are neither #semiring nor
+    # #constants.
+    (reading("sclp", FILE), "#semiringwcsp\n#constants a.\n",
+     "line 1: unknown directive '#semiringwcsp'"),
+    (reading("sclp", FILE), "#semiring wcsp\n#constantsa.\n",
+     "line 2: unknown directive '#constantsa.'"),
+    (reading("sclp", FILE), SCLP_HEAD + "#semiring_x\n",
+     "line 3: unknown directive '#semiring_x'"),
+    # A row fault is named before the table's own fault, which is named
+    # when no row is at fault.
+    (reading("scsp", FILE), _problem(domain=["a", "b"], constraints=[
+        {"support": ["x"], "rows": [ROW, {"assign": ["a"], "value": 2}]}]),
+     "{path}: constraints[0].rows[1]: duplicate assignment ['a']"),
+    (reading("scsp", FILE), _problem(domain=["a", "b"]),
+     "{path}: constraints[0]: table has 1 rows, expected 2 (|D|^1); "
+     "first missing ('b',)"),
 ])
 def test_input_error_names_the_fault(tmp_path, argv, text, message):
     path = tmp_path / "input"
     if text is not None:
         path.write_text(text, encoding="utf-8")
     argv = [str(path) if arg == FILE else arg for arg in argv]
+    if message.startswith("line "):
+        # A program file's parse error names the file, then the line.
+        message = "{path}: " + message
     assert invoke(*argv) == \
         (1, "", f"softcsp {argv[0]}: {message.format(path=path)}\n")
 
@@ -576,6 +639,7 @@ def test_input_error_names_the_fault(tmp_path, argv, text, message):
                              "duration": 0}])),
     ("scsp", _problem(constraints=[{"support": ["x"], "rows": [
         {"assign": ["a"], "value": "DIGITS"}]}])),
+    ("sclp", SCLP_HEAD + 'p(a) :- "DIGITS".\n'),
 ])
 def test_oversized_integer_is_an_input_error(tmp_path, command, template):
     # json.loads raises a plain ValueError for an integer longer than the
@@ -588,6 +652,43 @@ def test_oversized_integer_is_an_input_error(tmp_path, command, template):
     assert (status, out) == (1, "")
     assert err.startswith(f"softcsp {command}: {path}: ")
     assert "internal error" not in err
+
+
+@pytest.mark.parametrize("command, template", [
+    ("trip", json.dumps({"nodes": ["a", "b", "c"], "edges": [
+        {"from": "a", "to": "b", "time": "DIGITS", "energy": 0},
+        {"from": "b", "to": "c", "time": "DIGITS", "energy": 0}]})),
+    ("scsp", _problem(interface=["x"], constraints=[
+        {"support": ["x"], "rows": [{"assign": ["a"], "value": "DIGITS"}]},
+        {"support": ["x"], "rows": [{"assign": ["a"], "value": "DIGITS"}]}])),
+])
+@pytest.mark.parametrize("as_json", [[], ["--json"]])
+def test_result_too_long_to_print_is_an_input_error(tmp_path, command,
+                                                     template, as_json):
+    # Each input integer can be read, but the sum of two has one digit more
+    # than the interpreter prints; nothing is written to stdout.
+    path = tmp_path / "input"
+    path.write_text(template.replace('"DIGITS"', longest_integer()),
+                    encoding="utf-8")
+    argv = {"trip": ["trip", "--network", str(path), "--from", "a",
+                     "--to", "c", "--limit", "1"],
+            "scsp": ["scsp", "--problem", str(path)]}[command]
+    assert invoke(*argv, *as_json) == (
+        1, "", f"softcsp {command}: a result has an integer longer than the "
+               f"interpreter's limit of {sys.get_int_max_str_digits()} "
+               f"digits\n")
+
+
+@pytest.mark.parametrize("reader", ["lookup", "_parse_clause"])
+def test_program_reader_faults_are_internal_errors(monkeypatch, reader):
+    # Only what reading the text can raise is an input error; a fault of
+    # the reader itself exits 2.
+    def fault(*args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(sclp, reader, fault)
+    assert invoke("sclp", "--program", PROGRAM) == \
+        (2, "", "softcsp sclp: internal error: RuntimeError('boom')\n")
 
 
 @pytest.mark.parametrize("error, status, message", [

@@ -6,6 +6,7 @@ import pytest
 from softcsp import (
     INF,
     Permutation,
+    SoftConstraint,
     combine,
     csum,
     fusion,
@@ -150,6 +151,17 @@ class TestMakeConstraint:
         with pytest.raises(InstanceMismatchError):
             make_constraint(WCSP, COLORS, ("v",),
                             {(c,): -1 for c in COLORS})
+
+    def test_constraint_owns_its_domain_and_support(self):
+        # Lists given to the constructor are copied: changing them later
+        # changes neither the constraint's names nor its table.
+        domain, names = ["a", "b"], ["x"]
+        c = SoftConstraint(WCSP, domain, names, (1, 2))
+        domain.reverse()
+        names[0] = "y"
+        assert (c.domain, c.support) == (("a", "b"), ("x",))
+        assert c.table[("a",)] == WCSP.value(1)
+        assert c.evaluate({"x": "b"}) == WCSP.value(2)
 
 
 class TestEvaluate:

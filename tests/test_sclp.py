@@ -167,6 +167,12 @@ class TestParsing:
             assert info.value.line is None
             assert not str(info.value).startswith("line")
 
+    def test_constants_directive_may_declare_none(self):
+        for line in ("#constants.", "#constants .", "#constants  . "):
+            program = parse_program(f"#semiring wcsp\n{line}\nq :- 1.\n")
+            assert program.constants == ()
+            assert eval_goal(program, [atom("q")]).payload == 1
+
     def test_comments_and_blank_lines(self):
         program = parse_program(
             "% a comment\n#semiring wcsp\n#constants a.\n\np(a) :- 1. % fact\n")
