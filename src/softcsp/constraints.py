@@ -27,12 +27,12 @@ from __future__ import annotations
 import itertools
 import operator
 from collections.abc import Mapping
-from dataclasses import dataclass
 from typing import (Any, Callable, Collection, Dict, FrozenSet, Iterable,
                     Optional, Tuple)
 
 from .errors import (
     DegenerateFusionError,
+    Frozen,
     IncompleteTableError,
     InputError,
     InstanceMismatchError,
@@ -107,8 +107,7 @@ class Permutation:
         return f"Permutation({self._map!r})"
 
 
-@dataclass(frozen=True, eq=False)
-class SoftConstraint:
+class SoftConstraint(Frozen):
     """A dense table from support assignments to semiring values.
 
     ``support`` is the declared support, kept sorted; ``rows`` holds a bare
@@ -119,17 +118,14 @@ class SoftConstraint:
     give equal payloads on every assignment of the union of their supports.
     """
 
-    spec: SemiringSpec
-    domain: Tuple[Any, ...]
-    support: Tuple[Name, ...]
-    rows: Tuple[Any, ...]
+    __slots__ = ("spec", "domain", "support", "rows")
 
-    def __post_init__(self):
+    def __init__(self, spec: SemiringSpec, domain: Tuple[Any, ...],
+                 support: Tuple[Name, ...], rows: Tuple[Any, ...]):
         # Own tuples, so a caller's lists cannot change the constraint.
-        object.__setattr__(self, "rows", tuple(self.rows))
-        if not (type(self.domain) is type(self.support) is tuple):
-            object.__setattr__(self, "domain", tuple(self.domain))
-            object.__setattr__(self, "support", tuple(self.support))
+        if not (type(domain) is type(support) is tuple):
+            domain, support = tuple(domain), tuple(support)
+        self._init(spec, domain, support, tuple(rows))
 
     table = property(lambda self: _Table(self))
 

@@ -7,9 +7,56 @@ status 2): a fixpoint iteration that hit its cap.
 
 Input files are read here too, so that every problem with one is an
 :class:`InputError` naming the file and, where there is one, the element.
+:class:`Frozen` is the base of the package's immutable classes.
 """
 
 import json
+
+
+class Frozen:
+    """Base of the package's immutable classes: their fields are their
+    ``__slots__``, set once by the constructor through :meth:`_init`.
+
+    Assignment and deletion raise :class:`AttributeError`.  Equality, hash
+    and repr go by the public fields (not starting with ``_``) in slot
+    order, and instances of different classes are never equal.  ``copy``
+    and ``pickle`` restore the fields.
+    """
+
+    __slots__ = ()
+
+    def _init(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __getstate__(self) -> dict:
+        return {name: getattr(self, name) for name in self.__slots__}
+
+    def __setstate__(self, state: dict) -> None:
+        for name, value in state.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot change field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _public(self) -> dict:
+        return {name: getattr(self, name) for name in self.__slots__
+                if name[0] != "_"}
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._public() == other._public()
+
+    def __hash__(self):
+        return hash(tuple(self._public().values()))
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={value!r}"
+                          for name, value in self._public().items())
+        return f"{type(self).__name__}({shown})"
 
 
 class SoftcspError(Exception):

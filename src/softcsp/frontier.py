@@ -25,11 +25,11 @@ far (weak), or at most the least energy at strictly earlier times (strict).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import attrgetter
-from typing import Any, Callable, Collection, Iterable, Optional, Tuple
+from typing import (Any, Callable, Collection, Iterable, NamedTuple, Optional,
+                    Tuple)
 
-from .errors import ModeMismatchError
+from .errors import Frozen, ModeMismatchError
 from .semiring import CostPair
 
 STRICT = "strict"
@@ -89,8 +89,9 @@ def _undominated(items: Collection, cost: Callable[[Any], tuple],
     return [item for item in items if cost(item) in kept]
 
 
-@dataclass(frozen=True)
-class FrontierItem:
+class FrontierItem(NamedTuple):
+    """A cost and its witness; a tuple."""
+
     cost: CostPair
     witness: Any = None
 
@@ -109,16 +110,17 @@ def _item_key(item: FrontierItem):
     return (_witness_key(item.witness), item.cost.time, item.cost.energy)
 
 
-@dataclass(frozen=True)
-class CostFrontier:
+class CostFrontier(Frozen):
     """A dominance-free set of (optionally witnessed) cost pairs.
 
     The empty frontier is valid; it is the bottom of the cost-set semiring
     (unit of :func:`frontier_union`, absorbing for :func:`frontier_times`).
     """
 
-    items: Tuple[FrontierItem, ...]
-    mode: str = STRICT
+    __slots__ = ("items", "mode")
+
+    def __init__(self, items: Tuple[FrontierItem, ...], mode: str = STRICT):
+        self._init(items, mode)
 
     def costs(self) -> Tuple[CostPair, ...]:
         return tuple(item.cost for item in self.items)

@@ -35,12 +35,11 @@ charge trace is replayed as a self-check before the journey is emitted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import os
 from operator import itemgetter
-from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from .errors import FormatError, InputError, fields, load_json
+from .errors import FormatError, Frozen, InputError, fields, load_json
 from .frontier import STRICT, CostFrontier, _check_mode, _undominated
 from .roadnet import LeastCosts, RoadNetwork, TripSolution, enumerate_paths
 from .semiring import CostPair
@@ -53,8 +52,9 @@ def _check_int(value, what: str) -> None:
         raise InputError(f"{what} must be an integer, got {value!r}")
 
 
-@dataclass(frozen=True)
-class Appointment:
+class Appointment(NamedTuple):
+    """A stay at ``location`` from ``start`` for ``duration``; a tuple."""
+
     location: str
     start: int
     duration: int
@@ -64,15 +64,15 @@ class Appointment:
         return self.start + self.duration
 
 
-@dataclass(frozen=True)
-class ChargingStation:
+class ChargingStation(NamedTuple):
+    """Station ``name``, with ``spots`` free spots at ``location``; a tuple."""
+
     name: str
     spots: int
     location: str
 
 
-@dataclass(frozen=True)
-class ChargingPolicy:
+class ChargingPolicy(Frozen):
     """How charging events change the state of charge.
 
     ``rate`` is energy gained per time unit spent at the appointment;
@@ -81,11 +81,11 @@ class ChargingPolicy:
     the energy available for a leg is ``soc - threshold``.
     """
 
-    rate: int = 1
-    capacity: Optional[int] = None
-    threshold: int = 0
+    __slots__ = ("rate", "capacity", "threshold")
 
-    def __post_init__(self):
+    def __init__(self, rate: int = 1, capacity: Optional[int] = None,
+                 threshold: int = 0):
+        self._init(rate, capacity, threshold)
         _check_int(self.rate, "charging rate")
         if self.capacity is not None:
             _check_int(self.capacity, "capacity")
@@ -104,14 +104,16 @@ class ChargingPolicy:
 DEFAULT_POLICY = ChargingPolicy()
 
 
-@dataclass(frozen=True)
-class LegTiming:
+class LegTiming(NamedTuple):
+    """When a leg leaves and arrives; a tuple."""
+
     departure: int
     arrival: int
 
 
-@dataclass(frozen=True)
-class JourneySolution:
+class JourneySolution(NamedTuple):
+    """A journey's legs, charging, cost, timings and final charge; a tuple."""
+
     legs: Tuple[TripSolution, ...]
     charging_events: Tuple[Tuple[str, str], ...]  # (location, station name)
     cost: CostPair
@@ -370,9 +372,9 @@ def stations_from_json(data) -> List[ChargingStation]:
     return stations
 
 
-def load_appointments(path: str | Path) -> List[Appointment]:
+def load_appointments(path: str | os.PathLike[str]) -> List[Appointment]:
     return load_json(path, appointments_from_json)
 
 
-def load_stations(path: str | Path) -> List[ChargingStation]:
+def load_stations(path: str | os.PathLike[str]) -> List[ChargingStation]:
     return load_json(path, stations_from_json)

@@ -49,25 +49,24 @@ and a JSON document (the CLI's file format)::
 from __future__ import annotations
 
 import heapq
+import os
 import re
 from collections import defaultdict
-from dataclasses import dataclass, field
 from itertools import repeat
 from operator import attrgetter, itemgetter
-from pathlib import Path
 from types import MappingProxyType
-from typing import Callable, Dict, List, Mapping, NoReturn, Optional, Tuple
+from typing import (Callable, Dict, List, Mapping, NamedTuple, NoReturn,
+                    Optional, Tuple)
 
-from .errors import (FormatError, InputError, ParseError, UnknownNodeError,
-                     fields, load_json)
+from .errors import (FormatError, Frozen, InputError, ParseError,
+                     UnknownNodeError, fields, load_json)
 from .frontier import _DOMINATES_COMPONENTS, STRICT, _check_mode, _undominated
 from .semiring import CostPair
 
 Adjacency = Tuple[Tuple[str, CostPair], ...]
 
 
-@dataclass(frozen=True)
-class RoadNetwork:
+class RoadNetwork(Frozen):
     """A directed graph with (time, energy) edge costs.
 
     ``nodes`` and ``edges`` are stored as the network's own copies (a tuple
@@ -77,22 +76,19 @@ class RoadNetwork:
     :class:`CostPair` with finite components.
     """
 
-    nodes: Tuple[str, ...]
-    edges: Mapping[Tuple[str, str], CostPair]
-    _adjacency: Dict[str, Adjacency] = field(init=False, repr=False,
-                                             compare=False)
-    # Incoming (src, time, energy) triples per node, for LeastCosts.
-    _reverse: Dict[str, Tuple[Tuple[str, int, int], ...]] = field(
-        init=False, repr=False, compare=False)
+    # Outgoing (dst, cost) pairs and, for LeastCosts, incoming
+    # (src, time, energy) triples per node in the private fields.
+    __slots__ = ("nodes", "edges", "_adjacency", "_reverse")
 
-    def __post_init__(self):
-        nodes = tuple(self.nodes)
+    def __init__(self, nodes: Tuple[str, ...],
+                 edges: Mapping[Tuple[str, str], CostPair]):
+        nodes = tuple(nodes)
         for node in nodes:
             if not isinstance(node, str) or not node:
                 raise InputError(f"node name must be a non-empty string, "
                                  f"got {node!r}")
         known = set(nodes)
-        edges = dict(self.edges)
+        edges = dict(edges)
         for (src, dst), cost in edges.items():
             if src not in known or dst not in known:
                 unknown = src if src not in known else dst
@@ -110,7 +106,7 @@ class RoadNetwork:
     def _from_checked(cls, nodes: Tuple[str, ...],
                       edges: Dict[Tuple[str, str], CostPair]) -> "RoadNetwork":
         """The network over ``nodes`` and ``edges``, which a reader has
-        checked as ``__post_init__`` would and hands over."""
+        checked as the constructor would and hands over."""
         net = object.__new__(cls)
         net._index(nodes, edges)
         return net
@@ -125,21 +121,17 @@ class RoadNetwork:
         for pairs in out.values():
             # Destinations are unique per source, so costs are never compared.
             pairs.sort()
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "edges", MappingProxyType(edges))
-        object.__setattr__(self, "_adjacency",
-                           dict(zip(out, map(tuple, out.values()))))
-        object.__setattr__(self, "_reverse",
-                           dict(zip(into, map(tuple, into.values()))))
+        self._init(nodes, MappingProxyType(edges),
+                   dict(zip(out, map(tuple, out.values()))),
+                   dict(zip(into, map(tuple, into.values()))))
 
     def neighbours(self, node: str) -> Adjacency:
         """Outgoing ``(dst, cost)`` pairs, sorted by destination."""
         return self._adjacency.get(node, ())
 
 
-@dataclass(frozen=True)
-class TripSolution:
-    """A simple path together with its summed (time, energy) cost."""
+class TripSolution(NamedTuple):
+    """A simple path and its summed (time, energy) cost; a tuple."""
 
     path: Tuple[str, ...]
     cost: CostPair
@@ -156,8 +148,8 @@ def _edge_fault(edges, known, src: str, dst: str) -> Optional[str]:
     return None
 
 
-_EDGE_FACT = re.compile(
-    r"^edge\(\s*(\w+)\s*,\s*(\w+)\s*,\s*\[\s*(\d+)\s*,\s*(\d+)\s*\]\s*\)$")
+_EDGE_FACT = re.compile(r"^edge\(\s*(\w+)\s*,\s*(\w+)\s*,"
+                        r"\s*\[\s*([0-9]+)\s*,\s*([0-9]+)\s*\]\s*\)$")
 _NODE_FACT = re.compile(r"^node\(\s*(\w+)\s*\)$")
 
 
@@ -294,7 +286,7 @@ def _explain(raw_edges: list, known: set) -> NoReturn:
     raise FormatError(fault)
 
 
-def load_network(path: str | Path) -> RoadNetwork:
+def load_network(path: str | os.PathLike[str]) -> RoadNetwork:
     return load_json(path, network_from_json)
 
 

@@ -67,7 +67,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field
 from operator import itemgetter
 from types import MappingProxyType
 from typing import (Any, Callable, Dict, FrozenSet, Iterable, Mapping,
@@ -75,6 +74,7 @@ from typing import (Any, Callable, Dict, FrozenSet, Iterable, Mapping,
 
 from .errors import (
     EmptyUniverseError,
+    Frozen,
     FunctionSymbolError,
     InputError,
     NonConvergenceError,
@@ -157,23 +157,20 @@ class Clause(_ClauseFields):
         return f"{self.head}."
 
 
-@dataclass(frozen=True)
-class Program:
-    spec: SemiringSpec
-    clauses: Tuple[Clause, ...]
-    constants: Tuple[str, ...]
+class Program(Frozen):
+    __slots__ = ("spec", "clauses", "constants")
 
-    def __post_init__(self):
+    def __init__(self, spec: SemiringSpec, clauses: Tuple[Clause, ...],
+                 constants: Tuple[str, ...]):
         # Own copies the caller cannot change; constants checked as
         # #constants checks them and kept once each, in first order; fact
         # tags checked once, here.
-        constants = tuple(self.constants)
+        constants = tuple(constants)
         for name in constants:
             if not _is_constant(name):
                 raise InputError(f"bad constant {name!r}")
-        object.__setattr__(self, "clauses", tuple(self.clauses))
-        object.__setattr__(self, "constants", tuple(dict.fromkeys(constants)))
-        self.spec.check(*filter(None, (c.body_value for c in self.clauses)))
+        self._init(spec, tuple(clauses), tuple(dict.fromkeys(constants)))
+        spec.check(*filter(None, (c.body_value for c in self.clauses)))
 
 
 Interpretation = Dict[Atom, SemiringValue]
@@ -481,17 +478,20 @@ def _name_atoms(atoms: Iterable[Atom]) -> str:
     return ", ".join(names[:5]) + (f" +{more} more" if more > 0 else "")
 
 
-@dataclass(frozen=True)
-class LfpResult:
+class LfpResult(NamedTuple):
     """A reached fixpoint plus the number of steps that built it.
 
     ``iterations`` is the k for which k applications of the consequence
     operator to the bottom interpretation produce the fixpoint (the k+1-th
-    application confirms it).  ``interpretation`` is a read-only view.
+    application confirms it).  ``interpretation`` is a read-only view,
+    left out of the repr.  A result is a tuple.
     """
 
-    interpretation: Mapping[Atom, SemiringValue] = field(repr=False)
+    interpretation: Mapping[Atom, SemiringValue]
     iterations: int
+
+    def __repr__(self):
+        return f"LfpResult(iterations={self.iterations!r})"
 
 
 def default_max_iters(program: Program) -> int:
@@ -618,7 +618,7 @@ def eval_goal(program: Program, goal: Optional[Iterable[Atom]] = None,
 
 _TERM = r"[A-Za-z_][A-Za-z0-9_]*"
 _IDENT = re.compile(_TERM)
-_VALUE = re.compile(r"inf|true|false|\d+(\.\d+)?|\d+/\d+")
+_VALUE = re.compile(r"inf|true|false|[0-9]+(\.[0-9]+)?|[0-9]+/[0-9]+")
 # One well-formed atom and the blanks around it: the predicate, then the
 # terms (None without parentheses) with the blanks around them stripped.
 _ATOM = re.compile(rf"\s*([a-z][A-Za-z0-9_]*)\s*"

@@ -40,28 +40,25 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from dataclasses import dataclass
-from pathlib import Path
+import os
 from typing import Any, FrozenSet, Tuple
 
 from .constraints import (Name, SoftConstraint, _table, check_domain, combine,
                           hide, unit_constraint)
-from .errors import FormatError, InputError, InstanceMismatchError, fields, load_json
+from .errors import (FormatError, Frozen, InputError, InstanceMismatchError,
+                     fields, load_json)
 from .semiring import SemiringSpec, SemiringValue, lookup
 
 
-@dataclass(frozen=True)
-class SCSPProblem:
-    spec: SemiringSpec
-    domain: Tuple[Any, ...]
-    constraints: Tuple[SoftConstraint, ...]
-    interface: FrozenSet[Name]
+class SCSPProblem(Frozen):
+    __slots__ = ("spec", "domain", "constraints", "interface")
 
-    def __post_init__(self):
+    def __init__(self, spec: SemiringSpec, domain: Tuple[Any, ...],
+                 constraints: Tuple[SoftConstraint, ...],
+                 interface: FrozenSet[Name]):
         # Own copies, so the caller's lists cannot change the problem.
-        object.__setattr__(self, "domain", check_domain(self.domain))
-        object.__setattr__(self, "constraints", tuple(self.constraints))
-        object.__setattr__(self, "interface", frozenset(self.interface))
+        self._init(spec, check_domain(domain), tuple(constraints),
+                   frozenset(interface))
         for c in self.constraints:
             if c.spec.key != self.spec.key:
                 raise InstanceMismatchError(
@@ -188,5 +185,5 @@ def _explain_rows(rows: list, where: str) -> None:
         seen.add(tuple(assign))
 
 
-def load_problem(path: str | Path) -> SCSPProblem:
+def load_problem(path: str | os.PathLike[str]) -> SCSPProblem:
     return load_json(path, problem_from_json)

@@ -33,11 +33,10 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Dict, NamedTuple
 
-from .errors import InstanceMismatchError, UnknownInstanceError
+from .errors import Frozen, InstanceMismatchError, UnknownInstanceError
 
 INF = math.inf
 
@@ -100,9 +99,9 @@ class CostPair(_CostFields):
         return f"<{format_extended_natural(self.time)},{format_extended_natural(self.energy)}>"
 
 
-@dataclass(frozen=True)
-class SemiringValue:
-    """A carrier element tagged with the key of its semiring instance."""
+class SemiringValue(NamedTuple):
+    """A carrier element tagged with the key of its semiring instance.  A
+    value is a tuple, so it equals the plain tuple ``(kind, payload)``."""
 
     kind: str
     payload: Any
@@ -114,8 +113,7 @@ class SemiringValue:
         return f"SemiringValue({self.kind}, {format_value(self)})"
 
 
-@dataclass(frozen=True, eq=False)
-class SemiringSpec:
+class SemiringSpec(Frozen):
     """A concrete c-semiring instance: the carrier's units, its two
     operations and the reader and writers of its values.
 
@@ -124,17 +122,20 @@ class SemiringSpec:
     outside it, so it is the one test of carrier membership.  Payload-level
     callables are private; go through :func:`sr_plus`, :func:`sr_times`,
     :func:`sr_leq` and :func:`sr_eq`, which enforce the instance tags.
-    Instances are frozen, so the shared catalog entries cannot be changed.
+    Instances are frozen, so the shared catalog entries cannot be changed,
+    and compare by identity.
     """
 
-    key: str
-    _zero: Any
-    _one: Any
-    _plus: Callable[[Any, Any], Any]
-    _times: Callable[[Any, Any], Any]
-    _coerce: Callable[[Any], Any]
-    _to_json: Callable[[Any], Any]
-    _render: Callable[[Any], str]
+    __slots__ = ("key", "_zero", "_one", "_plus", "_times", "_coerce",
+                 "_to_json", "_render")
+
+    def __init__(self, key: str, _zero: Any, _one: Any, _plus: Callable,
+                 _times: Callable, _coerce: Callable, _to_json: Callable,
+                 _render: Callable[[Any], str]):
+        self._init(key, _zero, _one, _plus, _times, _coerce, _to_json,
+                   _render)
+
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __repr__(self):
         return f"SemiringSpec({self.key})"
@@ -249,6 +250,9 @@ def _fuzzy_coerce(raw):
         raw = str(raw)
     if not isinstance(raw, (Fraction, int, str)):
         raise ValueError("expected a rational")
+    if isinstance(raw, str) and not raw.isascii():
+        # Fraction(str) reads any Unicode digit; the carrier's text is ASCII.
+        raise ValueError(f"Invalid literal for Fraction: {raw!r}")
     value = Fraction(raw)
     if not 0 <= value <= 1:
         raise ValueError(f"{value} is outside [0, 1]")

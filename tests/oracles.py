@@ -385,7 +385,7 @@ def oracle_journeys(edges, appointments, stations, initial_soc,
 
 def oracle_fuzzy_coerce(raw):
     """A fuzzy value read by ``Fraction`` alone: a float through its
-    decimal text, anything else as ``Fraction`` reads it."""
+    decimal text, ASCII text and anything else as ``Fraction`` reads it."""
     from fractions import Fraction
 
     if isinstance(raw, bool):
@@ -394,6 +394,8 @@ def oracle_fuzzy_coerce(raw):
         raw = str(raw)
     if not isinstance(raw, (Fraction, int, str)):
         raise ValueError("expected a rational")
+    if isinstance(raw, str) and not raw.isascii():
+        raise ValueError(f"Invalid literal for Fraction: {raw!r}")
     value = Fraction(raw)
     if not 0 <= value <= 1:
         raise ValueError(f"{value} is outside [0, 1]")

@@ -464,6 +464,20 @@ class TestDispatch:
         status, out, err = invoke("scsp", "--problem", PROBLEM)
         assert status == 0 and err == "" and out != ""
 
+    def test_import_leaves_out_slow_modules(self):
+        # dataclasses loads inspect, ast, dis and tokenize at start-up.
+        # -I -S keeps site (which loads pathlib) and the environment out;
+        # -B writes no bytecode, which would speed up later start-ups.
+        ran = subprocess.run(
+            [sys.executable, "-I", "-S", "-B", "-c",
+             "import sys; sys.path.insert(0, sys.argv[1]); "
+             "import softcsp, softcsp.cli; "
+             "print(sorted({'dataclasses', 'inspect', 'pathlib'} "
+             "& set(sys.modules)))",
+             str(Path(softcsp.__file__).parents[1])],
+            capture_output=True, text=True, check=True)
+        assert ran.stdout == "[]\n"
+
 
 FILE = "<file>"
 SCLP_HEAD = "#semiring wcsp\n#constants a.\n"
@@ -619,6 +633,16 @@ def _network(*edges):
     (reading("scsp", FILE), _problem(domain=["a", "b"]),
      "{path}: constraints[0]: table has 1 rows, expected 2 (|D|^1); "
      "first missing ('b',)"),
+    # Only ASCII digits are a value, though int() and Fraction() read
+    # ARABIC-INDIC DIGIT THREE as 3.
+    (reading("sclp", FILE), SCLP_HEAD + "p(a) :- \u0663.\n",
+     "line 3: malformed atom '\u0663'"),
+    (reading("sclp", FILE), "#semiring fcsp\n#constants a.\np(a) :- 0.\u0663.\n",
+     "line 3: malformed atom '0.\u0663'"),
+    (reading("scsp", FILE), _problem(semiring="fcsp", constraints=[
+        {"support": ["x"], "rows": [{"assign": ["a"], "value": "0.\u0663"}]}]),
+     "{path}: constraints[0]: row ('a',): '0.\u0663' is not a value of the "
+     "'fcsp' carrier: Invalid literal for Fraction: '0.\u0663'"),
 ])
 def test_input_error_names_the_fault(tmp_path, argv, text, message):
     path = tmp_path / "input"

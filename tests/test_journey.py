@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 import re
@@ -172,8 +171,8 @@ class TestReplay:
         late = LegTiming(departure=good.timings[0].departure,
                          arrival=good.timings[0].arrival + 1)
         corrupted = [
-            dataclasses.replace(good, final_soc=good.final_soc + 1),
-            dataclasses.replace(good, timings=(late,) + good.timings[1:]),
+            good._replace(final_soc=good.final_soc + 1),
+            good._replace(timings=(late,) + good.timings[1:]),
         ]
         for solution in corrupted:
             with pytest.raises(RuntimeError, match="self-check"):

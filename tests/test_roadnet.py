@@ -59,6 +59,12 @@ class TestFactFormat:
         with pytest.raises(ParseError):
             parse_network("edge(p,q,[2,4])\n")
 
+    def test_costs_are_ascii_digits(self):
+        # \d would also read ARABIC-INDIC DIGIT THREE as 3.
+        with pytest.raises(ParseError, match=r"^line 1: malformed network "
+                                             r"fact 'edge\(a,b,\[\u0663,1\]\)'$"):
+            parse_network("edge(a,b,[\u0663,1]).")
+
     def test_oversized_integer_names_the_line(self):
         digits = oversized_integer()
         # The ValueError's own text differs between Python versions.

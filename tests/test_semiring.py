@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -20,6 +19,7 @@ from softcsp.constraints import combine, csum, make_constraint
 from softcsp.errors import InstanceMismatchError, UnknownInstanceError
 from softcsp.sclp import Atom, Clause, Program, lfp, tp_step
 from softcsp.scsp import SCSPProblem
+from softcsp.semiring import SemiringSpec
 
 from conftest import SEMIRING_KEYS, random_value, specs
 from oracles import oracle_fuzzy_coerce
@@ -186,7 +186,9 @@ def test_fuzzy_reader_matches_fraction():
     # Fraction(str) gives, and every other spelling the same payload or
     # the same error as Fraction(str).
     fcsp = lookup("fcsp")
-    reference = dataclasses.replace(fcsp, _coerce=oracle_fuzzy_coerce)
+    reference = SemiringSpec(fcsp.key, fcsp._zero, fcsp._one, fcsp._plus,
+                             fcsp._times, oracle_fuzzy_coerce, fcsp._to_json,
+                             fcsp._render)
     rng = random.Random("fuzzy-reader")
     outcomes = {"ok": 0, "error": 0}
     for _ in range(3000):
@@ -207,8 +209,9 @@ def test_fuzzy_reader_matches_fraction():
 
 class TestCatalog:
     def test_instances_are_frozen(self):
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             lookup("wcsp").key = "x"
+        assert lookup("wcsp").key == "wcsp"
         assert repr(lookup("wcsp")) == "SemiringSpec(wcsp)"
 
     def test_keys(self):
