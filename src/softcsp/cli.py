@@ -28,11 +28,20 @@ class _UsageError(Exception):
     pass
 
 
+class _Help(Exception):
+    pass
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on usage errors; route them through the
     # normal input-error path (status 1) instead.
     def error(self, message):
         raise _UsageError(f"{self.prog}: {message}")
+
+    # argparse prints help to sys.stdout and exits; hand the text to run,
+    # which writes it to its own output and returns 0.
+    def print_help(self, file=None):
+        raise _Help(self.format_help())
 
 
 # ASCII digits only: int() would also read "1_0", " 10" and other scripts'
@@ -314,6 +323,9 @@ def run(argv: Optional[List[str]] = None, out=None, err=None) -> int:
     except _UsageError as exc:
         print(exc, file=err)
         return 1
+    except _Help as exc:
+        out.write(exc.args[0])
+        return 0
     try:
         return _HANDLERS[args.command](args, out)
     except NonConvergenceError as exc:

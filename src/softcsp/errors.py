@@ -25,9 +25,16 @@ class Frozen:
 
     __slots__ = ()
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # Each field's slot setter, in slot order: calling one skips the
+        # attribute lookup of ``object.__setattr__``.
+        cls._setters = tuple(getattr(cls, name).__set__
+                             for name in cls.__slots__)
+
     def _init(self, *values) -> None:
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
+        for set_field, value in zip(self._setters, values):
+            set_field(self, value)
 
     def __getstate__(self) -> dict:
         return {name: getattr(self, name) for name in self.__slots__}

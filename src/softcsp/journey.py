@@ -22,11 +22,11 @@ more over the finished journeys.  Dropping early is exact in both
 dominance modes, because adding the same continuation to two costs
 preserves dominance and equal costs never knock each other out.  A leg's
 trips are searched once per (leg, usable charge), capped by the energy and
-by the time to the next appointment, and steered by the least costs to the
-leg's destination; the same least energy decides whether any path fits,
-late ones included, and so whether to charge.  The independent reference
-is the brute force ``oracle_journeys`` of the test suite's ``oracles``
-module.
+by the time to the next appointment, steered by the least-energy map to
+the leg's destination and cut on their own time; the same map decides
+whether any path fits, late ones included, and so whether to charge.  The
+independent reference is the brute force ``oracle_journeys`` of the test
+suite's ``oracles`` module.
 
 A finished journey is built from its legs, its per-leg charging events
 (``None`` where the leg did not charge) and its final charge, and the
@@ -243,8 +243,6 @@ def _journeys(net: RoadNetwork, appointments, stations, initial_soc: int,
     A layer maps each state of charge on arrival to the partial journeys
     that reach it, as (time, energy, legs, per-leg charges)."""
     _validate_inputs(net, appointments, stations, initial_soc, policy)
-    if mode is not None:
-        _check_mode(mode)
     appointments = list(appointments)
     usable = _usable_stations(stations)
     least = {dest: LeastCosts(net, dest)
@@ -260,7 +258,7 @@ def _journeys(net: RoadNetwork, appointments, stations, initial_soc: int,
         for soc, partials in layer.items():
             # Charge only when no path at all fits, however late it arrives.
             usable_charge = soc - policy.threshold
-            need = to_there.energy(usable_charge).get(here.location)
+            need = to_there.energy.get(here.location)
             if need is None or need > usable_charge:
                 level = new_soc(soc, here.duration, policy)
                 charges = [(here.location, name)
@@ -322,6 +320,7 @@ def best_journeys(net: RoadNetwork, appointments: List[Appointment],
     partial journey that another of its state dominates: both have the
     same continuations, and each continuation keeps the dominance.
     """
+    _check_mode(mode)
     return _journeys(net, appointments, stations, initial_soc, policy, mode)
 
 

@@ -22,14 +22,15 @@ is built only for a trip that reaches the destination.  Networks keep a
 per-node adjacency index built once at construction, so expanding a node
 costs no edge scan.
 
-Every walk is also steered toward its goal.  :class:`LeastCosts` runs a
-reverse Dijkstra from the destination over the network's reverse
-adjacency and gives each node its least time and least energy to it.  A
-partial path is cut when its energy plus the least energy still needed
-exceeds the cap, or, given a time limit, when its time plus the least
-time still needed exceeds that.  Both cuts are exact, because edge costs
-are non-negative and finite: a cut path has no completion within the
-limits, so the trips found and their order are unchanged.
+Every walk is also steered toward its goal by one least-energy map.
+:class:`LeastCosts` runs one reverse Dijkstra from the destination over
+the network's reverse adjacency and gives each node that can reach it
+its least energy to it.  A partial path is cut when its energy plus the
+least energy still needed exceeds the cap.  A leg with a time limit is
+cut on its own time: a partial path whose time already exceeds the limit
+is dropped.  Both cuts are exact, because edge costs are non-negative
+and finite: a cut path has no completion within the limits, so the trips
+found and their order are unchanged.
 
 Two input syntaxes are supported.  A network read from either is checked
 once, by its reader, which hands the checked edges to
@@ -291,47 +292,31 @@ def load_network(path: str | os.PathLike[str]) -> RoadNetwork:
 
 
 class LeastCosts:
-    """The least time and the least energy from each node to ``dest``.
+    """The least energy from each node to ``dest``, in ``energy``.
 
-    Each is found by a reverse Dijkstra from ``dest`` over the network's
-    reverse adjacency, run outward only as far as a caller has asked, and
-    resumed when a caller asks for more.  The two are minimised apart, over
-    every path, so each bounds from below what any path from the node
-    still needs.
+    One reverse Dijkstra from ``dest`` over the network's reverse
+    adjacency, run once at construction, settles every node that can
+    reach ``dest``; a node absent from ``energy`` cannot.  The least
+    energy is minimised over every path, so it bounds from below what any
+    path from the node still needs.
     """
 
     def __init__(self, net: RoadNetwork, dest: str):
         if dest not in net.nodes:
             raise UnknownNodeError(f"unknown node {dest!r}")
         self.dest = dest
-        self._reverse = net._reverse
-        # Per component, time then energy: the settled least costs, and a
-        # heap of tentative ones, stale entries included.
-        self._settled: Tuple[Dict[str, int], Dict[str, int]] = ({}, {})
-        self._heaps = ([(0, dest)], [(0, dest)])
-
-    def time(self, radius: int) -> Mapping[str, int]:
-        """Least times to ``dest`` by node.  Every node whose least time
-        is at most ``radius`` is present (others may be); a node absent
-        needs more than ``radius``."""
-        return self._within(0, radius)
-
-    def energy(self, radius: int) -> Mapping[str, int]:
-        """Least energies to ``dest`` by node, as :meth:`time` gives the
-        least times."""
-        return self._within(1, radius)
-
-    def _within(self, component: int, radius: int) -> Dict[str, int]:
-        settled, heap = self._settled[component], self._heaps[component]
-        while heap and heap[0][0] <= radius:
+        reverse = net._reverse
+        energy: Dict[str, int] = {}
+        heap = [(0, dest)]
+        while heap:
             cost, node = heapq.heappop(heap)
-            if node in settled:
+            if node in energy:
                 continue
-            settled[node] = cost
-            for edge in self._reverse.get(node, ()):
-                if edge[0] not in settled:
-                    heapq.heappush(heap, (cost + edge[1 + component], edge[0]))
-        return settled
+            energy[node] = cost
+            for src, _, edge_energy in reverse.get(node, ()):
+                if src not in energy:
+                    heapq.heappush(heap, (cost + edge_energy, src))
+        self.energy: Mapping[str, int] = energy
 
 
 def _walk(net: RoadNetwork, source: str, dest: str, energy_limit: int,
@@ -343,11 +328,11 @@ def _walk(net: RoadNetwork, source: str, dest: str, energy_limit: int,
     the node's neighbour iterator, and the path's time and energy up to
     the node.  So a path may be as long as the network.  Trips come out in
     lexicographic order of their node sequence.  A partial path is cut
-    when it cannot reach ``dest`` within the energy cap, or within
-    ``time_limit`` when one is given, even by the least costs of ``least``
-    (made here when not given).  With a dominance ``mode``, a partial path
-    is also cut when a partial path already recorded at its endpoint, or a
-    trip already found, dominates it.
+    when it cannot reach ``dest`` within the energy cap even by the least
+    energies of ``least`` (made here when not given), and, given a
+    ``time_limit``, when its own time exceeds it.  With a dominance
+    ``mode``, a partial path is also cut when a partial path already
+    recorded at its endpoint, or a trip already found, dominates it.
     """
     for node in (source, dest):
         if node not in net.nodes:
@@ -365,10 +350,8 @@ def _walk(net: RoadNetwork, source: str, dest: str, energy_limit: int,
                          f"walk to {dest!r}")
     dominated: Optional[Callable[[str, int, int], bool]] = None
     if mode is not None:
-        _check_mode(mode)
         dominated = _pruner(_DOMINATES_COMPONENTS[mode], dest)
-    least_energy = least.energy(energy_limit)
-    least_time = None if time_limit is None else least.time(time_limit)
+    least_energy = least.energy
 
     results: List[TripSolution] = []
     path = [source]
@@ -384,10 +367,8 @@ def _walk(net: RoadNetwork, source: str, dest: str, energy_limit: int,
             if still is None or next_energy + still > energy_limit:
                 continue
             next_time = time + cost.time
-            if least_time is not None:
-                still = least_time.get(neighbour)
-                if still is None or next_time + still > time_limit:
-                    continue
+            if time_limit is not None and next_time > time_limit:
+                continue
             if dominated is not None and dominated(neighbour, next_time,
                                                    next_energy):
                 continue
@@ -447,7 +428,8 @@ def enumerate_paths(net: RoadNetwork, source: str, dest: str,
     against itself therefore yields nothing.  Results are in lexicographic
     order of the node sequence.  ``least``, the :class:`LeastCosts` to
     ``dest``, lets callers that search toward one destination many times
-    compute it once.
+    compute its least-energy map once; a time limit needs no map, since a
+    partial path is cut on its own time.
     """
     return _walk(net, source, dest, energy_limit, time_limit=time_limit,
                  least=least)
@@ -460,6 +442,7 @@ def best_paths(net: RoadNetwork, source: str, dest: str, energy_limit: int,
     The same trips, in the same order, as ``frontier_filter`` over
     :func:`enumerate_paths`: lexicographic order of the node sequence.
     """
+    _check_mode(mode)
     return _undominated(_walk(net, source, dest, energy_limit, mode),
                         attrgetter("cost"), mode)
 

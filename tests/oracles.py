@@ -138,8 +138,7 @@ def reference_walk(net, source, dest, energy_limit, mode=None,
         least = LeastCosts(net, dest)
     dominated = (None if mode is None
                  else _pruner(_DOMINATES_COMPONENTS[mode], dest))
-    least_energy = least.energy(energy_limit)
-    least_time = None if time_limit is None else least.time(time_limit)
+    least_energy = least.energy
     results = []
     path = [source]
     visited = {source}
@@ -153,10 +152,8 @@ def reference_walk(net, source, dest, energy_limit, mode=None,
             if still is None or next_energy + still > energy_limit:
                 continue
             next_time = time + cost.time
-            if least_time is not None:
-                still = least_time.get(neighbour)
-                if still is None or next_time + still > time_limit:
-                    continue
+            if time_limit is not None and next_time > time_limit:
+                continue
             if dominated is not None and dominated(neighbour, next_time,
                                                    next_energy):
                 continue

@@ -460,6 +460,29 @@ class TestDispatch:
         assert (ran.returncode, ran.stdout, ran.stderr) == invoke(*argv)
         assert ran.returncode == status and (ran.stdout or ran.stderr)
 
+    @pytest.mark.parametrize("argv, shows", [
+        (["--help"], "{trip,journey,scsp,sclp}"),
+        (["-h"], "{trip,journey,scsp,sclp}"),
+        (["trip", "-h"], "--limit LIMIT"),
+        (["trip", "--help"], "--limit LIMIT"),
+        (["sclp", "-h"], "--max-iters MAX_ITERS"),
+    ], ids=["help", "h", "trip-h", "trip-help", "sclp-h"])
+    def test_help_goes_to_out_and_returns_zero(self, monkeypatch, capsys,
+                                               argv, shows):
+        # The help is run's output, not the process's: run returns 0
+        # without raising SystemExit and leaves sys.stdout alone.
+        monkeypatch.setenv("COLUMNS", "80")
+        status, out, err = invoke(*argv)
+        assert status == 0 and err == ""
+        assert out.startswith("usage: softcsp") and shows in out
+        assert capsys.readouterr() == ("", "")
+        ran = subprocess.run(
+            [sys.executable, "-m", "softcsp", *argv], capture_output=True,
+            text=True,
+            env={**os.environ, "COLUMNS": "80",
+                 "PYTHONPATH": str(Path(softcsp.__file__).parents[1])})
+        assert (ran.returncode, ran.stdout, ran.stderr) == (0, out, "")
+
     def test_no_diagnostic_on_success(self):
         status, out, err = invoke("scsp", "--problem", PROBLEM)
         assert status == 0 and err == "" and out != ""

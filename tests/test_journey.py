@@ -12,11 +12,12 @@ from softcsp import (
     ChargingStation,
     CostPair,
     best_journeys,
+    best_paths,
     enumerate_journeys,
     new_soc,
     time_sum,
 )
-from softcsp.errors import FormatError, InputError
+from softcsp.errors import FormatError, InputError, ModeMismatchError
 from softcsp.frontier import STRICT, WEAK
 from softcsp.journey import (
     DEFAULT_POLICY,
@@ -134,6 +135,20 @@ class TestBestJourneys:
         picked = best_journeys(network, appointments, stations, 10)
         assert len(picked) == 4
         assert all(s in journeys for s in picked)
+
+
+@pytest.mark.parametrize("mode", [None, "", "pareto"])
+@pytest.mark.parametrize("solver", ["best_paths", "best_journeys"])
+def test_best_solvers_reject_an_unknown_mode(network, appointments, stations,
+                                              solver, mode):
+    # None too: the enumerators' "no mode" is not a dominance mode, and
+    # best_paths would return the dominated trip p,q,r,s,t with the rest.
+    query = {"best_paths": lambda: best_paths(network, "p", "t", 10, mode),
+             "best_journeys": lambda: best_journeys(
+                 network, appointments, stations, 10, mode=mode)}[solver]
+    with pytest.raises(ModeMismatchError,
+                       match=f"^unknown dominance mode {mode!r}$"):
+        query()
 
 
 class TestDominatedLeg:

@@ -377,30 +377,18 @@ def test_against_recursive_oracle(cyclic):
 
 @pytest.mark.parametrize("cyclic", [False, True], ids=["dag", "cyclic"])
 def test_least_costs_are_the_cheapest_paths(cyclic):
-    # Each component's least cost over the simple paths, whatever the
-    # order and size of the radii asked for; a node beyond the radius may
-    # be absent, and a node that cannot reach dest always is.
+    # The least energy over the simple paths to dest, for exactly the
+    # nodes that can reach it: a node that cannot is absent.
     rng = random.Random(f"least-{cyclic}")
     for _ in range(60):
         net, edges, nodes = random_network(rng, cyclic=cyclic)
         dest = rng.choice(nodes)
-        cheapest = {}
+        cheapest = {dest: 0}
         for node in nodes:
             paths = oracle_paths(edges, node, dest, 10**9)
-            if node == dest:
-                cheapest[node] = (0, 0)
-            elif paths:
-                cheapest[node] = (min(p[1] for p in paths),
-                                  min(p[2] for p in paths))
-        least = LeastCosts(net, dest)
-        for _ in range(4):
-            radius = rng.randint(-1, 25)
-            for index, found in enumerate((least.time(radius),
-                                           least.energy(radius))):
-                assert all(cheapest[node][index] == cost
-                           for node, cost in found.items())
-                assert {node for node, costs in cheapest.items()
-                        if costs[index] <= radius} <= set(found)
+            if node != dest and paths:
+                cheapest[node] = min(p[2] for p in paths)
+        assert LeastCosts(net, dest).energy == cheapest
 
 
 def test_walk_checks_its_steering(network):
@@ -523,6 +511,29 @@ def test_walk_work_is_pinned(monkeypatch):
             trips += len(_walk(net, source, dest, limit, mode))
         work[mode] = (calls, trips)
     assert work == {STRICT: (1675, 292), WEAK: (1346, 197)}
+
+
+def test_time_limit_keeps_exactly_the_trips_within_it_at_scale():
+    # Past the brute-force oracle's reach: on seeded grids, a time-limited
+    # search gives exactly the uncut enumeration's trips within the limit,
+    # in order, with or without a LeastCosts shared across the limits.
+    rng = random.Random("time-cut-at-scale")
+    checked = kept = 0
+    for size, cap in ((6, 56), (7, 64), (8, 70)):
+        net = grid_network(rng, size)
+        source, dest = "n00", f"n{size - 1}{size - 1}"
+        every = enumerate_paths(net, source, dest, cap)
+        times = sorted(trip.cost.time for trip in every)
+        shared = LeastCosts(net, dest)
+        for time_limit in (-5, -1, 0, times[0] - 1, times[0],
+                           times[len(times) // 2], times[-1], times[-1] + 1):
+            expected = [trip for trip in every if trip.cost.time <= time_limit]
+            for least in (None, shared):
+                assert enumerate_paths(net, source, dest, cap, time_limit,
+                                       least) == expected
+            checked += 1
+            kept += len(expected)
+    assert checked == 24 and kept > 10000
 
 
 def test_walk_matches_the_recursive_reference(monkeypatch):
