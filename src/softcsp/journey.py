@@ -28,9 +28,9 @@ whether any path fits, late ones included, and so whether to charge.  The
 independent reference is the brute force ``oracle_journeys`` of the test
 suite's ``oracles`` module.
 
-A finished journey is built from its legs, its per-leg charging events
-(``None`` where the leg did not charge) and its final charge, and the
-charge trace is replayed as a self-check before the journey is emitted.
+A partial journey is a chain of linked legs, so a journey costs time
+linear in its appointments, and each finished journey is built and
+self-checked in one pass over its chain.
 """
 
 from __future__ import annotations
@@ -179,46 +179,44 @@ def _check_station_names(stations, error=InputError) -> None:
                         f"stations[{earlier}]")
 
 
-def _replay(solution: JourneySolution, leg_charges, initial_soc: int,
-            policy: ChargingPolicy, appointments) -> None:
-    # Self-check: walking the charge trace must stay above the threshold
-    # and land exactly on final_soc, and every arrival must be in time.
-    # Explicit raises rather than asserts, so the check survives -O.
+def _solution(time: int, energy: int, link, final_soc: int,
+              initial_soc: int, policy: ChargingPolicy,
+              appointments) -> JourneySolution:
+    """The journey of a finished partial, built and self-checked in one
+    pass over its chain of legs (see :func:`_journeys`): the charge stays
+    at or above the threshold and ends at ``final_soc``, each arrival is
+    in time, and the legs' costs sum to (time, energy).  Explicit raises
+    rather than asserts, so the checks survive -O."""
     def check(condition: bool, message: str) -> None:
         if not condition:
             raise RuntimeError(f"journey self-check failed: {message}")
 
-    soc = initial_soc
-    for index, leg in enumerate(solution.legs):
-        here, there = appointments[index], appointments[index + 1]
-        if leg_charges[index] is not None:
+    chain = []
+    while link is not None:
+        chain.append(link)
+        link = link[2]
+    legs, events, timings = [], [], []
+    soc, total_time, total_energy = initial_soc, 0, 0
+    for (trip, charge, _), here, there in zip(reversed(chain), appointments,
+                                              appointments[1:]):
+        if charge is not None:
             soc = new_soc(soc, here.duration, policy)
-        soc -= leg.cost.energy
+            events.append(charge)
+        leg_time, leg_energy = trip.cost
+        soc -= leg_energy
         check(soc >= policy.threshold, "charge trace fell below the threshold")
-        timing = solution.timings[index]
-        check(timing.departure == here.end, "departure is not the "
-                                            "appointment's end")
-        check(timing.arrival == time_sum(here.start, here.duration,
-                                         leg.cost.time),
-              "arrival does not match the leg's travel time")
-        check(timing.arrival <= there.start, "late arrival slipped through")
-    check(soc == solution.final_soc, "final state of charge mismatch")
-
-
-def _solution(legs: tuple, leg_charges: tuple, cost: CostPair,
-              final_soc: int, initial_soc: int, policy: ChargingPolicy,
-              appointments) -> JourneySolution:
-    """The checked journey of these legs and per-leg charging events."""
-    timings = tuple(
-        LegTiming(departure=appt.end,
-                  arrival=time_sum(appt.start, appt.duration, leg.cost.time))
-        for appt, leg in zip(appointments, legs))
-    solution = JourneySolution(
-        legs=legs,
-        charging_events=tuple(c for c in leg_charges if c is not None),
-        cost=cost, timings=timings, final_soc=final_soc)
-    _replay(solution, leg_charges, initial_soc, policy, appointments)
-    return solution
+        arrival = time_sum(here.start, here.duration, leg_time)
+        check(arrival <= there.start, "late arrival slipped through")
+        legs.append(trip)
+        timings.append(LegTiming(departure=here.end, arrival=arrival))
+        total_time += leg_time
+        total_energy += leg_energy
+    check(soc == final_soc, "final state of charge mismatch")
+    check((total_time, total_energy) == (time, energy),
+          "cost is not the sum of the legs' costs")
+    return JourneySolution(legs=tuple(legs), charging_events=tuple(events),
+                           cost=CostPair(time, energy),
+                           timings=tuple(timings), final_soc=final_soc)
 
 
 def _usable_stations(stations) -> Dict[str, List[str]]:
@@ -241,7 +239,8 @@ def _journeys(net: RoadNetwork, appointments, stations, initial_soc: int,
     """The journeys of the module docstring's forward program, in witness
     order: every one without a ``mode``, the non-dominated ones with it.
     A layer maps each state of charge on arrival to the partial journeys
-    that reach it, as (time, energy, legs, per-leg charges)."""
+    that reach it, as (time, energy, link), where ``link`` is ``None`` or
+    the last leg's (trip, charging event or None, previous link)."""
     _validate_inputs(net, appointments, stations, initial_soc, policy)
     appointments = list(appointments)
     usable = _usable_stations(stations)
@@ -250,7 +249,7 @@ def _journeys(net: RoadNetwork, appointments, stations, initial_soc: int,
     # Every trip, not only the non-dominated ones (best_paths): a dominated
     # leg can force the charge that opens a non-dominated journey.
     trips: Dict[Tuple[str, str, int, int], List[TripSolution]] = {}
-    layer = {initial_soc: [(0, 0, (), ())]}
+    layer = {initial_soc: [(0, 0, None)]}
     time_energy = itemgetter(0, 1)
     for here, there in zip(appointments, appointments[1:]):
         to_there = least[there.location]
@@ -276,17 +275,15 @@ def _journeys(net: RoadNetwork, appointments, stations, initial_soc: int,
                 following = reached.setdefault(level - leg_energy, [])
                 for charge in charges:
                     following += [(time + leg_time, energy + leg_energy,
-                                   (*legs, trip), (*leg_charges, charge))
-                                  for time, energy, legs, leg_charges
-                                  in partials]
+                                   (trip, charge, link))
+                                  for time, energy, link in partials]
         layer = {soc: _undominated(partials, time_energy, mode)
                  for soc, partials in reached.items()}
     finished = _undominated([(*partial, soc)
                              for soc, partials in layer.items()
                              for partial in partials], time_energy, mode)
-    journeys = [_solution(legs, leg_charges, CostPair(time, energy),
-                          final_soc, initial_soc, policy, appointments)
-                for time, energy, legs, leg_charges, final_soc in finished]
+    journeys = [_solution(*partial, initial_soc, policy, appointments)
+                for partial in finished]
     journeys.sort(key=_journey_witness)
     return journeys
 

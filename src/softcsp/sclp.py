@@ -524,7 +524,9 @@ def lfp(program: Program, max_iters: Optional[int] = None) -> LfpResult:
     Raises :class:`NonConvergenceError`, carrying the last two
     interpretations (tagged, like the result) and naming the atoms that
     differ between them, if no fixpoint is found within ``max_iters``
-    applications.
+    applications.  The cap counts the round that confirms the fixpoint,
+    so a result reporting ``iterations`` k needs a cap of at least k + 1;
+    at a cap of k the error says that the last round changed nothing.
     """
     _check_universe(program)
     universe = atom_universe(program)
@@ -582,6 +584,9 @@ def lfp(program: Program, max_iters: Optional[int] = None) -> LfpResult:
     if changed:
         message += ("; still changing: "
                     + _name_atoms(a for a in interp if a in changed))
+    else:
+        message += (f"; the last round changed nothing, so a cap of "
+                    f"{max_iters + 1} returns the fixpoint")
     raise NonConvergenceError(message, previous=_boxed(spec, interp),
                               last=_boxed(spec, {**interp, **changed}))
 

@@ -360,6 +360,18 @@ class TestSclp:
             2, "", "softcsp sclp: no fixpoint within 1 iterations; "
                    "still changing: p(a,c), q(a)\n")
 
+    def test_iteration_cap_at_the_reported_iterations(self):
+        # The fixture reports 4 iterations; the cap also counts the round
+        # that confirms the fixpoint, so 4 fails and says that 5 returns it.
+        assert invoke("sclp", "--program", PROGRAM, "--max-iters", "4") == (
+            2, "", "softcsp sclp: no fixpoint within 4 iterations; the last "
+                   "round changed nothing, so a cap of 5 returns the "
+                   "fixpoint\n")
+        status, out, err = invoke("sclp", "--program", PROGRAM,
+                                  "--max-iters", "5")
+        assert (status, err) == (0, "")
+        assert out == invoke("sclp", "--program", PROGRAM)[1]
+
     def test_iteration_cap_names_changing_atoms(self):
         for goal in ([], ["--goal", "s(a)"]):
             status, out, err = invoke("sclp", "--program", PROGRAM,

@@ -22,16 +22,16 @@ from softcsp.frontier import STRICT, WEAK
 from softcsp.journey import (
     DEFAULT_POLICY,
     LegTiming,
-    _replay,
+    _solution,
     appointments_from_json,
     stations_from_json,
 )
 from softcsp import journey
-from softcsp.roadnet import RoadNetwork, network_from_json
+from softcsp.roadnet import LeastCosts, RoadNetwork, network_from_json
 
 from conftest import shuttle_data
 from oracles import oracle_filter, oracle_journeys, oracle_paths
-from test_roadnet import random_network
+from test_roadnet import grid_network, random_network
 
 
 class TestTimeSum:
@@ -180,21 +180,35 @@ class TestDominatedLeg:
 
 class TestReplay:
     def test_corrupted_solution_raises(self, network, appointments, stations):
-        good = enumerate_journeys(network, appointments, stations, 10)[0]
-        charges = [None] * len(good.legs)
-        _replay(good, charges, 10, ChargingPolicy(), appointments)
-        late = LegTiming(departure=good.timings[0].departure,
-                         arrival=good.timings[0].arrival + 1)
+        # _solution rebuilds the charged journey from its chain of links
+        # and refuses each corrupted input.
+        good = enumerate_journeys(network, appointments, stations, 10)[2]
+        assert good.charging_events == (("r", "csr1"),)
+        link = None
+        for leg, charge in zip(good.legs, (None, ("r", "csr1"))):
+            link = (leg, charge, link)
+        time, energy = good.cost
+        policy = ChargingPolicy()
+        assert _solution(time, energy, link, good.final_soc, 10, policy,
+                         appointments) == good
+        early = appointments[:2] + [appointments[2]._replace(
+            start=good.timings[1].arrival - 1)]
         corrupted = [
-            good._replace(final_soc=good.final_soc + 1),
-            good._replace(timings=(late,) + good.timings[1:]),
+            ((time, energy, link, good.final_soc + 1, 10, policy,
+              appointments), "final state of charge"),
+            ((time + 1, energy, link, good.final_soc, 10, policy,
+              appointments), "cost is not the sum"),
+            ((time, energy + 1, link, good.final_soc, 10, policy,
+              appointments), "cost is not the sum"),
+            ((time, energy, link, good.final_soc, 10,
+              ChargingPolicy(threshold=5), appointments), "charge trace fell"),
+            ((time, energy, link, good.final_soc, 10, policy, early),
+             "late arrival"),
         ]
-        for solution in corrupted:
-            with pytest.raises(RuntimeError, match="self-check"):
-                _replay(solution, charges, 10, ChargingPolicy(), appointments)
-        with pytest.raises(RuntimeError, match="threshold"):
-            _replay(good, charges, 10, ChargingPolicy(threshold=5),
-                    appointments)
+        for args, message in corrupted:
+            with pytest.raises(RuntimeError,
+                               match=f"journey self-check failed: {message}"):
+                _solution(*args)
 
 
 class TestValidation:
@@ -667,3 +681,77 @@ def test_more_appointments_than_the_recursion_limit():
         assert [summarize(s) for s in
                 best_journeys(net, appointments, [], 0, mode=mode)] \
             == expected
+
+
+# --- gate: shifting every start shifts only the timings ----------------------
+
+def shifted_journeys(solver, net, appointments, stations, soc, *args,
+                     shift):
+    """``solver``'s journeys, checked against those of the appointments
+    moved ``shift`` later: a leg leaves at its appointment's end and only
+    the gaps count, so only the timings may move, and by ``shift``."""
+    moved = [a._replace(start=a.start + shift) for a in appointments]
+    journeys = solver(net, appointments, stations, soc, *args)
+    assert solver(net, moved, stations, soc, *args) == [
+        j._replace(timings=tuple(LegTiming(t.departure + shift,
+                                           t.arrival + shift)
+                                 for t in j.timings))
+        for j in journeys]
+    return journeys
+
+
+def grid_journey_instance(rng, size):
+    """5 to 8 appointments on a seeded size x size grid, each gap the
+    leg's least travel time plus 0..2, stations at about half of the
+    locations (some spotless), a drawn charge, and a capacity or none."""
+    net = grid_network(rng, size)
+    # Least times are least energies with the costs swapped.
+    by_time = RoadNetwork(nodes=net.nodes,
+                          edges={pair: CostPair(cost.energy, cost.time)
+                                 for pair, cost in net.edges.items()})
+    appointments, start, previous = [], 0, None
+    for _ in range(rng.randint(5, 8)):
+        location = rng.choice([n for n in net.nodes if n != previous])
+        if previous is not None:
+            start += (LeastCosts(by_time, location).energy[previous]
+                      + rng.randint(0, 2))
+        appointments.append(Appointment(location, start, rng.randint(1, 4)))
+        start, previous = appointments[-1].end, location
+    stations = [ChargingStation(f"cs{k}", rng.randint(0, 2), location)
+                for k, location in enumerate(sorted({a.location
+                                                     for a in appointments}))
+                if rng.random() < 0.6]
+    policy = ChargingPolicy(rate=15, capacity=rng.choice((None, 150)))
+    return net, appointments, stations, rng.randint(60, 150), policy
+
+
+def test_shifting_every_start_shifts_only_the_timings():
+    # Past the brute-force oracle's reach, the journeys compared with
+    # themselves: a long shuttle, and seeded grid journeys in both modes;
+    # enumerate_journeys where it stays small (one shuttle journey, the
+    # grid journeys' first three appointments).
+    network, appointments = shuttle_data(4400)
+    net = network_from_json(network)
+    appointments = appointments_from_json(appointments)
+    for mode in (STRICT, WEAK):
+        assert len(shifted_journeys(best_journeys, net, appointments, [], 0,
+                                    DEFAULT_POLICY, mode, shift=7)) == 1
+    assert len(shifted_journeys(enumerate_journeys, net, appointments, [], 0,
+                                shift=7)) == 1
+    rng = random.Random("journey-shift")
+    queries = found = charged = 0
+    for index in range(40):
+        net, appointments, stations, soc, policy = \
+            grid_journey_instance(rng, 5 + index % 2)
+        shift = rng.randint(1, 50)
+        for mode in (STRICT, WEAK):
+            journeys = shifted_journeys(best_journeys, net, appointments,
+                                        stations, soc, policy, mode,
+                                        shift=shift)
+            charged += any(j.charging_events for j in journeys)
+        found += bool(journeys)
+        shifted_journeys(enumerate_journeys, net, appointments[:3], stations,
+                         soc, policy, shift=shift)
+        queries += 1
+    # At least half of the queries have a journey; some charge.
+    assert 2 * found >= queries and charged > 0
