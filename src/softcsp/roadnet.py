@@ -45,10 +45,16 @@ and a JSON document (the CLI's file format)::
 
     {"nodes": ["p", "q"],
      "edges": [{"from": "p", "to": "q", "time": 2, "energy": 4}]}
+
+A node may be declared once only, in either syntax.  :func:`load_network`
+reads a JSON file on every call, but a process parses each distinct
+network text once and keeps the last 16 networks read; a rewritten file
+is read again.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import os
 import re
@@ -60,7 +66,7 @@ from typing import (Callable, Dict, List, Mapping, NamedTuple, NoReturn,
                     Optional, Tuple)
 
 from .errors import (FormatError, Frozen, InputError, ParseError,
-                     UnknownNodeError, fields, load_json)
+                     UnknownNodeError, _decode, fields, load_text)
 from .frontier import _DOMINATES_COMPONENTS, STRICT, _check_mode, _undominated
 from .semiring import CostPair
 
@@ -89,6 +95,9 @@ class RoadNetwork(Frozen):
                 raise InputError(f"node name must be a non-empty string, "
                                  f"got {node!r}")
         known = set(nodes)
+        if len(known) != len(nodes):
+            raise InputError(f"node {_repeated(nodes)!r} is given more "
+                             f"than once")
         edges = dict(edges)
         for (src, dst), cost in edges.items():
             if src not in known or dst not in known:
@@ -138,6 +147,12 @@ class TripSolution(NamedTuple):
     cost: CostPair
 
 
+def _repeated(names) -> str:
+    """The first of ``names`` that an earlier one repeats; there is one."""
+    seen = set()
+    return next(name for name in names if name in seen or seen.add(name))
+
+
 def _edge_fault(edges, known, src: str, dst: str) -> Optional[str]:
     """Why the edge src->dst cannot join ``edges`` over the nodes ``known``."""
     if (src, dst) in edges:
@@ -161,7 +176,7 @@ def parse_network(text: str) -> RoadNetwork:
     facts the node set is the set of edge endpoints; with them, every
     endpoint must be declared.
     """
-    nodes: List[str] = []
+    nodes = set()
     edge_list = []
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
         cut = raw_line.find("%")
@@ -187,12 +202,16 @@ def parse_network(text: str) -> RoadNetwork:
                 continue
             node_match = _NODE_FACT.match(statement)
             if node_match:
-                nodes.append(node_match.group(1))
+                node = node_match.group(1)
+                if node in nodes:
+                    raise ParseError(f"node {node!r} is declared more than "
+                                     f"once", line_no)
+                nodes.add(node)
                 continue
             raise ParseError(f"malformed network fact {statement!r}", line_no)
 
-    known = set(nodes) or {end for _, src, dst, _ in edge_list
-                           for end in (src, dst)}
+    known = nodes or {end for _, src, dst, _ in edge_list
+                      for end in (src, dst)}
     edges: Dict[Tuple[str, str], CostPair] = {}
     for line_no, src, dst, cost in edge_list:
         fault = _edge_fault(edges, known, src, dst)
@@ -219,6 +238,8 @@ def network_from_json(data) -> RoadNetwork:
     if not isinstance(raw_edges, list):
         raise FormatError('"edges" must be a list')
     known = set(nodes)
+    if len(known) != len(nodes):
+        raise FormatError(f'"nodes" lists {_repeated(nodes)!r} more than once')
     edges = _bulk_edges(raw_edges, known)
     if edges is None:
         _explain(raw_edges, known)  # raises, naming the fault
@@ -287,8 +308,21 @@ def _explain(raw_edges: list, known: set) -> NoReturn:
     raise FormatError(fault)
 
 
+@functools.lru_cache(maxsize=16)
+def _network_of_text(text: str) -> RoadNetwork:
+    # Networks are frozen, so one may serve every reader of its text; a
+    # faulty text raises, and lru_cache keeps no exception.
+    return network_from_json(_decode(text))
+
+
 def load_network(path: str | os.PathLike[str]) -> RoadNetwork:
-    return load_json(path, network_from_json)
+    """The network of the JSON file at ``path``; errors name the path.
+
+    The file is read on every call, but a process parses each distinct
+    network text once and keeps the last 16 networks read: a rewritten
+    file is read again, and files of equal text share one network.
+    """
+    return load_text(path, _network_of_text)
 
 
 class LeastCosts:

@@ -87,7 +87,11 @@ def oracle_network_from_json(data):
         raise FormatError('"nodes" must be a list of node names')
     if not isinstance(raw_edges, list):
         raise FormatError('"edges" must be a list')
-    known = set(nodes)
+    known = set()
+    for node in nodes:
+        if node in known:
+            raise FormatError(f'"nodes" lists {node!r} more than once')
+        known.add(node)
     edges = {}
     fault = None
     for index, entry in enumerate(raw_edges):

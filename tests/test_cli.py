@@ -678,6 +678,9 @@ def _network(*edges):
         {"support": ["x"], "rows": [{"assign": ["a"], "value": "0.\u0663"}]}]),
      "{path}: constraints[0]: row ('a',): '0.\u0663' is not a value of the "
      "'fcsp' carrier: Invalid literal for Fraction: '0.\u0663'"),
+    (reading("trip", FILE), json.dumps({"nodes": ["p", "t", "p"],
+                                        "edges": []}),
+     "{path}: \"nodes\" lists 'p' more than once"),
 ])
 def test_input_error_names_the_fault(tmp_path, argv, text, message):
     path = tmp_path / "input"
@@ -689,6 +692,16 @@ def test_input_error_names_the_fault(tmp_path, argv, text, message):
         message = "{path}: " + message
     assert invoke(*argv) == \
         (1, "", f"softcsp {argv[0]}: {message.format(path=path)}\n")
+
+
+def test_trip_reads_a_rewritten_network_again(tmp_path):
+    # A process keeps the networks it has read by their text, so the
+    # second query on the path sees the rewritten edge.
+    path = tmp_path / "network.json"
+    argv = reading("trip", str(path))
+    for time in (1, 2):
+        path.write_text(_network(_edge(time=time)), encoding="utf-8")
+        assert invoke(*argv) == (0, f"p,t time={time} energy=1\n", "")
 
 
 @pytest.mark.parametrize("command, template", [

@@ -1,17 +1,21 @@
-"""Gate past the oracles' reach: the map wcsp -> csp, v -> (v != inf).
+"""Gates past the oracles' reach: semiring maps onto csp that keep the
+structure.
 
-Costs are non-negative, so the map keeps the semiring structure: the
-``+`` of wcsp (min) becomes the ``+`` of csp (or), its ``×`` (+) becomes
-and, inf and 0 become False and True.  Solving the mapped problem must
-then give the mapped solution, row for row, and the fixpoint of the
-mapped program the mapped fixpoint, atom for atom.  Both sides are the
-system's own solvers, so the sizes can be far past the exhaustive
-oracles.  Only values are compared, not round counts: a closure can
-settle in fewer csp rounds than wcsp rounds.
+Two maps are checked.  wcsp -> csp, v -> (v != inf): costs are
+non-negative, so the ``+`` of wcsp (min) becomes the ``+`` of csp (or),
+its ``×`` (+) becomes and, inf and 0 become False and True.  fcsp -> csp,
+v -> (v >= α), the α-cut, for α in (0, 1]: max becomes or, min becomes
+and, 0 and 1 become False and True.  Solving the mapped problem must then
+give the mapped solution, row for row, and the fixpoint of the mapped
+program the mapped fixpoint, atom for atom.  Both sides are the system's
+own solvers, so the sizes can be far past the exhaustive oracles.  Only
+values are compared, not round counts: a closure can settle in fewer csp
+rounds than wcsp rounds.
 """
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -21,13 +25,21 @@ from softcsp.constraints import make_constraint
 from test_sclp import _sized_closure_program
 
 WCSP = lookup("wcsp")
+FCSP = lookup("fcsp")
 CSP = lookup("csp")
 DOMAIN = ("d0", "d1", "d2")
+CUTS = (Fraction(1, 10), Fraction(1, 2), Fraction(9, 10), Fraction(1))
 
 
 def feasible(value):
     """The map: a wcsp value to the csp value of whether it is finite."""
     return CSP.value(value.payload != INF)
+
+
+def alpha_cut(alpha):
+    """The map: an fcsp value to the csp value of whether it reaches
+    ``alpha``."""
+    return lambda value: CSP.value(value.payload >= alpha)
 
 
 def chain(size):
@@ -44,56 +56,101 @@ def lattice(side):
     return supports, names
 
 
-@pytest.mark.parametrize("seed", [1, 2])
-@pytest.mark.parametrize("shape", [(chain, 120), (lattice, 6)],
-                         ids=["chain-120", "lattice-6x6"])
-def test_solve_commutes_with_the_map(shape, seed):
+SHAPES = pytest.mark.parametrize("shape", [(chain, 120), (lattice, 6)],
+                                 ids=["chain-120", "lattice-6x6"])
+
+
+def _tables(rng, shape, spec, draw, ruled_out, kept):
+    """Random tables of ``draw(rng, row)`` values over ``shape``, some
+    names with a unary table too, and two interface names.  The first
+    interface name's value d0 is ``ruled_out`` (the zero) and d1 and d2
+    get ``kept``, so the solution has both mapped values."""
     build, size = shape
-    rng = random.Random(f"homomorphism-{build.__name__}-{seed}")
     supports, names = build(size)
     supports += [[name] for name in names if rng.random() < 0.3]
-    tables = [(support, {row: WCSP.value(INF if rng.random() < 0.1
-                                         else rng.randint(0, 9))
+    tables = [(support, {row: spec.value(draw(rng, row))
                          for row in itertools.product(DOMAIN,
                                                       repeat=len(support))})
               for support in supports]
     interface = rng.sample(names, 2)
-    # One interface value is ruled out, so the solution has both values.
-    tables.append(([interface[0]], {("d0",): WCSP.value(INF),
-                                    ("d1",): WCSP.value(1),
-                                    ("d2",): WCSP.value(2)}))
-    solutions = {}
-    for spec, value_of in ((WCSP, lambda v: v), (CSP, feasible)):
-        constraints = [make_constraint(spec, DOMAIN, support,
-                                       {row: value_of(v)
-                                        for row, v in table.items()})
-                       for support, table in tables]
-        solutions[spec.key] = solve(SCSPProblem(
-            spec=spec, domain=DOMAIN, constraints=constraints,
-            interface=interface))
-    wcsp, csp = solutions["wcsp"], solutions["csp"]
-    assert csp.support == wcsp.support
-    assert [(row, v.payload) for row, v in csp.table.items()] \
-        == [(row, feasible(v).payload) for row, v in wcsp.table.items()]
-    assert {v.payload for v in csp.table.values()} == {False, True}
+    tables.append(([interface[0]], {
+        (d,): spec.value(raw) for d, raw in zip(DOMAIN, (ruled_out, *kept))}))
+    return tables, interface
+
+
+def _solve(tables, interface, spec, value_of):
+    constraints = [make_constraint(spec, DOMAIN, support,
+                                   {row: value_of(v)
+                                    for row, v in table.items()})
+                   for support, table in tables]
+    return solve(SCSPProblem(spec=spec, domain=DOMAIN,
+                             constraints=constraints, interface=interface))
+
+
+def _assert_solve_commutes(tables, interface, spec, maps):
+    solution = _solve(tables, interface, spec, lambda v: v)
+    for h in maps:
+        mapped = _solve(tables, interface, CSP, h)
+        assert mapped.support == solution.support
+        assert [(row, v.payload) for row, v in mapped.table.items()] \
+            == [(row, h(v).payload) for row, v in solution.table.items()]
+        assert {v.payload for v in mapped.table.values()} == {False, True}
+
+
+def _assert_lfp_commutes(rng, spec, zero, maps):
+    """Dense closures over 20 constants, a tenth of the facts at ``zero``
+    so that both mapped values occur."""
+    program = _sized_closure_program(rng, spec, 20, "dense")
+    clauses = tuple(
+        clause._replace(body_value=spec.value(zero))
+        if not clause.body_atoms and rng.random() < 0.1 else clause
+        for clause in program.clauses)
+    constants = program.constants
+    fixpoint = lfp(Program(spec=spec, clauses=clauses,
+                           constants=constants)).interpretation
+    for h in maps:
+        mapped = Program(spec=CSP, constants=constants, clauses=tuple(
+            clause if clause.body_value is None
+            else clause._replace(body_value=h(clause.body_value))
+            for clause in clauses))
+        assert [(atom, v.payload)
+                for atom, v in lfp(mapped).interpretation.items()] \
+            == [(atom, h(v).payload) for atom, v in fixpoint.items()]
+        assert {h(v).payload for v in fixpoint.values()} == {False, True}
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@SHAPES
+def test_solve_commutes_with_the_map(shape, seed):
+    rng = random.Random(f"homomorphism-{shape[0].__name__}-{seed}")
+    tables, interface = _tables(
+        rng, shape, WCSP,
+        lambda rng, row: INF if rng.random() < 0.1 else rng.randint(0, 9),
+        INF, (1, 2))
+    _assert_solve_commutes(tables, interface, WCSP, [feasible])
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@SHAPES
+def test_solve_commutes_with_the_alpha_cuts(shape, seed):
+    # Every table is 1 where all its names are d1, so even the cut at 1
+    # keeps a row.
+    rng = random.Random(f"alpha-cut-{shape[0].__name__}-{seed}")
+    tables, interface = _tables(
+        rng, shape, FCSP,
+        lambda rng, row: 1 if set(row) == {"d1"}
+        else Fraction(rng.randint(0, 10), 10),
+        0, (1, Fraction(1, 2)))
+    _assert_solve_commutes(tables, interface, FCSP, map(alpha_cut, CUTS))
 
 
 @pytest.mark.parametrize("seed", [1, 2])
 def test_lfp_commutes_with_the_map(seed):
     rng = random.Random(f"homomorphism-closure-{seed}")
-    program = _sized_closure_program(rng, WCSP, 20, "dense")
-    clauses = tuple(
-        clause._replace(body_value=WCSP.value(INF))
-        if not clause.body_atoms and rng.random() < 0.1 else clause
-        for clause in program.clauses)
-    constants = program.constants
-    program = Program(spec=WCSP, clauses=clauses, constants=constants)
-    mapped = Program(spec=CSP, constants=constants, clauses=tuple(
-        clause if clause.body_value is None
-        else clause._replace(body_value=feasible(clause.body_value))
-        for clause in clauses))
-    fixpoint = lfp(program).interpretation
-    assert [(atom, v.payload)
-            for atom, v in lfp(mapped).interpretation.items()] \
-        == [(atom, feasible(v).payload) for atom, v in fixpoint.items()]
-    assert {feasible(v).payload for v in fixpoint.values()} == {False, True}
+    _assert_lfp_commutes(rng, WCSP, INF, [feasible])
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_lfp_commutes_with_the_alpha_cuts(seed):
+    rng = random.Random(f"alpha-cut-closure-{seed}")
+    _assert_lfp_commutes(rng, FCSP, 0, map(alpha_cut, CUTS))

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 import re
 import sys
@@ -21,8 +22,8 @@ from softcsp.errors import (
     UnknownNodeError,
 )
 from softcsp.frontier import STRICT, WEAK, frontier_filter
-from softcsp.roadnet import (LeastCosts, RoadNetwork, TripSolution, _walk,
-                             trip_solutions)
+from softcsp.roadnet import (LeastCosts, RoadNetwork, TripSolution,
+                             _network_of_text, _walk, trip_solutions)
 from softcsp.semiring import INF
 
 from conftest import FIXTURES, corridor_data, oversized_integer
@@ -58,6 +59,11 @@ class TestFactFormat:
     def test_missing_period(self):
         with pytest.raises(ParseError):
             parse_network("edge(p,q,[2,4])\n")
+
+    def test_repeated_node(self):
+        with pytest.raises(ParseError, match=re.escape(
+                "line 2: node 'p' is declared more than once")):
+            parse_network("node(p). node(q).\nnode(p).\n")
 
     def test_costs_are_ascii_digits(self):
         # \d would also read ARABIC-INDIC DIGIT THREE as 3.
@@ -99,6 +105,11 @@ class TestJsonFormat:
         with pytest.raises(FormatError, match="duplicate"):
             network_from_json({"nodes": ["p", "q"], "edges": [edge, dict(edge)]})
 
+    def test_repeated_node(self):
+        with pytest.raises(FormatError, match=re.escape(
+                '"nodes" lists \'p\' more than once')):
+            network_from_json({"nodes": ["p", "q", "p"], "edges": []})
+
     def test_edges_are_read_only(self, network):
         with pytest.raises(TypeError):
             network.edges[("p", "q")] = CostPair(0, 0)
@@ -113,14 +124,65 @@ class TestJsonFormat:
             load_network(bad)
 
 
+def _one_edge(time, energy):
+    """The text of a network file with the one edge p->q."""
+    return json.dumps({"nodes": ["p", "q"], "edges": [
+        {"from": "p", "to": "q", "time": time, "energy": energy}]})
+
+
+class TestLoadNetwork:
+    """A process parses each distinct network text once and keeps the
+    last 16 networks read."""
+
+    def test_the_same_text_gives_the_same_network(self, tmp_path):
+        path = tmp_path / "net.json"
+        path.write_text(_one_edge(1, 2), encoding="utf-8")
+        assert load_network(path) is load_network(str(path))
+
+    def test_a_rewritten_file_is_read_again(self, tmp_path):
+        # Both writes may fall within one tick of the file's mtime.
+        path = tmp_path / "net.json"
+        path.write_text(_one_edge(1, 2), encoding="utf-8")
+        first = load_network(path)
+        path.write_text(_one_edge(3, 4), encoding="utf-8")
+        assert load_network(path).edges == {("p", "q"): CostPair(3, 4)}
+        assert first.edges == {("p", "q"): CostPair(1, 2)}
+
+    def test_files_of_equal_text_share_one_network(self, tmp_path):
+        paths = [tmp_path / "a.json", tmp_path / "b.json"]
+        for path in paths:
+            path.write_text(_one_edge(5, 6), encoding="utf-8")
+        assert load_network(paths[0]) is load_network(paths[1])
+
+    def test_a_faulty_file_fails_on_every_read_until_mended(self, tmp_path):
+        paths = [tmp_path / "a.json", tmp_path / "b.json"]
+        for path in paths:
+            path.write_text('{"nodes": ["p", "p"], "edges": []}',
+                            encoding="utf-8")
+        for path in paths + paths:
+            with pytest.raises(FormatError, match=re.escape(
+                    f"{path}: \"nodes\" lists 'p' more than once")):
+                load_network(path)
+        paths[0].write_text(_one_edge(7, 8), encoding="utf-8")
+        assert load_network(paths[0]).edges == {("p", "q"): CostPair(7, 8)}
+
+    def test_more_texts_than_are_kept(self, tmp_path):
+        path = tmp_path / "net.json"
+        for _ in range(2):
+            for time in range(40):
+                path.write_text(_one_edge(time, 0), encoding="utf-8")
+                assert load_network(path).edges == {
+                    ("p", "q"): CostPair(time, 0)}
+        assert _network_of_text.cache_info().currsize <= 16
+
+
 # --- gate: the JSON reader against the entry-by-entry reference -----------
 
 def _network_document(rng):
-    """A valid network document: shuffled, possibly repeated node names,
-    and edges with zero costs, extra keys and any key order."""
+    """A valid network document: shuffled node names, and edges with zero
+    costs, extra keys and any key order."""
     names = [f"n{i}" for i in range(rng.randint(2, 7))]
-    nodes = names + [rng.choice(names) for _ in range(rng.randint(0, 2))]
-    rng.shuffle(nodes)
+    nodes = rng.sample(names, len(names))
     pairs = [(a, b) for a in names for b in names if a != b]
     edges = []
     count = 0 if rng.random() < 0.05 else rng.randint(1, len(pairs))
@@ -159,7 +221,11 @@ def _spoil(rng, doc):
             rng.choice(entries)[rng.choice(("from", "to"))] = rng.choice(
                 ("zz", "N0", ["n0"], 1, None))
         elif edit == 5 and isinstance(nodes, list) and nodes:
-            nodes[rng.randrange(len(nodes))] = rng.choice(("", 1, None, ["n0"]))
+            if rng.random() < 0.5:
+                nodes.insert(rng.randint(0, len(nodes)), rng.choice(nodes))
+            else:
+                nodes[rng.randrange(len(nodes))] = rng.choice(
+                    ("", 1, None, ["n0"]))
         elif edit == 6:
             if rng.random() < 0.5:
                 nodes = doc["nodes"] = rng.choice(("n0", {"n0": 1}, None))
@@ -178,9 +244,9 @@ def _spoil(rng, doc):
 # The faults a network document can have, each named by a part of its
 # message; the first part that a message contains names its fault.
 FAULTS = ("network file must", "network file is missing", '"nodes" must',
-          '"edges" must', "must be an object", "is missing", ".from must",
-          ".to must", "time must", "energy must", "duplicate edge",
-          "unknown node")
+          '"edges" must', '"nodes" lists', "must be an object", "is missing",
+          ".from must", ".to must", "time must", "energy must",
+          "duplicate edge", "unknown node")
 
 
 def _read(reader, doc):
@@ -223,6 +289,11 @@ class TestRoadNetwork:
         nodes.append("c")
         assert net.nodes == ("a", "b")
         assert enumerate_paths(net, "a", "b", 5)[0].path == ("a", "b")
+
+    def test_rejects_a_repeated_node(self):
+        with pytest.raises(InputError,
+                           match="node 'p' is given more than once"):
+            RoadNetwork(nodes=("p", "q", "p"), edges={})
 
     def test_rejects_an_edge_to_an_undeclared_node(self):
         # Unchecked, the walk would return the trip a, z, b.
