@@ -22,11 +22,11 @@ more over the finished journeys.  Dropping early is exact in both
 dominance modes, because adding the same continuation to two costs
 preserves dominance and equal costs never knock each other out.  A leg's
 trips are searched once per (leg, usable charge), capped by the energy and
-by the time to the next appointment, steered by the least-energy map to
-the leg's destination and cut on their own time; the same map decides
-whether any path fits, late ones included, and so whether to charge.  The
-independent reference is the brute force ``oracle_journeys`` of the test
-suite's ``oracles`` module.
+by the time to the next appointment, steered by the least-energy map
+that the network keeps for the leg's destination and cut on their own
+time; the same map decides whether any path fits, late ones included,
+and so whether to charge.  The independent reference is the brute force
+``oracle_journeys`` of the test suite's ``oracles`` module.
 
 A partial journey is a chain of linked legs, so a journey costs time
 linear in its appointments, and each finished journey is built and
@@ -41,7 +41,7 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .errors import FormatError, Frozen, InputError, fields, load_json
 from .frontier import STRICT, CostFrontier, _check_mode, _undominated
-from .roadnet import LeastCosts, RoadNetwork, TripSolution, enumerate_paths
+from .roadnet import RoadNetwork, TripSolution, enumerate_paths
 from .semiring import CostPair
 
 
@@ -244,20 +244,18 @@ def _journeys(net: RoadNetwork, appointments, stations, initial_soc: int,
     _validate_inputs(net, appointments, stations, initial_soc, policy)
     appointments = list(appointments)
     usable = _usable_stations(stations)
-    least = {dest: LeastCosts(net, dest)
-             for dest in {there.location for there in appointments[1:]}}
     # Every trip, not only the non-dominated ones (best_paths): a dominated
     # leg can force the charge that opens a non-dominated journey.
     trips: Dict[Tuple[str, str, int, int], List[TripSolution]] = {}
     layer = {initial_soc: [(0, 0, None)]}
     time_energy = itemgetter(0, 1)
     for here, there in zip(appointments, appointments[1:]):
-        to_there = least[there.location]
+        to_there = net._least_energy(there.location)
         reached: Dict[int, list] = {}
         for soc, partials in layer.items():
             # Charge only when no path at all fits, however late it arrives.
             usable_charge = soc - policy.threshold
-            need = to_there.energy.get(here.location)
+            need = to_there.get(here.location)
             if need is None or need > usable_charge:
                 level = new_soc(soc, here.duration, policy)
                 charges = [(here.location, name)
@@ -269,7 +267,7 @@ def _journeys(net: RoadNetwork, appointments, stations, initial_soc: int,
             search = (here.location, there.location,
                       level - policy.threshold, there.start - here.end)
             if search not in trips:
-                trips[search] = enumerate_paths(net, *search, to_there)
+                trips[search] = enumerate_paths(net, *search)
             for trip in trips[search]:
                 leg_time, leg_energy = trip.cost
                 following = reached.setdefault(level - leg_energy, [])

@@ -22,15 +22,16 @@ is built only for a trip that reaches the destination.  Networks keep a
 per-node adjacency index built once at construction, so expanding a node
 costs no edge scan.
 
-Every walk is also steered toward its goal by one least-energy map.
-:class:`LeastCosts` runs one reverse Dijkstra from the destination over
-the network's reverse adjacency and gives each node that can reach it
-its least energy to it.  A partial path is cut when its energy plus the
-least energy still needed exceeds the cap.  A leg with a time limit is
-cut on its own time: a partial path whose time already exceeds the limit
-is dropped.  Both cuts are exact, because edge costs are non-negative
-and finite: a cut path has no completion within the limits, so the trips
-found and their order are unchanged.
+Every walk is also steered toward its goal by one least-energy map: one
+reverse Dijkstra from the destination over the network's reverse
+adjacency gives each node that can reach it its least energy to it.  A
+network computes the map for a destination once, on the first walk to
+it, and keeps it for every later walk there.  A partial path is cut when
+its energy plus the least energy still needed exceeds the cap.  A leg
+with a time limit is cut on its own time: a partial path whose time
+already exceeds the limit is dropped.  Both cuts are exact, because edge
+costs are non-negative and finite: a cut path has no completion within
+the limits, so the trips found and their order are unchanged.
 
 Two input syntaxes are supported.  A network read from either is checked
 once, by its reader, which hands the checked edges to
@@ -81,11 +82,19 @@ class RoadNetwork(Frozen):
     construction can never go stale.  Node names must be non-empty
     strings, every edge endpoint must be a node, and every edge cost a
     :class:`CostPair` with finite components.
+
+    A network also keeps the least-energy maps its walks have asked for,
+    one per destination (see :meth:`_least_energy`): at most one int per
+    (node, destination asked for), so at most ``len(nodes)`` squared, and
+    freed with the network.  They are derived, private state: equality,
+    the refused hash and repr go by ``nodes`` and ``edges`` only, copy
+    and pickle act as on a fresh network, and a shallow copy shares the
+    maps.
     """
 
-    # Outgoing (dst, cost) pairs and, for LeastCosts, incoming
-    # (src, time, energy) triples per node in the private fields.
-    __slots__ = ("nodes", "edges", "_adjacency", "_reverse")
+    # Outgoing (dst, cost) pairs and incoming (src, energy) pairs per
+    # node, and the least-energy maps by destination, in the private fields.
+    __slots__ = ("nodes", "edges", "_adjacency", "_reverse", "_least")
 
     def __init__(self, nodes: Tuple[str, ...],
                  edges: Mapping[Tuple[str, str], CostPair]):
@@ -124,16 +133,42 @@ class RoadNetwork(Frozen):
     def _index(self, nodes: Tuple[str, ...],
                edges: Dict[Tuple[str, str], CostPair]) -> None:
         out: Dict[str, List[Tuple[str, CostPair]]] = defaultdict(list)
-        into: Dict[str, List[Tuple[str, int, int]]] = defaultdict(list)
+        into: Dict[str, List[Tuple[str, int]]] = defaultdict(list)
         for (src, dst), cost in edges.items():
             out[src].append((dst, cost))
-            into[dst].append((src, *cost))
+            into[dst].append((src, cost.energy))
         for pairs in out.values():
             # Destinations are unique per source, so costs are never compared.
             pairs.sort()
         self._init(nodes, MappingProxyType(edges),
                    dict(zip(out, map(tuple, out.values()))),
-                   dict(zip(into, map(tuple, into.values()))))
+                   dict(zip(into, map(tuple, into.values()))), {})
+
+    def _least_energy(self, dest: str) -> Dict[str, int]:
+        """The least energy from each node that can reach ``dest`` to it;
+        a node absent from the map cannot.  Callers must not change it.
+
+        One reverse Dijkstra from ``dest`` over the reverse adjacency, run
+        on the first call for ``dest`` and kept for the later ones.  The
+        least energy is minimised over every path, so it bounds from below
+        what any path from the node still needs.
+        """
+        energy = self._least.get(dest)
+        if energy is None:
+            energy = {}
+            reverse = self._reverse
+            heap = [(0, dest)]
+            while heap:
+                cost, node = heapq.heappop(heap)
+                if node in energy:
+                    continue
+                energy[node] = cost
+                for src, edge_energy in reverse.get(node, ()):
+                    if src not in energy:
+                        heapq.heappush(heap, (cost + edge_energy, src))
+            # Kept only once whole, so no caller sees a partial map.
+            self._least[dest] = energy
+        return energy
 
     def neighbours(self, node: str) -> Adjacency:
         """Outgoing ``(dst, cost)`` pairs, sorted by destination."""
@@ -325,48 +360,20 @@ def load_network(path: str | os.PathLike[str]) -> RoadNetwork:
     return load_text(path, _network_of_text)
 
 
-class LeastCosts:
-    """The least energy from each node to ``dest``, in ``energy``.
-
-    One reverse Dijkstra from ``dest`` over the network's reverse
-    adjacency, run once at construction, settles every node that can
-    reach ``dest``; a node absent from ``energy`` cannot.  The least
-    energy is minimised over every path, so it bounds from below what any
-    path from the node still needs.
-    """
-
-    def __init__(self, net: RoadNetwork, dest: str):
-        if dest not in net.nodes:
-            raise UnknownNodeError(f"unknown node {dest!r}")
-        self.dest = dest
-        reverse = net._reverse
-        energy: Dict[str, int] = {}
-        heap = [(0, dest)]
-        while heap:
-            cost, node = heapq.heappop(heap)
-            if node in energy:
-                continue
-            energy[node] = cost
-            for src, _, edge_energy in reverse.get(node, ()):
-                if src not in energy:
-                    heapq.heappush(heap, (cost + edge_energy, src))
-        self.energy: Mapping[str, int] = energy
-
-
 def _walk(net: RoadNetwork, source: str, dest: str, energy_limit: int,
-          mode: Optional[str] = None, time_limit: Optional[int] = None,
-          least: Optional[LeastCosts] = None) -> List[TripSolution]:
+          mode: Optional[str] = None,
+          time_limit: Optional[int] = None) -> List[TripSolution]:
     """Depth-first walk over the simple capped paths source -> dest.
 
     The walk keeps an explicit stack of frames, one per node of the path:
     the node's neighbour iterator, and the path's time and energy up to
     the node.  So a path may be as long as the network.  Trips come out in
     lexicographic order of their node sequence.  A partial path is cut
-    when it cannot reach ``dest`` within the energy cap even by the least
-    energies of ``least`` (made here when not given), and, given a
-    ``time_limit``, when its own time exceeds it.  With a dominance
-    ``mode``, a partial path is also cut when a partial path already
-    recorded at its endpoint, or a trip already found, dominates it.
+    when it cannot reach ``dest`` within the energy cap even by the
+    network's least energies to ``dest``, and, given a ``time_limit``,
+    when its own time exceeds it.  With a dominance ``mode``, a partial
+    path is also cut when a partial path already recorded at its
+    endpoint, or a trip already found, dominates it.
     """
     for node in (source, dest):
         if node not in net.nodes:
@@ -377,15 +384,10 @@ def _walk(net: RoadNetwork, source: str, dest: str, energy_limit: int,
     if time_limit is not None and type(time_limit) is not int:
         raise InputError(f"time limit must be an integer, "
                          f"got {time_limit!r}")
-    if least is None:
-        least = LeastCosts(net, dest)
-    elif least.dest != dest:
-        raise ValueError(f"least costs to {least.dest!r} cannot steer a "
-                         f"walk to {dest!r}")
     dominated: Optional[Callable[[str, int, int], bool]] = None
     if mode is not None:
         dominated = _pruner(_DOMINATES_COMPONENTS[mode], dest)
-    least_energy = least.energy
+    least_energy = net._least_energy(dest)
 
     results: List[TripSolution] = []
     path = [source]
@@ -452,21 +454,20 @@ def _pruner(dominates: Callable[[int, int, int, int], bool],
 
 
 def enumerate_paths(net: RoadNetwork, source: str, dest: str,
-                    energy_limit: int, time_limit: Optional[int] = None,
-                    least: Optional[LeastCosts] = None) -> List[TripSolution]:
+                    energy_limit: int,
+                    time_limit: Optional[int] = None) -> List[TripSolution]:
     """All simple paths source -> dest with total energy within the cap.
 
     With ``time_limit``, only those whose total time is within it too.
     Paths have at least one edge and never repeat a node, so the
     destination only ever appears as the final endpoint; querying a node
     against itself therefore yields nothing.  Results are in lexicographic
-    order of the node sequence.  ``least``, the :class:`LeastCosts` to
-    ``dest``, lets callers that search toward one destination many times
-    compute its least-energy map once; a time limit needs no map, since a
-    partial path is cut on its own time.
+    order of the node sequence.  Every search toward ``dest`` on one
+    network is steered by the one least-energy map the network keeps for
+    it; a time limit needs no map, since a partial path is cut on its own
+    time.
     """
-    return _walk(net, source, dest, energy_limit, time_limit=time_limit,
-                 least=least)
+    return _walk(net, source, dest, energy_limit, time_limit=time_limit)
 
 
 def best_paths(net: RoadNetwork, source: str, dest: str, energy_limit: int,

@@ -126,7 +126,7 @@ def oracle_network_from_json(data):
 
 
 def reference_walk(net, source, dest, energy_limit, mode=None,
-                   time_limit=None, least=None):
+                   time_limit=None):
     """The library's trip walk as one recursive call per path node.
 
     The same cuts, in the same order, as ``roadnet._walk`` on valid
@@ -135,14 +135,12 @@ def reference_walk(net, source, dest, energy_limit, mode=None,
     limit caps the path length it can walk.
     """
     from softcsp.frontier import _DOMINATES_COMPONENTS
-    from softcsp.roadnet import LeastCosts, TripSolution, _pruner
+    from softcsp.roadnet import TripSolution, _pruner
     from softcsp.semiring import CostPair
 
-    if least is None:
-        least = LeastCosts(net, dest)
     dominated = (None if mode is None
                  else _pruner(_DOMINATES_COMPONENTS[mode], dest))
-    least_energy = least.energy
+    least_energy = net._least_energy(dest)
     results = []
     path = [source]
     visited = {source}

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 import re
 import sys
@@ -14,6 +15,8 @@ from softcsp import (
     best_journeys,
     best_paths,
     enumerate_journeys,
+    enumerate_paths,
+    load_network,
     new_soc,
     time_sum,
 )
@@ -27,7 +30,7 @@ from softcsp.journey import (
     stations_from_json,
 )
 from softcsp import journey
-from softcsp.roadnet import LeastCosts, RoadNetwork, network_from_json
+from softcsp.roadnet import RoadNetwork, network_from_json
 
 from conftest import shuttle_data
 from oracles import oracle_filter, oracle_journeys, oracle_paths
@@ -596,10 +599,9 @@ def counting_searches(monkeypatch):
     searches = []
     real = journey.enumerate_paths
 
-    def counting(net, source, dest, energy_limit, time_limit=None,
-                 least=None):
+    def counting(net, source, dest, energy_limit, time_limit=None):
         searches.append((source, dest, energy_limit, time_limit))
-        return real(net, source, dest, energy_limit, time_limit, least)
+        return real(net, source, dest, energy_limit, time_limit)
 
     monkeypatch.setattr(journey, "enumerate_paths", counting)
     return searches
@@ -713,7 +715,7 @@ def grid_journey_instance(rng, size):
     for _ in range(rng.randint(5, 8)):
         location = rng.choice([n for n in net.nodes if n != previous])
         if previous is not None:
-            start += (LeastCosts(by_time, location).energy[previous]
+            start += (by_time._least_energy(location)[previous]
                       + rng.randint(0, 2))
         appointments.append(Appointment(location, start, rng.randint(1, 4)))
         start, previous = appointments[-1].end, location
@@ -755,3 +757,53 @@ def test_shifting_every_start_shifts_only_the_timings():
         queries += 1
     # At least half of the queries have a journey; some charge.
     assert 2 * found >= queries and charged > 0
+
+
+def test_a_used_network_answers_like_a_fresh_one(tmp_path):
+    # A network keeps the least-energy map of every destination asked for,
+    # and its later searches read the kept map.  On seeded grids, a mixed
+    # run of trip and journey queries on one network gives the same items,
+    # in the same order, as the same queries on a fresh network each.
+    rng = random.Random("used-network")
+    queries = found = journeys = 0
+    for index in range(6):
+        net, appointments, stations, soc, policy = \
+            grid_journey_instance(rng, 5 + index % 2)
+        document = {"nodes": list(net.nodes),
+                    "edges": [{"from": src, "to": dst, "time": cost.time,
+                               "energy": cost.energy}
+                              for (src, dst), cost in net.edges.items()]}
+        assert net._least == {}
+        runs = [(best_journeys, appointments, stations, soc, policy, mode)
+                for mode in (STRICT, WEAK)]
+        runs.append((enumerate_journeys, appointments[:3], stations, soc,
+                     policy))
+        asked = {a.location for a in appointments[1:]}
+        for _ in range(10):
+            source, dest = rng.sample(net.nodes, 2)
+            cap = rng.randint(10, 40)
+            asked.add(dest)
+            runs += [(best_paths, source, dest, cap, STRICT),
+                     (best_paths, source, dest, cap, WEAK),
+                     (enumerate_paths, source, dest, cap),
+                     (enumerate_paths, source, dest, cap,
+                      rng.randint(10, 40))]
+        rng.shuffle(runs)
+        used = [solver(net, *args) for solver, *args in runs]
+        fresh = [solver(network_from_json(document), *args)
+                 for solver, *args in runs]
+        assert used == fresh
+        found += sum(map(len, used))
+        journeys += sum(len(result) for (solver, *_), result
+                        in zip(runs, used) if solver is best_journeys)
+        assert set(net._least) == asked
+        for dest in asked:
+            assert net._least_energy(dest) is net._least_energy(dest)
+        queries += len(runs)
+    assert queries == 6 * 43 and found > 1000 and journeys > 10
+    # Every load of one file gives one network, so one set of maps.
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    first, second = load_network(path), load_network(path)
+    assert first._least_energy("n00") is second._least_energy("n00")
+    assert first._least is second._least

@@ -22,8 +22,8 @@ from softcsp.errors import (
     UnknownNodeError,
 )
 from softcsp.frontier import STRICT, WEAK, frontier_filter
-from softcsp.roadnet import (LeastCosts, RoadNetwork, TripSolution,
-                             _network_of_text, _walk, trip_solutions)
+from softcsp.roadnet import (RoadNetwork, TripSolution, _network_of_text,
+                             _walk, trip_solutions)
 from softcsp.semiring import INF
 
 from conftest import FIXTURES, corridor_data, oversized_integer
@@ -431,17 +431,16 @@ def test_against_recursive_oracle(cyclic):
             best = best_paths(net, source, dest, limit, mode)
             assert {(t.cost.time, t.cost.energy) for t in best} \
                 == oracle_filter(costs, mode)
-    # The time limit keeps exactly the trips within it; one LeastCosts
-    # serves every search toward its destination.
+    # The time limit keeps exactly the trips within it; the network's one
+    # least-energy map serves every search toward its destination.
     for _ in range(40):
         net, edges, nodes = random_network(rng, cyclic=cyclic)
         source, dest = rng.sample(nodes, 2)
-        least = LeastCosts(net, dest)
         for _ in range(4):
             limit, time_limit = rng.randint(0, 12), rng.randint(-1, 12)
             expected = [p for p in oracle_paths(edges, source, dest, limit)
                         if p[1] <= time_limit]
-            got = enumerate_paths(net, source, dest, limit, time_limit, least)
+            got = enumerate_paths(net, source, dest, limit, time_limit)
             assert [(t.path, t.cost.time, t.cost.energy) for t in got] \
                 == expected
 
@@ -459,16 +458,14 @@ def test_least_costs_are_the_cheapest_paths(cyclic):
             paths = oracle_paths(edges, node, dest, 10**9)
             if node != dest and paths:
                 cheapest[node] = min(p[2] for p in paths)
-        assert LeastCosts(net, dest).energy == cheapest
+        assert net._least_energy(dest) == cheapest
 
 
 def test_walk_checks_its_steering(network):
-    with pytest.raises(ValueError, match="least costs to 'q'"):
-        enumerate_paths(network, "p", "t", 10, least=LeastCosts(network, "q"))
     with pytest.raises(InputError, match="time limit"):
         enumerate_paths(network, "p", "t", 10, time_limit=1.5)
     with pytest.raises(UnknownNodeError):
-        LeastCosts(network, "nowhere")
+        enumerate_paths(network, "p", "nowhere", 10)
 
 
 def test_pruned_search_matches_enumerate_then_filter():
@@ -587,7 +584,7 @@ def test_walk_work_is_pinned(monkeypatch):
 def test_time_limit_keeps_exactly_the_trips_within_it_at_scale():
     # Past the brute-force oracle's reach: on seeded grids, a time-limited
     # search gives exactly the uncut enumeration's trips within the limit,
-    # in order, with or without a LeastCosts shared across the limits.
+    # in order, every search steered by the one map the network keeps.
     rng = random.Random("time-cut-at-scale")
     checked = kept = 0
     for size, cap in ((6, 56), (7, 64), (8, 70)):
@@ -595,13 +592,11 @@ def test_time_limit_keeps_exactly_the_trips_within_it_at_scale():
         source, dest = "n00", f"n{size - 1}{size - 1}"
         every = enumerate_paths(net, source, dest, cap)
         times = sorted(trip.cost.time for trip in every)
-        shared = LeastCosts(net, dest)
         for time_limit in (-5, -1, 0, times[0] - 1, times[0],
                            times[len(times) // 2], times[-1], times[-1] + 1):
             expected = [trip for trip in every if trip.cost.time <= time_limit]
-            for least in (None, shared):
-                assert enumerate_paths(net, source, dest, cap, time_limit,
-                                       least) == expected
+            assert enumerate_paths(net, source, dest, cap,
+                                   time_limit) == expected
             checked += 1
             kept += len(expected)
     assert checked == 24 and kept > 10000
@@ -610,8 +605,7 @@ def test_time_limit_keeps_exactly_the_trips_within_it_at_scale():
 def test_walk_matches_the_recursive_reference(monkeypatch):
     # The walk on an explicit stack against the recursive walk it replaced:
     # the same trips, item for item, from the same expansions, in order,
-    # with and without a dominance mode, a time limit and a LeastCosts
-    # shared across queries.
+    # with and without a dominance mode and a time limit.
     expanded = []
     neighbours = RoadNetwork.neighbours
 
@@ -632,19 +626,16 @@ def test_walk_matches_the_recursive_reference(monkeypatch):
         if index % 10 == 0:
             source = dest
         limit = rng.randint(span, 6 * span + 6)
-        shared = LeastCosts(net, dest)
         for time_limit in (None, rng.randint(0, 6 * span + 6)):
             for mode in (None, STRICT, WEAK):
-                for least in (None, shared):
-                    runs = []
-                    for walk in (_walk, reference_walk):
-                        expanded.clear()
-                        found = walk(net, source, dest, limit, mode,
-                                     time_limit, least)
-                        runs.append((found, list(expanded)))
-                    assert runs[0] == runs[1]
-                    trips += len(found)
-                    expansions += len(expanded)
+                runs = []
+                for walk in (_walk, reference_walk):
+                    expanded.clear()
+                    found = walk(net, source, dest, limit, mode, time_limit)
+                    runs.append((found, list(expanded)))
+                assert runs[0] == runs[1]
+                trips += len(found)
+                expansions += len(expanded)
     assert trips > 1000 and expansions > 5000
 
 

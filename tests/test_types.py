@@ -8,7 +8,7 @@ from softcsp.constraints import make_constraint
 from softcsp.frontier import FrontierItem, frontier_filter
 from softcsp.journey import (Appointment, ChargingPolicy, ChargingStation,
                              JourneySolution, LegTiming)
-from softcsp.roadnet import RoadNetwork, TripSolution
+from softcsp.roadnet import RoadNetwork, TripSolution, enumerate_paths
 from softcsp.sclp import lfp, parse_program
 from softcsp.scsp import SCSPProblem
 from softcsp.semiring import CostPair
@@ -84,7 +84,10 @@ def test_fields_cannot_be_assigned_or_deleted(name):
 @pytest.mark.parametrize("name", INSTANCES)
 def test_copy_deepcopy_and_pickle(name):
     build, copied, deep, pickled = INSTANCES[name]
-    value = build()
+    _check_copies(build(), copied, deep, pickled)
+
+
+def _check_copies(value, copied, deep, pickled):
     checks = [(copy.copy, copied), (copy.deepcopy, deep)] + [
         (lambda v, p=protocol: pickle.loads(pickle.dumps(v, p)), pickled)
         for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
@@ -97,6 +100,23 @@ def test_copy_deepcopy_and_pickle(name):
         else:
             with pytest.raises(outcome):
                 operation(value)
+
+
+def test_kept_maps_leave_a_network_as_a_fresh_one():
+    # The least-energy maps a network keeps are private, derived state:
+    # once it has computed some, it compares, prints, refuses a hash,
+    # copies and pickles as a fresh network does.
+    build, copied, deep, pickled = INSTANCES["RoadNetwork"]
+    fresh, used = build(), build()
+    assert enumerate_paths(used, "p", "q", 5) == [_trip()]
+    used._least_energy("p")
+    assert set(used._least) == {"p", "q"} and fresh._least == {}
+    assert used == fresh and repr(used) == repr(fresh)
+    for network in (used, fresh):
+        with pytest.raises(TypeError):
+            hash(network)
+    _check_copies(used, copied, deep, pickled)
+    assert enumerate_paths(copy.copy(used), "p", "q", 5) == [_trip()]
 
 
 def test_named_tuples_equal_plain_tuples():
