@@ -338,6 +338,8 @@ def run(argv: Optional[List[str]] = None, out=None, err=None) -> int:
         print(f"softcsp {args.command}: {exc}", file=err)
         return 1
     except Exception as exc:  # contract: internal failures exit 2
+        # Frees the failed run's frames, so a MemoryError can be printed.
+        exc.__traceback__ = None
         if isinstance(exc, ValueError) and _DIGIT_LIMIT in str(exc):
             # A result integer too long to print is an input error, as an
             # integer too long to read is.

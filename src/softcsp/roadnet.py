@@ -33,11 +33,10 @@ already exceeds the limit is dropped.  Both cuts are exact, because edge
 costs are non-negative and finite: a cut path has no completion within
 the limits, so the trips found and their order are unchanged.
 
-Two input syntaxes are supported.  A network read from either is checked
-once, by its reader, which hands the checked edges to
-:class:`RoadNetwork` past the constructor's checks; a network built in
-code is checked by the constructor.  The syntaxes are a line-oriented
-fact format ::
+Two input syntaxes are supported.  Both readers build the network through
+the :class:`RoadNetwork` constructor, which checks every network; a
+reader checks its input as it reads it only to name a fault by its line
+or entry.  The syntaxes are a line-oriented fact format ::
 
     edge(p,q,[2,4]).
     node(isolated).      % optional; when present, declares the node set
@@ -60,11 +59,10 @@ import heapq
 import os
 import re
 from collections import defaultdict
-from itertools import repeat
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from types import MappingProxyType
-from typing import (Callable, Dict, List, Mapping, NamedTuple, NoReturn,
-                    Optional, Tuple)
+from typing import (Callable, Dict, List, Mapping, NamedTuple, Optional,
+                    Tuple)
 
 from .errors import (FormatError, Frozen, InputError, ParseError,
                      UnknownNodeError, _decode, fields, load_text)
@@ -80,8 +78,8 @@ class RoadNetwork(Frozen):
     ``nodes`` and ``edges`` are stored as the network's own copies (a tuple
     and a read-only mapping), so the adjacency indexes built from them at
     construction can never go stale.  Node names must be non-empty
-    strings, every edge endpoint must be a node, and every edge cost a
-    :class:`CostPair` with finite components.
+    strings, every edge key a (source, destination) pair of nodes, and
+    every edge cost a :class:`CostPair` with finite components.
 
     A network also keeps the least-energy maps its walks have asked for,
     one per destination (see :meth:`_least_energy`): at most one int per
@@ -108,7 +106,13 @@ class RoadNetwork(Frozen):
             raise InputError(f"node {_repeated(nodes)!r} is given more "
                              f"than once")
         edges = dict(edges)
-        for (src, dst), cost in edges.items():
+        out: Dict[str, List[Tuple[str, CostPair]]] = defaultdict(list)
+        into: Dict[str, List[Tuple[str, int]]] = defaultdict(list)
+        for key, cost in edges.items():
+            if not isinstance(key, tuple) or len(key) != 2:
+                raise InputError(f"edge key must be a (source, destination) "
+                                 f"pair, got {key!r}")
+            src, dst = key
             if src not in known or dst not in known:
                 unknown = src if src not in known else dst
                 raise InputError(f"edge {src}->{dst}: unknown node "
@@ -119,22 +123,6 @@ class RoadNetwork(Frozen):
                 raise InputError(f"edge {src}->{dst}: cost must be a "
                                  f"CostPair of finite components, got "
                                  f"{cost!r}")
-        self._index(nodes, edges)
-
-    @classmethod
-    def _from_checked(cls, nodes: Tuple[str, ...],
-                      edges: Dict[Tuple[str, str], CostPair]) -> "RoadNetwork":
-        """The network over ``nodes`` and ``edges``, which a reader has
-        checked as the constructor would and hands over."""
-        net = object.__new__(cls)
-        net._index(nodes, edges)
-        return net
-
-    def _index(self, nodes: Tuple[str, ...],
-               edges: Dict[Tuple[str, str], CostPair]) -> None:
-        out: Dict[str, List[Tuple[str, CostPair]]] = defaultdict(list)
-        into: Dict[str, List[Tuple[str, int]]] = defaultdict(list)
-        for (src, dst), cost in edges.items():
             out[src].append((dst, cost))
             into[dst].append((src, cost.energy))
         for pairs in out.values():
@@ -253,18 +241,19 @@ def parse_network(text: str) -> RoadNetwork:
         if fault is not None:
             raise ParseError(fault, line_no)
         edges[src, dst] = cost
-    return RoadNetwork._from_checked(tuple(sorted(known)), edges)
+    return RoadNetwork(tuple(sorted(known)), edges)
 
 
 _EDGE_KEYS = ("from", "to", "time", "energy")
-_EDGE_ROW = itemgetter(*_EDGE_KEYS)
 
 
 def network_from_json(data) -> RoadNetwork:
-    """Read the JSON network format, checking every edge entry once.
+    """Read the JSON network format, one edge entry at a time.
 
-    The entries are read and checked in bulk; a document that fails is
-    read again, entry by entry, by :func:`_explain`, which names the fault.
+    Each entry's keys and types are checked as it is read, and its cost
+    built.  The first duplicate edge or unknown node is held back until
+    the last entry has been read, so that a fault of keys or types in any
+    entry is the one reported.
     """
     nodes, raw_edges = fields(data, "network file", ("nodes", "edges"))
     if (not isinstance(nodes, list)
@@ -275,49 +264,7 @@ def network_from_json(data) -> RoadNetwork:
     known = set(nodes)
     if len(known) != len(nodes):
         raise FormatError(f'"nodes" lists {_repeated(nodes)!r} more than once')
-    edges = _bulk_edges(raw_edges, known)
-    if edges is None:
-        _explain(raw_edges, known)  # raises, naming the fault
-    return RoadNetwork._from_checked(tuple(sorted(known)), edges)
-
-
-def _bulk_edges(raw_edges: list, known: set
-                ) -> Optional[Dict[Tuple[str, str], CostPair]]:
-    """The edges of ``raw_edges``, or None if any entry is faulty.
-
-    Endpoints must be known nodes (so strings), costs non-negative ints,
-    and each (from, to) pair must appear once: the rules
-    :func:`_explain` applies entry by entry.
-    """
-    if not raw_edges:
-        return {}
-    try:
-        srcs, dsts, times, energies = zip(*map(_EDGE_ROW, raw_edges))
-        if not (known.issuperset(srcs) and known.issuperset(dsts)):
-            return None
-    except (KeyError, TypeError):
-        # An entry that is no object or lacks a key, or an unhashable end.
-        return None
-    costs = times + energies
-    if {type(cost) for cost in costs} != {int} or min(costs) < 0:
-        return None
-    # Every component is a non-negative int, so each pair is built as a
-    # tuple, without CostPair's own check.
-    edges = dict(zip(zip(srcs, dsts), map(tuple.__new__, repeat(CostPair),
-                                          zip(times, energies))))
-    return edges if len(edges) == len(raw_edges) else None
-
-
-def _explain(raw_edges: list, known: set) -> NoReturn:
-    """Raise the error of the first fault in ``raw_edges``, which
-    :func:`_bulk_edges` has refused; the document is read again, one entry
-    at a time, only to name that fault.
-
-    Every entry's keys and types are checked before any duplicate edge or
-    unknown node is reported, so the first such fault is held back until
-    the last entry has been read.
-    """
-    seen = set()  # the (from, to) pairs read so far
+    edges: Dict[Tuple[str, str], CostPair] = {}
     fault = None
     for index, entry in enumerate(raw_edges):
         src, dst, time, energy = fields(entry, f"edges[{index}]", _EDGE_KEYS)
@@ -334,13 +281,13 @@ def _explain(raw_edges: list, known: set) -> NoReturn:
             raise FormatError(f"edges[{index}]: energy must be a "
                               f"non-negative integer, got {energy!r}")
         if fault is None:
-            fault = _edge_fault(seen, known, src, dst)
+            fault = _edge_fault(edges, known, src, dst)
             if fault is not None:
                 fault = f"edges[{index}]: {fault}"
-        seen.add((src, dst))
-    if fault is None:  # not reached: _bulk_edges refuses only a fault
-        raise RuntimeError("no fault found in the refused edges")
-    raise FormatError(fault)
+        edges[src, dst] = CostPair(time, energy)
+    if fault is not None:
+        raise FormatError(fault)
+    return RoadNetwork(tuple(sorted(known)), edges)
 
 
 @functools.lru_cache(maxsize=16)

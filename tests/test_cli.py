@@ -776,6 +776,36 @@ def test_exit_code_contract(monkeypatch, error, status, message):
         (status, "", f"softcsp scsp: {message}\n")
 
 
+def test_exhausted_memory_exits_2_with_one_line(tmp_path):
+    # 60 constants and a four-variable rule: the 60**4 atoms of p do not
+    # fit in a child process whose address space is capped at 200 MiB.  The
+    # handler must print without the failed run's frames and their lists.
+    pytest.importorskip("resource")
+    if not sys.platform.startswith("linux"):
+        # Elsewhere RLIMIT_AS may not be enforced, and the child would
+        # build its several GB.
+        pytest.skip("RLIMIT_AS caps the address space on Linux")
+    constants = ",".join(f"c{i}" for i in range(60))
+    program = tmp_path / "huge.sclp"
+    program.write_text(f"#semiring wcsp\n#constants {constants}.\n"
+                       f"q(c0) :- 1.\n"
+                       f"p(A,B,C,D) :- q(A), q(B), q(C), q(D).\n",
+                       encoding="utf-8")
+    child = ("import resource, sys\n"
+             "from softcsp.cli import run\n"
+             "cap = 200 * 2**20\n"
+             "resource.setrlimit(resource.RLIMIT_AS, (cap, cap))\n"
+             "sys.exit(run(sys.argv[1:]))\n")
+    ran = subprocess.run(
+        [sys.executable, "-c", child, "sclp", "--program", str(program),
+         "--goal", "q(c0)"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ,
+             "PYTHONPATH": str(Path(softcsp.__file__).parents[1])})
+    assert (ran.returncode, ran.stdout, ran.stderr) == \
+        (2, "", "softcsp sclp: internal error: MemoryError()\n")
+
+
 # --- the --json renderer ----------------------------------------------------
 
 _TEXT = 'aZ0 "\\/\b\f\n\r\t\x00\x1f\x7f\xe9€ \U0001f600\ud800'

@@ -11,6 +11,10 @@ program the mapped fixpoint, atom for atom.  Both sides are the system's
 own solvers, so the sizes can be far past the exhaustive oracles.  Only
 values are compared, not round counts: a closure can settle in fewer csp
 rounds than wcsp rounds.
+
+A renaming of a road network's nodes is checked too: the trips of the
+renamed network, mapped back and put in path order, must be the trips of
+the network, item for item.
 """
 
 import itertools
@@ -19,9 +23,12 @@ from fractions import Fraction
 
 import pytest
 
-from softcsp import INF, Program, SCSPProblem, lfp, lookup, solve
+from softcsp import (INF, STRICT, WEAK, Program, SCSPProblem, best_paths,
+                     enumerate_paths, lfp, lookup, network_from_json,
+                     parse_network, solve)
 from softcsp.constraints import make_constraint
 
+from test_roadnet import grid_document
 from test_sclp import _sized_closure_program
 
 WCSP = lookup("wcsp")
@@ -154,3 +161,53 @@ def test_lfp_commutes_with_the_map(seed):
 def test_lfp_commutes_with_the_alpha_cuts(seed):
     rng = random.Random(f"alpha-cut-closure-{seed}")
     _assert_lfp_commutes(rng, FCSP, 0, map(alpha_cut, CUTS))
+
+
+# --- renamings: trips do not depend on the names of the nodes -------------
+
+def _renamed(doc, rename):
+    return {"nodes": [rename[n] for n in doc["nodes"]],
+            "edges": [dict(e, **{"from": rename[e["from"]],
+                                 "to": rename[e["to"]]})
+                      for e in doc["edges"]]}
+
+
+def _facts(doc):
+    return "".join(f"edge({e['from']},{e['to']},[{e['time']},"
+                   f"{e['energy']}]).\n" for e in doc["edges"])
+
+
+def _trip_answers(net, queries):
+    """Each query's trips, as (path, time, energy) triples: every trip
+    within the cap, those within the cap and the median trip time too, and
+    the best trips in both modes."""
+    answers = []
+    for source, dest, cap in queries:
+        every = enumerate_paths(net, source, dest, cap)
+        median = sorted(trip.cost.time for trip in every)[len(every) // 2]
+        for trips in (every, enumerate_paths(net, source, dest, cap, median),
+                      best_paths(net, source, dest, cap, STRICT),
+                      best_paths(net, source, dest, cap, WEAK)):
+            answers.append([(trip.path, *trip.cost) for trip in trips])
+    return answers
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_trips_commute_with_a_renaming(seed):
+    # The renaming reverses the order of the names, so the renamed walk
+    # meets every node's neighbours in reversed order.
+    rng = random.Random(f"renaming-{seed}")
+    doc = grid_document(rng, 6)
+    names = sorted(doc["nodes"])
+    rename = dict(zip(names, reversed(names)))
+    back = {new: old for old, new in rename.items()}
+    queries = [("n00", "n55", 50), ("n55", "n00", 50), ("n05", "n50", 50)]
+    queries += [(*rng.sample(names, 2), 40) for _ in range(3)]
+    want = _trip_answers(network_from_json(doc), queries)
+    renamed_queries = [(rename[s], rename[d], cap) for s, d, cap in queries]
+    renamed = _renamed(doc, rename)
+    for net in (network_from_json(renamed), parse_network(_facts(renamed))):
+        got = _trip_answers(net, renamed_queries)
+        assert [sorted((tuple(back[n] for n in path), time, energy)
+                       for path, time, energy in trips)
+                for trips in got] == want

@@ -318,6 +318,14 @@ class TestRoadNetwork:
                 f"got {cost!r}")):
             RoadNetwork(nodes=["a", "b"], edges={("a", "b"): cost})
 
+    @pytest.mark.parametrize("key", ["pq", ("p",), ("p", "q", "r")])
+    def test_rejects_an_edge_key_that_is_not_a_pair(self, key):
+        # Unchecked, "pq" was stored as the key of the edge p->q.
+        with pytest.raises(InputError, match=re.escape(
+                f"edge key must be a (source, destination) pair, "
+                f"got {key!r}")):
+            RoadNetwork(nodes=("p", "q", "r"), edges={key: CostPair(1, 1)})
+
 
 class TestEnumeration:
     def test_limit_ten(self, network):
@@ -533,7 +541,12 @@ def test_every_three_node_network(source, dest):
 
 
 def grid_network(rng, size):
-    """A bidirectional size x size grid; each direction draws its costs."""
+    return network_from_json(grid_document(rng, size))
+
+
+def grid_document(rng, size):
+    """A bidirectional size x size grid network document; each direction
+    draws its costs."""
     nodes = [f"n{r}{c}" for r in range(size) for c in range(size)]
     edges = []
     for r in range(size):
@@ -544,7 +557,7 @@ def grid_network(rng, size):
                         edges.append({"from": "n%d%d" % a, "to": "n%d%d" % b,
                                       "time": rng.randint(1, 9),
                                       "energy": rng.randint(1, 9)})
-    return network_from_json({"nodes": nodes, "edges": edges})
+    return {"nodes": nodes, "edges": edges}
 
 
 def test_walk_work_is_pinned(monkeypatch):
