@@ -12,10 +12,11 @@ echo and a ``results`` array.
 from __future__ import annotations
 
 import argparse
+import json
 import re
 import sys
 from json.encoder import encode_basestring_ascii as _quote
-from typing import List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from . import journey as journey_mod
 from . import roadnet, scsp, sclp
@@ -58,7 +59,9 @@ def _nonneg(text: str) -> int:
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> Tuple[argparse.ArgumentParser,
+                            Dict[str, argparse.ArgumentParser]]:
+    """The top parser, and its subcommand parsers by name."""
     parser = _Parser(prog="softcsp",
                      description="Soft-constraint solvers and the EV "
                                  "trip/journey planner.")
@@ -103,27 +106,14 @@ def build_parser() -> argparse.ArgumentParser:
                           help="fixpoint iteration cap")
     sclp_cmd.add_argument("--json", action="store_true", dest="as_json")
 
-    return parser
-
-
-_INF = float("inf")
-
-
-def _float(value: float) -> str:
-    if value != value:
-        return "NaN"
-    if value == _INF:
-        return "Infinity"
-    if value == -_INF:
-        return "-Infinity"
-    return float.__repr__(value)
+    return parser, sub.choices
 
 
 _SCALARS = {
     int: int.__repr__,
     bool: lambda value: "true" if value else "false",
     type(None): lambda value: "null",
-    float: _float,
+    float: json.dumps,
 }
 
 
@@ -275,12 +265,9 @@ def _run_sclp(args, out) -> int:
     return 0
 
 
-# Built once per process: building it costs more than a small query.
-_PARSER = build_parser()
-# The subcommand parsers by name, as the top parser's subparsers action
-# holds them.
-_COMMANDS = next(action.choices for action in _PARSER._actions
-                 if isinstance(action, argparse._SubParsersAction))
+# Built once per process: building them costs more than a small query.
+# _COMMANDS maps each subcommand to its parser, as add_subparsers() holds it.
+_PARSER, _COMMANDS = build_parser()
 
 _HANDLERS = {
     "trip": _run_trip,
@@ -331,10 +318,7 @@ def run(argv: Optional[List[str]] = None, out=None, err=None) -> int:
     except NonConvergenceError as exc:
         print(f"softcsp {args.command}: {exc}", file=err)
         return 2
-    except SoftcspError as exc:
-        print(f"softcsp {args.command}: {exc}", file=err)
-        return 1
-    except OSError as exc:
+    except (SoftcspError, OSError) as exc:
         print(f"softcsp {args.command}: {exc}", file=err)
         return 1
     except Exception as exc:  # contract: internal failures exit 2

@@ -220,7 +220,11 @@ def check_domain(domain: Iterable[Any]) -> Tuple[Any, ...]:
         raise InputError("constraint domain must be non-empty")
     first: Dict[Any, int] = {}
     for index, value in enumerate(values):
-        earlier = first.setdefault(value, index)
+        try:
+            earlier = first.setdefault(value, index)
+        except TypeError:
+            raise InputError(f"domain[{index}] {value!r} is not hashable, "
+                             f"so it cannot key a table") from None
         if earlier != index:
             raise InputError(f"domain[{index}] {value!r} is the same value as "
                              f"domain[{earlier}] {values[earlier]!r}")

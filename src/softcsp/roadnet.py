@@ -202,8 +202,7 @@ def parse_network(text: str) -> RoadNetwork:
     nodes = set()
     edge_list = []
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
-        cut = raw_line.find("%")
-        line = (raw_line if cut < 0 else raw_line[:cut]).strip()
+        line = raw_line.partition("%")[0].strip()
         if not line:
             continue
         statements = [part.strip() for part in line.split(".")]

@@ -411,24 +411,36 @@ def _join(steps: list, env: list, matched: list) -> Iterable[None]:
     ``steps``, at least one, are :meth:`_Rule.plan` steps whose signature
     and positions are replaced by what :meth:`_AtomIndex.source` returns
     for them.  At each yield ``env`` holds the slots bound and ``matched``
-    the atoms matched, by body position.
+    the atoms matched, by body position.  The join keeps the steps it has
+    entered on an explicit stack, each with its iterator over the atoms
+    left to match, so a body may be longer than the recursion limit.
     """
-    (position, atoms, key, binds, checks), rest = steps[0], steps[1:]
-    if key is not None:
-        atoms = atoms.get(key(env), ())
-    for atom in atoms:
-        args = atom.args
-        for i, j in checks:
-            if args[i] != args[j]:
+    last, depth, stack = len(steps) - 1, 0, []
+    position, atoms, key, binds, checks = steps[0]
+    atoms = iter(atoms if key is None else atoms.get(key(env), ()))
+    while True:
+        for atom in atoms:
+            args = atom.args
+            for i, j in checks:
+                if args[i] != args[j]:
+                    break
+            else:
+                for i, slot in binds:
+                    env[slot] = args[i]
+                matched[position] = atom
+                if depth == last:
+                    yield None
+                    continue
+                stack.append((atoms, position, binds, checks))
+                depth += 1
+                position, atoms, key, binds, checks = steps[depth]
+                atoms = iter(atoms if key is None else atoms.get(key(env), ()))
                 break
         else:
-            for i, slot in binds:
-                env[slot] = args[i]
-            matched[position] = atom
-            if rest:
-                yield from _join(rest, env, matched)
-            else:
-                yield None
+            if not stack:
+                return
+            atoms, position, binds, checks = stack.pop()
+            depth -= 1
 
 
 def _new_instances(rules: list, fresh: _AtomIndex, index: _AtomIndex,
@@ -638,11 +650,6 @@ _LOOSE_ATOM = re.compile(r"([a-z][A-Za-z0-9_]*)\s*(?:\((.*)\))?", re.DOTALL)
 _GROUP = re.compile(r"\([^()]*\)")
 
 
-def _strip_comment(line: str) -> str:
-    cut = line.find("%")
-    return line if cut < 0 else line[:cut]
-
-
 def _matched_atom(match: re.Match) -> Atom:
     predicate, terms = match.groups()
     return Atom(predicate, () if terms is None else tuple(_COMMA.split(terms)))
@@ -768,7 +775,7 @@ def parse_program(text: str) -> Program:
     pending: list = []
 
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw_line).strip()
+        line = raw_line.partition("%")[0].strip()
         if not line:
             continue
         if line.startswith("#"):

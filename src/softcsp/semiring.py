@@ -18,6 +18,10 @@ costpair  (time, energy) natural pairs   pairwise    pairwise
           with infinity                  min         +
 ========  =============================  ==========  =========
 
+The payload operations are, row by row, the callables ``operator.or_`` and
+``and_``, ``max`` and ``min``, ``min`` and ``operator.add``, and
+:meth:`CostPair.cmin` and :meth:`CostPair.add`.
+
 All arithmetic is exact: Python integers with a distinguished infinity and
 :class:`fractions.Fraction` for the fuzzy carrier.  Equality of values, and
 of anything built from them (constraint tables, interpretations), is
@@ -32,6 +36,7 @@ bugs surface there; inside, tables and programs compute on bare payloads.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from fractions import Fraction
 from typing import Any, Callable, Dict, NamedTuple
@@ -263,11 +268,6 @@ def _fuzzy_to_json(v: Fraction):
     return int(v) if v.denominator == 1 else str(v)
 
 
-def _wcsp_times(a, b):
-    # int + inf saturates to inf on its own.
-    return a + b
-
-
 def _pair_coerce(raw):
     if isinstance(raw, CostPair):
         return raw
@@ -289,8 +289,8 @@ for _spec in (
         key="csp",
         _zero=False,
         _one=True,
-        _plus=lambda a, b: a or b,
-        _times=lambda a, b: a and b,
+        _plus=operator.or_,
+        _times=operator.and_,
         _coerce=_bool_coerce,
         _to_json=lambda v: v,
         _render=lambda v: "true" if v else "false",
@@ -303,14 +303,14 @@ for _spec in (
         _times=min,
         _coerce=_fuzzy_coerce,
         _to_json=_fuzzy_to_json,
-        _render=lambda v: str(v),
+        _render=str,
     ),
     SemiringSpec(
         key="wcsp",
         _zero=INF,
         _one=0,
         _plus=min,
-        _times=_wcsp_times,
+        _times=operator.add,
         _coerce=_coerce_extended_natural,
         _to_json=lambda v: "inf" if v == INF else v,
         _render=format_extended_natural,
@@ -319,8 +319,8 @@ for _spec in (
         key="costpair",
         _zero=CostPair(INF, INF),
         _one=CostPair(0, 0),
-        _plus=lambda a, b: a.cmin(b),
-        _times=lambda a, b: a.add(b),
+        _plus=CostPair.cmin,
+        _times=CostPair.add,
         _coerce=_pair_coerce,
         _to_json=_pair_to_json,
         _render=str,

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 
@@ -30,6 +31,7 @@ from softcsp.errors import (
     InvalidPermutationError,
     UnboundNameError,
 )
+from softcsp.scsp import SCSPProblem
 
 from conftest import random_constraint, specs
 
@@ -151,6 +153,20 @@ class TestMakeConstraint:
         with pytest.raises(InstanceMismatchError):
             make_constraint(WCSP, COLORS, ("v",),
                             {(c,): -1 for c in COLORS})
+
+    @pytest.mark.parametrize("build, fault", [
+        (lambda: make_constraint(WCSP, [[1], [2]], ["x"], {}),
+         "domain[0] [1]"),
+        (lambda: unit_constraint(WCSP, [[1]]), "domain[0] [1]"),
+        (lambda: SCSPProblem(spec=WCSP, domain=["a", {"b": 1}],
+                             constraints=(), interface=frozenset()),
+         "domain[1] {'b': 1}"),
+    ])
+    def test_unhashable_domain_value(self, build, fault):
+        # A table is keyed by its domain values, so each must be hashable.
+        with pytest.raises(InputError,
+                           match=re.escape(f"{fault} is not hashable")):
+            build()
 
     def test_constraint_owns_its_domain_and_support(self):
         # Lists given to the constructor are copied: changing them later

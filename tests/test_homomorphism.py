@@ -12,9 +12,12 @@ own solvers, so the sizes can be far past the exhaustive oracles.  Only
 values are compared, not round counts: a closure can settle in fewer csp
 rounds than wcsp rounds.
 
-A renaming of a road network's nodes is checked too: the trips of the
-renamed network, mapped back and put in path order, must be the trips of
-the network, item for item.
+Renamings are checked too.  The trips of a network whose nodes are
+renamed, mapped back and put in path order, must be the trips of the
+network, item for item.  The solution of a problem whose names are
+renamed, whose constraints are shuffled and whose domain is reversed,
+mapped back, must equal the solution of the problem, with the same best
+level.
 """
 
 import itertools
@@ -23,10 +26,11 @@ from fractions import Fraction
 
 import pytest
 
-from softcsp import (INF, STRICT, WEAK, Program, SCSPProblem, best_paths,
-                     enumerate_paths, lfp, lookup, network_from_json,
-                     parse_network, solve)
+from softcsp import (INF, STRICT, WEAK, Permutation, Program, SCSPProblem,
+                     best_paths, enumerate_paths, lfp, lookup,
+                     network_from_json, parse_network, permute, solve)
 from softcsp.constraints import make_constraint
+from softcsp.scsp import best_level
 
 from test_roadnet import grid_document
 from test_sclp import _sized_closure_program
@@ -85,12 +89,16 @@ def _tables(rng, shape, spec, draw, ruled_out, kept):
     return tables, interface
 
 
-def _solve(tables, interface, spec, value_of):
-    constraints = [make_constraint(spec, DOMAIN, support,
+def _weight(rng, row):
+    return INF if rng.random() < 0.1 else rng.randint(0, 9)
+
+
+def _solve(tables, interface, spec, value_of, domain=DOMAIN):
+    constraints = [make_constraint(spec, domain, support,
                                    {row: value_of(v)
                                     for row, v in table.items()})
                    for support, table in tables]
-    return solve(SCSPProblem(spec=spec, domain=DOMAIN,
+    return solve(SCSPProblem(spec=spec, domain=domain,
                              constraints=constraints, interface=interface))
 
 
@@ -130,10 +138,7 @@ def _assert_lfp_commutes(rng, spec, zero, maps):
 @SHAPES
 def test_solve_commutes_with_the_map(shape, seed):
     rng = random.Random(f"homomorphism-{shape[0].__name__}-{seed}")
-    tables, interface = _tables(
-        rng, shape, WCSP,
-        lambda rng, row: INF if rng.random() < 0.1 else rng.randint(0, 9),
-        INF, (1, 2))
+    tables, interface = _tables(rng, shape, WCSP, _weight, INF, (1, 2))
     _assert_solve_commutes(tables, interface, WCSP, [feasible])
 
 
@@ -211,3 +216,36 @@ def test_trips_commute_with_a_renaming(seed):
         assert [sorted((tuple(back[n] for n in path), time, energy)
                        for path, time, energy in trips)
                 for trips in got] == want
+
+
+# --- renamings: a solution does not depend on names or on orders ------------
+
+def _fuzzy(rng, row):
+    return Fraction(rng.randint(0, 10), 10)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("spec, draw, ruled_out, kept",
+                         [(WCSP, _weight, INF, (1, 2)),
+                          (FCSP, _fuzzy, 0, (1, Fraction(1, 2)))],
+                         ids=["wcsp", "fcsp"])
+@SHAPES
+def test_solve_commutes_with_a_renaming(shape, spec, draw, ruled_out, kept,
+                                        seed):
+    # The renaming reverses the order of the names, interface included, so
+    # the tie-break between equally wide buckets flips and the elimination
+    # order can change; the constraints are shuffled and the domain is
+    # reversed too.
+    rng = random.Random(f"scsp-renaming-{shape[0].__name__}-{spec.key}-{seed}")
+    tables, interface = _tables(rng, shape, spec, draw, ruled_out, kept)
+    names = sorted({n for support, _ in tables for n in support})
+    rename = dict(zip(names, reversed(names)))
+    renamed = [([rename[n] for n in support], table)
+               for support, table in tables]
+    rng.shuffle(renamed)
+    solution = _solve(tables, interface, spec, lambda v: v)
+    got = _solve(renamed, [rename[n] for n in interface], spec, lambda v: v,
+                 DOMAIN[::-1])
+    back = Permutation({new: old for old, new in rename.items()})
+    assert permute(back, got) == solution
+    assert best_level(got) == best_level(solution)

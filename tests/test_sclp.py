@@ -1,7 +1,11 @@
 import itertools
+import os
 import random
 import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -993,6 +997,41 @@ def test_join_work_is_pinned(monkeypatch):
         ("fcsp", "dense", 12): (832, 762, 8),
         ("fcsp", "dense", 16): (1819, 1270, 8),
     }
+
+
+@pytest.mark.parametrize("goal", [None, "p(a,b)"])
+def test_a_body_longer_than_the_recursion_limit(tmp_path, goal):
+    # The join walks its steps on an explicit stack, so a child process
+    # whose recursion limit is 100 evaluates a 200-atom body, to the
+    # value that iterating tp_step gives.
+    body = ", ".join(["q(X)", "e(X,Y)"] * 100)
+    text = ("#semiring wcsp\n#constants a,b.\n"
+            "q(a) :- 1.\nq(b) :- 2.\ne(a,b) :- 3.\ne(b,b) :- 0.\n"
+            f"p(X,Y) :- {body}.\n")
+    program = tmp_path / "long.sclp"
+    program.write_text(text, encoding="utf-8")
+    grounded = ground(parse_program(text))
+    interp, previous = tp_step(grounded, bottom(grounded)), None
+    while interp != previous:
+        interp, previous = tp_step(grounded, interp), interp
+    if goal is None:
+        expected = "".join(f"{a} = {v}\n" for a, v in interp.items())
+    else:
+        assert interp[atom(goal)].payload == 400
+        expected = f"{interp[atom(goal)]}\n"
+    child = ("import sys\n"
+             "from softcsp.cli import run\n"
+             "sys.setrecursionlimit(100)\n"
+             "sys.exit(run(sys.argv[1:]))\n")
+    argv = ["sclp", "--program", str(program)]
+    ran = subprocess.run(
+        [sys.executable, "-c", child, *argv,
+         *(() if goal is None else ("--goal", goal))],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ,
+             "PYTHONPATH": str(Path(sclp.__file__).parents[1])})
+    assert (ran.returncode, ran.stderr) == (0, "")
+    assert sorted(ran.stdout.splitlines()) == sorted(expected.splitlines())
 
 
 @pytest.mark.parametrize("cap", [2.0, "3", True])
